@@ -29,8 +29,8 @@ pub mod tree;
 pub mod util;
 
 pub use repair::{
-    recover, recover_metered, recover_report, recover_traced, DefectiveGreedyFinisher, DegradedRun,
-    EdgeGreedyFinisher, Finish, Finisher, GreedyColoringFinisher, LubyRestartFinisher, Recovery,
-    RecoveryPolicy, RulingSetFinisher, SinklessFinisher,
+    recover, DefectiveGreedyFinisher, DegradedRun, EdgeGreedyFinisher, Finish, Finisher,
+    GreedyColoringFinisher, LubyRestartFinisher, Recovery, RecoveryPolicy, RulingSetFinisher,
+    SinklessFinisher,
 };
 pub use sync::{run_sync, SyncAlgorithm, SyncCtx, SyncOutcome, SyncRun, SyncStep};

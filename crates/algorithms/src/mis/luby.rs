@@ -112,32 +112,6 @@ pub fn luby_mis(g: &Graph, seed: u64, max_rounds: u32) -> Result<MisOutcome, Sim
     luby_mis_restricted(g, seed, None, max_rounds)
 }
 
-/// [`luby_mis`] stepped with an explicit engine shard count — the entry
-/// point for large-`n` scaling runs and shard-invariance checks. The result
-/// is bit-identical to [`luby_mis`] for every shard count.
-///
-/// # Errors
-///
-/// See [`luby_mis`].
-pub fn luby_mis_with_shards(
-    g: &Graph,
-    seed: u64,
-    max_rounds: u32,
-    shards: usize,
-) -> Result<MisOutcome, SimError> {
-    let out = run_sync(
-        g,
-        Mode::randomized(seed),
-        &Luby::new(),
-        &ExecSpec::rounds(max_rounds).with_shards(shards),
-    )
-    .strict()?;
-    Ok(MisOutcome {
-        in_set: out.outputs,
-        rounds: out.rounds,
-    })
-}
-
 /// Run Luby's MIS on the subgraph induced by `active`.
 ///
 /// # Errors

@@ -19,7 +19,7 @@ pub mod ruling_set;
 
 pub use by_color::{det_mis, mis_by_color};
 pub use ghaffari::ghaffari_mis;
-pub use luby::{luby_mis, luby_mis_with_shards};
+pub use luby::luby_mis;
 pub use ruling_set::ruling_set as compute_ruling_set;
 pub use ruling_set::{is_ruling_set, DilatedLuby, DilatedState};
 

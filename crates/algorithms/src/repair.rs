@@ -6,7 +6,7 @@
 //! are the ones a fault silenced. [`recover`] drives it generically:
 //!
 //! 1. The *core* is every unlabeled vertex plus every labeled vertex whose
-//!    radius-1 view violates the problem (a dropped message can leave two
+//!    checked view violates the problem (a dropped message can leave two
 //!    halted neighbors mutually inconsistent, so non-`Halted` alone is not
 //!    enough).
 //! 2. The core is dilated by a boundary radius into a
@@ -131,12 +131,22 @@ pub trait Finisher<P: LclProblem> {
 /// Recover a complete valid labeling from a partial one by escalating
 /// residue repair (see the module docs for the drive cycle).
 ///
+/// With a `trace`, the run is wrapped in a `recover` span and every
+/// escalation attempt emits a `recovery` event carrying the core/residue
+/// sizes, the finisher used, and whether the spliced labeling verified.
+/// With `metrics`, every attempt adds to the `recovery_*` counters
+/// (attempts, core and residue sizes, ok/failed verdicts, extra rounds) and
+/// raises the `recovery_radius_max` gauge.
+///
 /// # Errors
 ///
-/// [`RecoveryError::Budget`] as soon as any attempt breaches its budget;
-/// otherwise the last attempt's [`RecoveryError::Infeasible`], or
-/// [`RecoveryError::Exhausted`] if every radius spliced but failed
-/// verification.
+/// A failure comes back as a scored [`DegradedRun`] (surviving census,
+/// attempt trail, and the typed error) so callers that must always produce
+/// a row — the adversary search above all — never special-case the error
+/// path. Its `error` is [`RecoveryError::Budget`] as soon as any attempt
+/// breaches its budget; otherwise the last attempt's
+/// [`RecoveryError::Infeasible`], or [`RecoveryError::Exhausted`] if every
+/// radius spliced but failed verification.
 ///
 /// # Panics
 ///
@@ -147,188 +157,9 @@ pub fn recover<P, F>(
     partial: &[Option<P::Label>],
     finisher: &F,
     policy: &RecoveryPolicy,
-) -> Result<Recovery<P::Label>, RecoveryError>
-where
-    P: LclProblem,
-    F: Finisher<P>,
-{
-    recover_traced(problem, g, partial, finisher, policy, None)
-}
-
-/// [`recover`] with an optional trace sink: every escalation attempt emits a
-/// `recovery` event carrying the core/residue sizes, the finisher used, and
-/// whether the spliced labeling verified.
-///
-/// # Errors
-///
-/// Same contract as [`recover`].
-///
-/// # Panics
-///
-/// Panics if `partial.len() != g.n()`.
-pub fn recover_traced<P, F>(
-    problem: &P,
-    g: &Graph,
-    partial: &[Option<P::Label>],
-    finisher: &F,
-    policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
-) -> Result<Recovery<P::Label>, RecoveryError>
-where
-    P: LclProblem,
-    F: Finisher<P>,
-{
-    drive(problem, g, partial, finisher, policy, trace, None).0
-}
-
-/// [`recover_traced`] with an optional per-trial metric recorder: every
-/// escalation attempt adds to the `recovery_*` counters (attempts, core and
-/// residue sizes, ok/failed verdicts, extra rounds) and raises the
-/// `recovery_radius_max` gauge.
-///
-/// # Errors
-///
-/// Same contract as [`recover`].
-///
-/// # Panics
-///
-/// Panics if `partial.len() != g.n()`.
-pub fn recover_metered<P, F>(
-    problem: &P,
-    g: &Graph,
-    partial: &[Option<P::Label>],
-    finisher: &F,
-    policy: &RecoveryPolicy,
     trace: Option<&Trace>,
     metrics: Option<&MetricSet>,
-) -> Result<Recovery<P::Label>, RecoveryError>
-where
-    P: LclProblem,
-    F: Finisher<P>,
-{
-    drive(problem, g, partial, finisher, policy, trace, metrics).0
-}
-
-/// The graceful end of a failed recovery: a typed census of what survived
-/// plus the full escalation trail, instead of a bare [`RecoveryError`].
-///
-/// Adversarial trials consume this (via [`recover_report`]) so every fault
-/// plan produces a *scored* row — a plan that wrecks recovery outright is
-/// the most interesting one, not an error to discard. The census fields are
-/// [`check_partial`] over the input partial labeling (what stands when
-/// recovery gives up); `trail` is shared verbatim with
-/// [`RecoveryError::Exhausted`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradedRun {
-    /// Total vertices in the graph.
-    pub n: usize,
-    /// Vertices still carrying a label in the surviving partial labeling.
-    pub labeled: usize,
-    /// Labeled vertices whose full radius-1 view was checkable.
-    pub checked: usize,
-    /// Checked vertices whose view satisfied the problem.
-    pub valid: usize,
-    /// Labeled vertices skipped because a neighbor is unlabeled.
-    pub skipped: usize,
-    /// Residual violations among the checked vertices.
-    pub violations: usize,
-    /// The per-attempt escalation history (one record per radius tried).
-    pub trail: Vec<AttemptRecord>,
-    /// The terminal error recovery gave up with.
-    pub error: RecoveryError,
-}
-
-impl DegradedRun {
-    /// Fraction of vertices with a *valid* surviving label, in `[0, 1]`.
-    pub fn surviving_fraction(&self) -> f64 {
-        if self.n == 0 {
-            1.0
-        } else {
-            self.valid as f64 / self.n as f64
-        }
-    }
-}
-
-// Hand-written because `AttemptRecord` and `RecoveryError` serialize by hand.
-impl serde::Serialize for DegradedRun {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("n".to_string(), self.n.to_value()),
-            ("labeled".to_string(), self.labeled.to_value()),
-            ("checked".to_string(), self.checked.to_value()),
-            ("valid".to_string(), self.valid.to_value()),
-            ("skipped".to_string(), self.skipped.to_value()),
-            ("violations".to_string(), self.violations.to_value()),
-            (
-                "surviving_fraction".to_string(),
-                self.surviving_fraction().to_value(),
-            ),
-            ("trail".to_string(), self.trail.to_value()),
-            ("error".to_string(), self.error.to_value()),
-        ])
-    }
-}
-
-/// [`recover_traced`] with graceful degradation: a failure comes back as a
-/// scored [`DegradedRun`] report (surviving census + attempt trail + the
-/// typed error) instead of a bare [`RecoveryError`], so callers that must
-/// always produce a row — the adversary search above all — never special-case
-/// the error path.
-///
-/// # Errors
-///
-/// Never fails in the `RecoveryError` sense; the `Err` arm *is* the report.
-///
-/// # Panics
-///
-/// Panics if `partial.len() != g.n()`.
-pub fn recover_report<P, F>(
-    problem: &P,
-    g: &Graph,
-    partial: &[Option<P::Label>],
-    finisher: &F,
-    policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
 ) -> Result<Recovery<P::Label>, Box<DegradedRun>>
-where
-    P: LclProblem,
-    F: Finisher<P>,
-{
-    let (result, trail) = drive(problem, g, partial, finisher, policy, trace, None);
-    match result {
-        Ok(rec) => Ok(rec),
-        Err(error) => {
-            let verdict = check_partial(problem, g, partial);
-            Err(Box::new(DegradedRun {
-                n: g.n(),
-                labeled: partial.iter().filter(|l| l.is_some()).count(),
-                checked: verdict.checked,
-                valid: verdict.valid,
-                skipped: verdict.skipped,
-                violations: verdict.violations.len(),
-                trail,
-                error,
-            }))
-        }
-    }
-}
-
-/// The escalation loop shared by [`recover_traced`] (which returns the bare
-/// result) and [`recover_report`] (which folds the trail into a
-/// [`DegradedRun`] on failure). Always returns the per-attempt trail, error
-/// or not.
-fn drive<P, F>(
-    problem: &P,
-    g: &Graph,
-    partial: &[Option<P::Label>],
-    finisher: &F,
-    policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
-    metrics: Option<&MetricSet>,
-) -> (
-    Result<Recovery<P::Label>, RecoveryError>,
-    Vec<AttemptRecord>,
-)
 where
     P: LclProblem,
     F: Finisher<P>,
@@ -355,18 +186,30 @@ where
             .iter()
             .map(|l| l.clone().expect("no holes when the core is empty"))
             .collect();
-        return (
-            Ok(Recovery {
-                labels,
-                attempts: 0,
-                radius: 0,
-                core_size: 0,
-                residue_size: 0,
-                extra_rounds: 0,
-            }),
-            Vec::new(),
-        );
+        return Ok(Recovery {
+            labels,
+            attempts: 0,
+            radius: 0,
+            core_size: 0,
+            residue_size: 0,
+            extra_rounds: 0,
+        });
     }
+
+    // The census of what survives if recovery gives up: the input
+    // partial labeling's verdict, taken once above.
+    let degrade = |error: RecoveryError, trail: Vec<AttemptRecord>| {
+        Box::new(DegradedRun {
+            n: g.n(),
+            labeled: partial.iter().filter(|l| l.is_some()).count(),
+            checked: verdict.checked,
+            valid: verdict.valid,
+            skipped: verdict.skipped,
+            violations: verdict.violations.len(),
+            trail,
+            error,
+        })
+    };
 
     let emit = |attempt: u32, core_size: usize, residue_size: usize, ok: bool, extra: u32| {
         if let Some(ms) = metrics {
@@ -432,7 +275,7 @@ where
                     breach,
                     None,
                 );
-                return (Err(err), trail);
+                return Err(degrade(err, trail));
             }
             Err(err) => {
                 emit(attempt, core_size, residue.len(), false, 0);
@@ -485,17 +328,14 @@ where
                     None,
                 );
                 if spliced.violations.is_empty() {
-                    return (
-                        Ok(Recovery {
-                            labels,
-                            attempts: attempt,
-                            radius: attempt,
-                            core_size,
-                            residue_size: residue.len(),
-                            extra_rounds: finish.rounds,
-                        }),
-                        trail,
-                    );
+                    return Ok(Recovery {
+                        labels,
+                        attempts: attempt,
+                        radius: attempt,
+                        core_size,
+                        residue_size: residue.len(),
+                        extra_rounds: finish.rounds,
+                    });
                 }
                 // Shattering-style escalation: a defect the splice could not
                 // clear — including one the finisher's own relabeling pushed
@@ -519,7 +359,69 @@ where
         violations: last_violations,
         trail: trail.clone(),
     });
-    (Err(err), trail)
+    Err(degrade(err, trail))
+}
+
+/// The graceful end of a failed recovery: a typed census of what survived
+/// plus the full escalation trail, instead of a bare [`RecoveryError`].
+///
+/// Adversarial trials consume this (as [`recover`]'s error) so every fault
+/// plan produces a *scored* row — a plan that wrecks recovery outright is
+/// the most interesting one, not an error to discard. The census fields are
+/// [`check_partial`] over the input partial labeling (what stands when
+/// recovery gives up); `trail` is shared verbatim with
+/// [`RecoveryError::Exhausted`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct DegradedRun {
+    /// Total vertices in the graph.
+    pub n: usize,
+    /// Vertices still carrying a label in the surviving partial labeling.
+    pub labeled: usize,
+    /// Labeled vertices whose full radius-`problem.radius()` ball was
+    /// labeled, so their view could be checked.
+    pub checked: usize,
+    /// Checked vertices whose view satisfied the problem.
+    pub valid: usize,
+    /// Vertices not checked: unlabeled vertices, plus labeled ones with an
+    /// unlabeled vertex in their checking ball (`checked + skipped = n`).
+    pub skipped: usize,
+    /// Residual violations among the checked vertices.
+    pub violations: usize,
+    /// The per-attempt escalation history (one record per radius tried).
+    pub trail: Vec<AttemptRecord>,
+    /// The terminal error recovery gave up with.
+    pub error: RecoveryError,
+}
+
+impl DegradedRun {
+    /// Fraction of vertices with a *valid* surviving label, in `[0, 1]`.
+    pub fn surviving_fraction(&self) -> f64 {
+        if self.n == 0 {
+            1.0
+        } else {
+            self.valid as f64 / self.n as f64
+        }
+    }
+}
+
+// Hand-written because `AttemptRecord` and `RecoveryError` serialize by hand.
+impl serde::Serialize for DegradedRun {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("n".to_string(), self.n.to_value()),
+            ("labeled".to_string(), self.labeled.to_value()),
+            ("checked".to_string(), self.checked.to_value()),
+            ("valid".to_string(), self.valid.to_value()),
+            ("skipped".to_string(), self.skipped.to_value()),
+            ("violations".to_string(), self.violations.to_value()),
+            (
+                "surviving_fraction".to_string(),
+                self.surviving_fraction().to_value(),
+            ),
+            ("trail".to_string(), self.trail.to_value()),
+            ("error".to_string(), self.error.to_value()),
+        ])
+    }
 }
 
 fn infeasible(attempt: u32, reason: impl Into<String>) -> RecoveryError {
@@ -1306,6 +1208,8 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 3 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.attempts, 0);
@@ -1324,6 +1228,8 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 2 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.attempts, 1);
@@ -1346,6 +1252,8 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 3 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.core_size, 2);
@@ -1370,9 +1278,14 @@ mod tests {
                 max_radius: 1,
                 ..RecoveryPolicy::default()
             },
+            None,
+            None,
         )
         .unwrap_err();
-        assert!(matches!(err, RecoveryError::Infeasible { attempt: 1, .. }));
+        assert!(matches!(
+            err.error,
+            RecoveryError::Infeasible { attempt: 1, .. }
+        ));
         // Escalation to radius 2 succeeds.
         let rec = recover(
             &VertexColoring::new(2),
@@ -1380,6 +1293,8 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 2 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.attempts, 2);
@@ -1409,6 +1324,8 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.core_size, 2);
@@ -1427,6 +1344,8 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.core_size, 9);
@@ -1447,10 +1366,12 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap_err();
-        assert!(matches!(err, RecoveryError::Infeasible { .. }));
-        assert!(err.to_string().contains("tree"));
+        assert!(matches!(err.error, RecoveryError::Infeasible { .. }));
+        assert!(err.error.to_string().contains("tree"));
     }
 
     #[test]
@@ -1471,6 +1392,8 @@ mod tests {
             &partial,
             &LubyRestartFinisher { seed: 77 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_fully_valid(&Mis::new(), &g, &rec.labels);
@@ -1491,9 +1414,14 @@ mod tests {
                 max_radius: 3,
                 budget: Budget::rounds(0),
             },
+            None,
+            None,
         )
         .unwrap_err();
-        assert!(matches!(err, RecoveryError::Budget { attempt: 1, .. }));
+        assert!(matches!(
+            err.error,
+            RecoveryError::Budget { attempt: 1, .. }
+        ));
     }
 
     #[test]
@@ -1517,6 +1445,8 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(rec.attempts <= 3);
@@ -1544,16 +1474,18 @@ mod tests {
         }
         let g = gen::cycle(6);
         let partial: Vec<Option<usize>> = vec![None; 6];
-        let err = recover(
+        let report = recover(
             &VertexColoring::new(3),
             &g,
             &partial,
             &Hopeless,
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap_err();
         assert!(matches!(
-            err,
+            report.error,
             RecoveryError::Exhausted {
                 attempts: 3,
                 max_radius: 3,
@@ -1561,7 +1493,7 @@ mod tests {
             }
         ));
         // Satellite contract: exhaustion carries the full per-attempt trail.
-        let RecoveryError::Exhausted { trail, .. } = err else {
+        let RecoveryError::Exhausted { trail, .. } = &report.error else {
             unreachable!()
         };
         assert_eq!(trail.len(), 3);
@@ -1575,38 +1507,29 @@ mod tests {
         // The whole cycle is core by attempt 2 (violations absorbed).
         assert!(trail[1].core_size >= trail[0].core_size);
 
-        // The graceful path shares the identical trail and censuses the
-        // surviving labeling (all holes here: nothing survives).
-        let report = recover_report(
-            &VertexColoring::new(3),
-            &g,
-            &partial,
-            &Hopeless,
-            &RecoveryPolicy::default(),
-            None,
-        )
-        .unwrap_err();
-        assert_eq!(report.trail, trail);
+        // The report shares the identical trail and censuses the surviving
+        // labeling (all holes here: nothing survives).
+        assert_eq!(&report.trail, trail);
         assert_eq!(report.n, 6);
         assert_eq!(report.labeled, 0);
         assert_eq!(report.checked, 0);
         assert_eq!(report.valid, 0);
         assert_eq!(report.violations, 0);
         assert_eq!(report.surviving_fraction(), 0.0);
-        assert!(matches!(report.error, RecoveryError::Exhausted { .. }));
     }
 
     #[test]
-    fn recover_report_passes_successes_through() {
+    fn recover_passes_successes_through() {
         let g = gen::path(7);
         let mut partial: Vec<Option<usize>> = (0..7).map(|v| Some(v % 2)).collect();
         partial[3] = None;
-        let rec = recover_report(
+        let rec = recover(
             &VertexColoring::new(2),
             &g,
             &partial,
             &GreedyColoringFinisher { palette: 2 },
             &RecoveryPolicy::default(),
+            None,
             None,
         )
         .unwrap();
@@ -1615,7 +1538,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_report_census_counts_survivors() {
+    fn degraded_report_census_counts_survivors() {
         // Sinkless on a path is hopeless, but the frozen survivors census
         // must still be taken: freeze a valid orientation on 0..2, hole the
         // rest. (Vertex 2's neighbor 3 is unlabeled, so 2 is skipped, 0 and
@@ -1625,12 +1548,13 @@ mod tests {
         partial[0] = Some(Orientation(vec![true]));
         partial[1] = Some(Orientation(vec![false, true]));
         partial[2] = Some(Orientation(vec![false, true]));
-        let report = recover_report(
+        let report = recover(
             &SinklessOrientation::new(2),
             &g,
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
+            None,
             None,
         )
         .unwrap_err();
@@ -1658,7 +1582,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let g = gen::gnp(30, 0.2, &mut rng);
         let partial: Vec<Option<bool>> = vec![None; 30];
-        let report = recover_report(
+        let report = recover(
             &Mis::new(),
             &g,
             &partial,
@@ -1667,6 +1591,7 @@ mod tests {
                 max_radius: 3,
                 budget: Budget::rounds(0),
             },
+            None,
             None,
         )
         .unwrap_err();
@@ -1694,6 +1619,8 @@ mod tests {
             &partial,
             &LubyRestartFinisher { seed: 8 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_fully_valid(&Mis::new(), &g, &rec.labels);
@@ -1715,6 +1642,8 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 3 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.core_size, 1);
@@ -1736,16 +1665,20 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 2 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap_err();
-        assert!(matches!(err, RecoveryError::Infeasible { .. }));
-        assert!(err.to_string().contains("no free color"));
+        assert!(matches!(err.error, RecoveryError::Infeasible { .. }));
+        assert!(err.error.to_string().contains("no free color"));
         let rec = recover(
             &EdgeKColoring::new(3),
             &g,
             &partial,
             &EdgeGreedyFinisher { palette: 3 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_fully_valid(&EdgeKColoring::new(3), &g, &rec.labels);
@@ -1764,6 +1697,8 @@ mod tests {
             &partial,
             &RulingSetFinisher { k: 2 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_fully_valid(&RulingSet::new(2), &g, &rec.labels);
@@ -1779,6 +1714,8 @@ mod tests {
             &partial,
             &RulingSetFinisher { k: 2 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.core_size, 11);
@@ -1802,6 +1739,8 @@ mod tests {
                 defect: 1,
             },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(rec.attempts, 1);
@@ -1826,6 +1765,8 @@ mod tests {
                 defect: 1,
             },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert_fully_valid(&DefectiveColoring::new(2, 1), &g, &rec.labels);
@@ -1874,6 +1815,8 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 5 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(rec.radius <= 3);
@@ -1899,6 +1842,8 @@ mod tests {
             &partial,
             &RulingSetFinisher { k: 2 },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(rec.radius <= 3);
@@ -1928,6 +1873,8 @@ mod tests {
                 defect: 1,
             },
             &RecoveryPolicy::default(),
+            None,
+            None,
         )
         .unwrap();
         assert!(rec.radius <= 3);

@@ -15,7 +15,5 @@
 pub mod theorem10;
 pub mod theorem11;
 
-pub use theorem10::{
-    theorem10_color, theorem10_phase1_faulty_sharded, Theorem10Config, Theorem10Outcome,
-};
+pub use theorem10::{theorem10_color, theorem10_phase1, Theorem10Config, Theorem10Outcome};
 pub use theorem11::{theorem11_color, Theorem11Outcome};

@@ -24,10 +24,8 @@ use crate::color::{be_forest_coloring, ColoringOutcome, UNCOLORED};
 use crate::sync::{run_sync, SyncAlgorithm, SyncCtx, SyncRun, SyncStep};
 use local_graphs::Graph;
 use local_lcl::Labeling;
-use local_model::{
-    derived_rng, Budget, ExecSpec, FaultPlan, GlobalParams, Mode, NodeInit, SimError,
-};
-use local_obs::{MetricSet, Trace};
+use local_model::{derived_rng, Budget, ExecSpec, Mode, NodeInit, SimError};
+use local_obs::Trace;
 use rand::Rng;
 
 /// Tunable constants of the Phase-1 schedule.
@@ -224,43 +222,29 @@ pub struct Theorem10Outcome {
     pub stats: ShatterStats,
 }
 
-/// Run Phase 1 only, returning per-vertex `Some(color)`/`None(bad)` and the
-/// rounds used (exposed for the shattering experiment E2).
+/// Run Phase 1 (ColorBidding) under `spec`: per-vertex fates where a
+/// vertex that decides carries `Some(color)` when colored from the main
+/// palette and `None` when filtered bad — the latter is an algorithmic
+/// outcome, not a fault. The run is wrapped in a `t10_color_bidding` span
+/// when `spec` is traced.
 ///
-/// # Errors
-///
-/// Propagates engine errors.
+/// The round budget always comes from the schedule (`2t + 4` rounds), so
+/// `spec.budget` is ignored; every other spec field (faults, trace, metrics,
+/// shards, params) applies as given. Without faults the run decides every
+/// vertex; call [`SyncRun::strict`] for the all-decided `(colors, rounds)`
+/// shape (experiment E2 reads it).
 ///
 /// # Panics
 ///
-/// Panics if `delta < 9` (the reserved palette `⌈√Δ⌉` must be ≥ 3).
+/// Panics if `delta < 9` (the reserved palette `⌈√Δ⌉` must be ≥ 3) or
+/// `g.max_degree() > delta`.
 pub fn theorem10_phase1(
     g: &Graph,
     delta: usize,
     seed: u64,
     config: Theorem10Config,
-) -> Result<(Vec<Option<usize>>, u32), SimError> {
-    theorem10_phase1_traced(g, delta, seed, config, None)
-}
-
-/// [`theorem10_phase1`] with an optional trace buffer: the ColorBidding run
-/// is wrapped in a `t10_color_bidding` span and the engine emits per-round
-/// events into `trace`.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-///
-/// # Panics
-///
-/// Same preconditions as [`theorem10_phase1`].
-pub fn theorem10_phase1_traced(
-    g: &Graph,
-    delta: usize,
-    seed: u64,
-    config: Theorem10Config,
-    trace: Option<&Trace>,
-) -> Result<(Vec<Option<usize>>, u32), SimError> {
+    spec: &ExecSpec<'_>,
+) -> SyncRun<Option<usize>> {
     assert!(
         delta >= 9,
         "Theorem 10 needs Δ ≥ 9 (reserved √Δ palette ≥ 3)"
@@ -279,133 +263,13 @@ pub fn theorem10_phase1_traced(
         schedule,
         margin: config.palette_margin,
     };
-    let _span = trace.map(|t| t.span("t10_color_bidding"));
-    let out = run_sync(
+    let _span = spec.trace.map(|t| t.span("t10_color_bidding"));
+    run_sync(
         g,
         Mode::randomized(seed),
         &phase1,
-        &ExecSpec::rounds(budget)
-            .with_params(GlobalParams::from_graph(g))
-            .traced(trace),
+        &spec.with_budget(Budget::rounds(budget)),
     )
-    .strict()?;
-    Ok((out.outputs, out.rounds))
-}
-
-/// Run Phase 1 under a [`FaultPlan`] (experiment E12): the ColorBidding
-/// core of the tree Δ-coloring, with per-vertex fates instead of an
-/// all-or-nothing result. A vertex that decides carries `Some(color)` when
-/// colored from the main palette and `None` when filtered bad — the latter
-/// is an algorithmic outcome, not a fault.
-///
-/// # Panics
-///
-/// Same preconditions as [`theorem10_phase1`]: `delta ≥ 9` and
-/// `g.max_degree() ≤ delta`.
-pub fn theorem10_phase1_faulty(
-    g: &Graph,
-    delta: usize,
-    seed: u64,
-    config: Theorem10Config,
-    faults: &FaultPlan,
-) -> SyncRun<Option<usize>> {
-    theorem10_phase1_faulty_traced(g, delta, seed, config, faults, None)
-}
-
-/// [`theorem10_phase1_faulty`] with an optional trace buffer: the run is
-/// wrapped in a `t10_color_bidding` span and the engine emits per-round
-/// events (live counts, crashes, fault-plane activity) into `trace`.
-///
-/// # Panics
-///
-/// Same preconditions as [`theorem10_phase1`].
-pub fn theorem10_phase1_faulty_traced(
-    g: &Graph,
-    delta: usize,
-    seed: u64,
-    config: Theorem10Config,
-    faults: &FaultPlan,
-    trace: Option<&Trace>,
-) -> SyncRun<Option<usize>> {
-    phase1_faulty_inner(g, delta, seed, config, faults, trace, None, None)
-}
-
-/// [`theorem10_phase1_faulty_traced`] with an optional metric set: the
-/// engine additionally accumulates its `engine_*` counters and histograms
-/// into `metrics`. Metering never changes the run itself.
-///
-/// # Panics
-///
-/// Same preconditions as [`theorem10_phase1`].
-pub fn theorem10_phase1_faulty_metered(
-    g: &Graph,
-    delta: usize,
-    seed: u64,
-    config: Theorem10Config,
-    faults: &FaultPlan,
-    trace: Option<&Trace>,
-    metrics: Option<&MetricSet>,
-) -> SyncRun<Option<usize>> {
-    phase1_faulty_inner(g, delta, seed, config, faults, trace, metrics, None)
-}
-
-/// [`theorem10_phase1_faulty`] with an explicit engine shard count — the
-/// result is bit-identical for every `shards`, so this is purely a
-/// performance/test knob (the shard-invariance suite runs it at 1/2/8).
-///
-/// # Panics
-///
-/// Same preconditions as [`theorem10_phase1`], plus `shards > 0`.
-pub fn theorem10_phase1_faulty_sharded(
-    g: &Graph,
-    delta: usize,
-    seed: u64,
-    config: Theorem10Config,
-    faults: &FaultPlan,
-    shards: usize,
-) -> SyncRun<Option<usize>> {
-    phase1_faulty_inner(g, delta, seed, config, faults, None, None, Some(shards))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn phase1_faulty_inner(
-    g: &Graph,
-    delta: usize,
-    seed: u64,
-    config: Theorem10Config,
-    faults: &FaultPlan,
-    trace: Option<&Trace>,
-    metrics: Option<&MetricSet>,
-    shards: Option<usize>,
-) -> SyncRun<Option<usize>> {
-    assert!(
-        delta >= 9,
-        "Theorem 10 needs Δ ≥ 9 (reserved √Δ palette ≥ 3)"
-    );
-    assert!(
-        g.max_degree() <= delta,
-        "graph degree {} exceeds Δ = {delta}",
-        g.max_degree()
-    );
-    let reserved = (delta as f64).sqrt().ceil() as usize;
-    let schedule = config.schedule(delta);
-    let budget = 2 * schedule.len() as u32 + 4;
-    let phase1 = Phase1 {
-        main_palette: delta - reserved,
-        delta,
-        schedule,
-        margin: config.palette_margin,
-    };
-    let _span = trace.map(|t| t.span("t10_color_bidding"));
-    let mut spec = ExecSpec::default()
-        .with_budget(Budget::rounds(budget))
-        .with_faults(faults)
-        .traced(trace)
-        .metered(metrics);
-    if let Some(k) = shards {
-        spec = spec.with_shards(k);
-    }
-    run_sync(g, Mode::randomized(seed), &phase1, &spec)
 }
 
 /// Run the full Theorem-10 algorithm: Δ-color a forest with max degree ≤ Δ.
@@ -448,7 +312,9 @@ pub fn theorem10_color_traced(
 ) -> Result<Theorem10Outcome, SimError> {
     let reserved = (delta as f64).sqrt().ceil() as usize;
     let main_palette = delta - reserved;
-    let (phase1_colors, phase1_rounds) = theorem10_phase1_traced(g, delta, seed, config, trace)?;
+    let phase1 =
+        theorem10_phase1(g, delta, seed, config, &ExecSpec::new().traced(trace)).strict()?;
+    let (phase1_colors, phase1_rounds) = (phase1.outputs, phase1.rounds);
 
     let bad: Vec<bool> = phase1_colors.iter().map(Option::is_none).collect();
     let stats = bad_component_stats(g, &bad);

@@ -12,7 +12,8 @@
 //! bench_scale --workload luby  --n 10000000 --d 3 --shards 4
 //! ```
 
-use local_algorithms::mis::{luby_mis, luby_mis_with_shards, MisOutcome};
+use local_algorithms::mis::luby::Luby;
+use local_algorithms::run_sync;
 use local_graphs::{gen, Graph};
 use local_model::{Action, Engine, ExecSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol};
 use std::time::Instant;
@@ -98,12 +99,8 @@ struct RunResult {
 }
 
 fn run_flood(g: &Graph, shards: usize, horizon: u32) -> RunResult {
-    let mut engine = Engine::new(g, Mode::deterministic());
-    if shards > 0 {
-        engine = engine.with_shards(shards);
-    }
-    let run = engine
-        .execute(&ExecSpec::default(), &FloodProtocol { horizon })
+    let run = Engine::new(g, Mode::deterministic())
+        .execute(&spec_for(shards), &FloodProtocol { horizon })
         .into_run(100_000)
         .expect("flood halts at its horizon");
     let mut h = Fnv::new();
@@ -117,9 +114,16 @@ fn run_flood(g: &Graph, shards: usize, horizon: u32) -> RunResult {
 }
 
 fn run_luby(g: &Graph, shards: usize, seed: u64) -> RunResult {
-    let out = luby_mis_sharded(g, seed, shards);
+    let out = run_sync(
+        g,
+        Mode::randomized(seed),
+        &Luby::new(),
+        &spec_for(shards).with_max_rounds(10_000),
+    )
+    .strict()
+    .expect("luby halts");
     let mut h = Fnv::new();
-    for &b in &out.in_set {
+    for &b in &out.outputs {
         h.write(u64::from(b));
     }
     RunResult {
@@ -128,12 +132,11 @@ fn run_luby(g: &Graph, shards: usize, seed: u64) -> RunResult {
     }
 }
 
-/// `luby_mis` with an optional shard-count override (0 = engine default).
-fn luby_mis_sharded(g: &Graph, seed: u64, shards: usize) -> MisOutcome {
-    if shards == 0 {
-        luby_mis(g, seed, 10_000).expect("luby halts")
-    } else {
-        luby_mis_with_shards(g, seed, 10_000, shards).expect("luby halts")
+/// The run spec for a `--shards` value (0 = the engine's automatic choice).
+fn spec_for(shards: usize) -> ExecSpec<'static> {
+    match shards {
+        0 => ExecSpec::default(),
+        k => ExecSpec::default().with_shards(k),
     }
 }
 

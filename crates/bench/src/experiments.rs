@@ -3,8 +3,10 @@
 //! Each entry binds an experiment module from `local-separation` to the
 //! [`Experiment`] trait: id and claim for the banner, capabilities for the
 //! uniform flag check, the resolved configuration, and a `run` that maps
-//! the CLI onto the module's `run_traced`/`run_checkpointed` entry points.
-//! The binaries in `src/bin/` are one-line shims over this table.
+//! the CLI onto the module's single `run` entry point (with the trace sink,
+//! and for the E12–E14 grid sweeps the checkpoint too). Those three sweeps
+//! also hand their grid to the fabric as a [`FabricJob`]. The binaries in
+//! `src/bin/` are one-line shims over this table.
 
 use crate::registry::{Caps, Experiment, ExperimentOutput, FabricJob};
 use crate::Cli;
@@ -16,6 +18,7 @@ use local_separation::experiments::{
     e6_derand as e6, e7_speedup as e7, e8_linial as e8, e9_mis as e9,
 };
 use local_separation::fabric::Sweep;
+use local_separation::grid::{fold_merged, Grid, GridOutcome};
 use serde::Serialize;
 
 /// Every registered experiment, in EXPERIMENTS.md order.
@@ -71,7 +74,7 @@ impl Experiment for E1Separation {
         if cli.seed.is_some() {
             cli.progress("note: --seed has no effect on E1 (seeds derive from n and Δ)");
         }
-        let out = e1::run_traced(&Self::config(cli), sink);
+        let out = e1::run(&Self::config(cli), sink);
         let mut human = format!("{}\n", e1::table(&out));
         for (delta, model) in &out.det_fit {
             human.push_str(&format!(
@@ -125,7 +128,7 @@ impl Experiment for E2Shattering {
             cli.progress("note: --seed has no effect on E2 (seeds derive from n)");
         }
         let cfg = Self::config(cli);
-        let rows = e2::run_traced(&cfg, sink);
+        let rows = e2::run(&cfg, sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e2::table(&rows, cfg.delta)),
@@ -166,7 +169,7 @@ impl Experiment for E3Theorem11 {
             cli.progress("note: --seed has no effect on E3 (seeds derive from n)");
         }
         let cfg = Self::config(cli);
-        let rows = e3::run_traced(&cfg, sink);
+        let rows = e3::run(&cfg, sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e3::table(&rows, cfg.delta)),
@@ -206,7 +209,7 @@ impl Experiment for E4ZeroRound {
         if cli.seed.is_some() {
             cli.progress("note: --seed has no effect on E4 (seeds derive from the strategy grid)");
         }
-        let rows = e4::run_traced(&Self::config(cli), sink);
+        let rows = e4::run(&Self::config(cli), sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e4::table(&rows)),
@@ -247,7 +250,7 @@ impl Experiment for E5Truncation {
             cli.progress("note: --seed has no effect on E5 (seeds derive from the phase grid)");
         }
         let cfg = Self::config(cli);
-        let rows = e5::run_traced(&cfg, sink);
+        let rows = e5::run(&cfg, sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e5::table(&rows, cfg.delta)),
@@ -283,7 +286,7 @@ impl Experiment for E6Derand {
         if cli.trials.is_some() || cli.seed.is_some() {
             cli.progress("note: --trials/--seed have no effect on E6 (exhaustive enumeration)");
         }
-        let rows = e6::run_traced(&Self::config(cli), sink);
+        let rows = e6::run(&Self::config(cli), sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e6::table(&rows)),
@@ -319,7 +322,7 @@ impl Experiment for E7Speedup {
         if cli.trials.is_some() || cli.seed.is_some() {
             cli.progress("note: --trials/--seed have no effect on E7 (deterministic algorithms)");
         }
-        let rows = e7::run_traced(&Self::config(cli), sink);
+        let rows = e7::run(&Self::config(cli), sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e7::table(&rows)),
@@ -355,7 +358,7 @@ impl Experiment for E8Linial {
         if cli.trials.is_some() || cli.seed.is_some() {
             cli.progress("note: --trials/--seed have no effect on E8 (deterministic algorithms)");
         }
-        let (shrink, conv) = e8::run_traced(&Self::config(cli), sink);
+        let (shrink, conv) = e8::run(&Self::config(cli), sink);
         ExperimentOutput {
             // Two measured sections, combined into one envelope payload.
             rows: serde::Value::Object(vec![
@@ -404,7 +407,7 @@ impl Experiment for E9Mis {
             cli.progress("note: --seed has no effect on E9 (seeds derive from n)");
         }
         let cfg = Self::config(cli);
-        let out = e9::run_traced(&cfg, sink);
+        let out = e9::run(&cfg, sink);
         ExperimentOutput {
             rows: out.rows.to_value(),
             human: format!(
@@ -446,7 +449,7 @@ impl Experiment for E10Indistinguishability {
             cli.progress("note: --trials/--seed have no effect on E10 (exact view census)");
         }
         let cfg = Self::config(cli);
-        let (rows, girth) = e10::run_traced(&cfg, sink);
+        let (rows, girth) = e10::run(&cfg, sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", e10::table(&rows, cfg.delta, girth)),
@@ -482,7 +485,7 @@ impl Experiment for E11Dichotomy {
         if cli.trials.is_some() || cli.seed.is_some() {
             cli.progress("note: --trials/--seed have no effect on E11 (deterministic sweeps)");
         }
-        let out = e11::run_traced(&Self::config(cli), sink);
+        let out = e11::run(&Self::config(cli), sink);
         ExperimentOutput {
             rows: out.rows.to_value(),
             human: format!(
@@ -516,6 +519,16 @@ impl E12Resilience {
     }
 }
 
+impl E12Resilience {
+    fn output(out: e12::Outcome12) -> ExperimentOutput {
+        ExperimentOutput {
+            rows: out.rows.to_value(),
+            human: format!("{}\n", e12::table(&out)),
+            metrics: out.metrics,
+        }
+    }
+}
+
 impl Experiment for E12Resilience {
     fn id(&self) -> &'static str {
         "E12"
@@ -530,42 +543,14 @@ impl Experiment for E12Resilience {
         Self::config(cli).to_value()
     }
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput {
-        let cfg = Self::config(cli);
-        let out = if sink.is_some() {
-            e12::run_traced(&cfg, sink)
-        } else {
-            let checkpoint = cli.open_checkpoint();
-            e12::run_checkpointed(&cfg, checkpoint.as_ref())
-        };
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e12::table(&out)),
-            metrics: out.metrics,
-        }
+        let checkpoint = cli.open_checkpoint();
+        Self::output(e12::run(&Self::config(cli), checkpoint.as_ref(), sink))
     }
     fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
-        Some(Box::new(Fabric12 {
-            sweep: e12::fabric_sweep(&Self::config(cli)),
+        Some(Box::new(GridJob {
+            grid: e12::Grid12::new(&Self::config(cli)),
+            output: Box::new(Self::output),
         }))
-    }
-}
-
-/// E12's fabric decomposition: the core sweep plus the table rendering.
-struct Fabric12 {
-    sweep: e12::FabricSweep,
-}
-
-impl FabricJob for Fabric12 {
-    fn sweep(&self) -> &dyn Sweep {
-        &self.sweep
-    }
-    fn fold(&self, per_point: Vec<Vec<serde::Value>>) -> ExperimentOutput {
-        let out = self.sweep.fold_units(per_point);
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e12::table(&out)),
-            metrics: out.metrics,
-        }
     }
 }
 
@@ -589,6 +574,16 @@ impl E13Recovery {
     }
 }
 
+impl E13Recovery {
+    fn output(out: e13::Outcome13) -> ExperimentOutput {
+        ExperimentOutput {
+            rows: out.rows.to_value(),
+            human: format!("{}\n", e13::table(&out)),
+            metrics: out.metrics,
+        }
+    }
+}
+
 impl Experiment for E13Recovery {
     fn id(&self) -> &'static str {
         "E13"
@@ -603,42 +598,14 @@ impl Experiment for E13Recovery {
         Self::config(cli).to_value()
     }
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput {
-        let cfg = Self::config(cli);
-        let out = if sink.is_some() {
-            e13::run_traced(&cfg, sink)
-        } else {
-            let checkpoint = cli.open_checkpoint();
-            e13::run_checkpointed(&cfg, checkpoint.as_ref())
-        };
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e13::table(&out)),
-            metrics: out.metrics,
-        }
+        let checkpoint = cli.open_checkpoint();
+        Self::output(e13::run(&Self::config(cli), checkpoint.as_ref(), sink))
     }
     fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
-        Some(Box::new(Fabric13 {
-            sweep: e13::fabric_sweep(&Self::config(cli)),
+        Some(Box::new(GridJob {
+            grid: e13::Grid13::new(&Self::config(cli)),
+            output: Box::new(Self::output),
         }))
-    }
-}
-
-/// E13's fabric decomposition: the core sweep plus the table rendering.
-struct Fabric13 {
-    sweep: e13::FabricSweep,
-}
-
-impl FabricJob for Fabric13 {
-    fn sweep(&self) -> &dyn Sweep {
-        &self.sweep
-    }
-    fn fold(&self, per_point: Vec<Vec<serde::Value>>) -> ExperimentOutput {
-        let out = self.sweep.fold_units(per_point);
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e13::table(&out)),
-            metrics: out.metrics,
-        }
     }
 }
 
@@ -692,6 +659,18 @@ impl E14Adversary {
     }
 }
 
+impl E14Adversary {
+    /// Render the output, pinning best-found plans like every E14 run does.
+    fn output(cli: &Cli, cfg: &e14::Config, out: e14::Outcome14) -> ExperimentOutput {
+        Self::pin_artifacts(cli, cfg, &out);
+        ExperimentOutput {
+            rows: out.rows.to_value(),
+            human: format!("{}\n", e14::table(&out)),
+            metrics: out.metrics,
+        }
+    }
+}
+
 impl Experiment for E14Adversary {
     fn id(&self) -> &'static str {
         "E14"
@@ -707,49 +686,32 @@ impl Experiment for E14Adversary {
     }
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput {
         let cfg = Self::config(cli);
-        let out = if sink.is_some() {
-            e14::run_traced(&cfg, sink)
-        } else {
-            let checkpoint = cli.open_checkpoint();
-            e14::run_checkpointed(&cfg, checkpoint.as_ref())
-        };
-        Self::pin_artifacts(cli, &cfg, &out);
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e14::table(&out)),
-            metrics: out.metrics,
-        }
+        let checkpoint = cli.open_checkpoint();
+        Self::output(cli, &cfg, e14::run(&cfg, checkpoint.as_ref(), sink))
     }
     fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
         let cfg = Self::config(cli);
-        Some(Box::new(Fabric14 {
-            sweep: e14::fabric_sweep(&cfg),
-            cfg,
-            cli: cli.clone(),
+        let cli = cli.clone();
+        Some(Box::new(GridJob {
+            grid: e14::Grid14::new(&cfg),
+            output: Box::new(move |out| Self::output(&cli, &cfg, out)),
         }))
     }
 }
 
-/// E14's fabric decomposition. Keeps the resolved config and CLI around so
-/// the fold can pin best-found plans exactly like the serial run does.
-struct Fabric14 {
-    sweep: e14::FabricSweep,
-    cfg: e14::Config,
-    cli: Cli,
+/// A sweep experiment's fabric decomposition: its grid, and how a folded
+/// outcome becomes the experiment's output.
+struct GridJob<G: Grid> {
+    grid: G,
+    output: Box<dyn Fn(GridOutcome<G::Row>) -> ExperimentOutput>,
 }
 
-impl FabricJob for Fabric14 {
+impl<G: Grid> FabricJob for GridJob<G> {
     fn sweep(&self) -> &dyn Sweep {
-        &self.sweep
+        &self.grid
     }
     fn fold(&self, per_point: Vec<Vec<serde::Value>>) -> ExperimentOutput {
-        let out = self.sweep.fold_units(per_point);
-        E14Adversary::pin_artifacts(&self.cli, &self.cfg, &out);
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e14::table(&out)),
-            metrics: out.metrics,
-        }
+        (self.output)(fold_merged(&self.grid, per_point))
     }
 }
 
@@ -785,7 +747,7 @@ impl Experiment for A1Ablation {
             cli.progress("note: --seed has no effect on A1 (seeds derive from the grid)");
         }
         let cfg = Self::config(cli);
-        let rows = a1::run_traced(&cfg, sink);
+        let rows = a1::run(&cfg, sink);
         ExperimentOutput {
             rows: rows.to_value(),
             human: format!("{}\n", a1::table(&rows, cfg.n, cfg.delta)),

@@ -16,6 +16,7 @@ use local_algorithms::tree::{theorem10_color, Theorem10Config};
 use local_graphs::gen;
 use local_lcl::problems::VertexColoring;
 use local_lcl::LclProblem;
+use local_model::ExecSpec;
 use local_obs::TraceSink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,14 +79,11 @@ pub struct Row {
 }
 
 /// Run the ablation; every full-pipeline coloring is validated.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each trial runs inside an
+///
+/// With a trace sink, each trial runs inside an
 /// `a1_trial` span (stamped with a globally unique trial number), so the
 /// stream records per-trial wall-clock timing.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let mut trace_base = 0u64;
     let mut rows = Vec::new();
     for &growth_k in &cfg.growth_ks {
@@ -109,8 +107,10 @@ pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row
                     let _span = trace.map(|tr| tr.span("a1_trial"));
                     let mut rng = StdRng::seed_from_u64(t.seed);
                     let g = gen::random_tree_max_degree(cfg.n, cfg.delta, &mut rng);
-                    let (status, _) =
-                        theorem10_phase1(&g, cfg.delta, t.seed, config).expect("fixed schedule");
+                    let status = theorem10_phase1(&g, cfg.delta, t.seed, config, &ExecSpec::new())
+                        .strict()
+                        .expect("fixed schedule")
+                        .outputs;
                     let bad: Vec<bool> = status.iter().map(Option::is_none).collect();
                     let profile = shatter_profile(&g, &bad);
                     let full = theorem10_color(&g, cfg.delta, t.seed, config).expect("completes");
@@ -174,13 +174,16 @@ mod tests {
 
     #[test]
     fn every_variant_stays_correct_and_shattered() {
-        let rows = run(&Config {
-            n: 1 << 10,
-            delta: 16,
-            growth_ks: vec![1.0, 10.0],
-            margins: vec![1.0 / 8.0],
-            seeds: 1,
-        });
+        let rows = run(
+            &Config {
+                n: 1 << 10,
+                delta: 16,
+                growth_ks: vec![1.0, 10.0],
+                margins: vec![1.0 / 8.0],
+                seeds: 1,
+            },
+            None,
+        );
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.bad_fraction < 0.5, "phase 1 must color most vertices");

@@ -73,14 +73,11 @@ pub struct Row {
 /// # Panics
 ///
 /// Panics if the generator cannot achieve the requested girth.
-pub fn run(cfg: &Config) -> (Vec<Row>, usize) {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each radius is measured inside an
+///
+/// With a trace sink, each radius is measured inside an
 /// `e10_radius` span on trace trial 0, so the stream records per-radius
 /// wall-clock timing.
-pub fn run_traced(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> (Vec<Row>, usize) {
+pub fn run(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> (Vec<Row>, usize) {
     let trace = sink.as_ref().map(|_| Trace::new(0));
     let mut rng = StdRng::seed_from_u64(0xE10);
     let g = gen::high_girth_regular(cfg.n_side, cfg.delta, cfg.min_girth, &mut rng)
@@ -164,12 +161,15 @@ mod tests {
 
     #[test]
     fn one_view_below_horizon_then_explosion() {
-        let (rows, girth) = run(&Config {
-            delta: 3,
-            n_side: 80,
-            min_girth: 6,
-            radii: vec![0, 1, 2, 4],
-        });
+        let (rows, girth) = run(
+            &Config {
+                delta: 3,
+                n_side: 80,
+                min_girth: 6,
+                radii: vec![0, 1, 2, 4],
+            },
+            None,
+        );
         assert!(girth >= 6);
         for r in &rows {
             if r.below_horizon {

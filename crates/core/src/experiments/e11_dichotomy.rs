@@ -66,14 +66,11 @@ pub struct Outcome {
 }
 
 /// Run the sweep; both colorings are validated at every size.
-pub fn run(cfg: &Config) -> Outcome {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each size is measured inside an
+///
+/// With a trace sink, each size is measured inside an
 /// `e11_size` span on trace trial 0, so the stream records per-size
 /// wall-clock timing.
-pub fn run_traced(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> Outcome {
+pub fn run(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> Outcome {
     let trace = sink.as_ref().map(|_| Trace::new(0));
     let mut rows = Vec::new();
     let mut fast = Vec::new();
@@ -135,9 +132,12 @@ mod tests {
 
     #[test]
     fn dichotomy_sides_separate() {
-        let out = run(&Config {
-            ns: vec![1 << 6, 1 << 8, 1 << 10],
-        });
+        let out = run(
+            &Config {
+                ns: vec![1 << 6, 1 << 8, 1 << 10],
+            },
+            None,
+        );
         let (small, large) = (&out.rows[0], &out.rows[2]);
         // Fast side: flat. Slow side: ~16x.
         assert!(large.three_coloring <= small.three_coloring + 2);

@@ -13,27 +13,29 @@
 //! as a substitution in EXPERIMENTS.md.)
 //!
 //! Each surviving output is scored by the matching LCL verifier over the
-//! vertices whose checking ball survived ([`Workload::measure`]); a
-//! silenced vertex makes its whole neighborhood uncheckable and counts
-//! *against* validity. Trials run through the isolated trial harness, so a
+//! vertices whose checking ball survived
+//! ([`Workload::measure`](crate::workloads::Workload::measure)); a silenced
+//! vertex makes its whole neighborhood uncheckable and counts *against*
+//! validity. The sweep is a [`Grid`] run by the generic driver
+//! ([`crate::grid`]): trials are panic-isolated — traced or not — so a
 //! panicking configuration is recorded as `panicked` (with its panic
 //! messages carried into the JSON report) instead of taking the sweep down,
 //! and every aggregate folds in trial order — the emitted JSON is
-//! byte-identical regardless of worker-thread count. A workload whose graph
-//! generator fails (infeasible parameters, exhausted retries) contributes
-//! grid-shaped rows carrying the typed error instead of panicking the
-//! sweep. [`run_checkpointed`] adds kill-and-resume support through the
-//! [`Checkpoint`] store.
+//! byte-identical regardless of worker-thread count, checkpoint resumes, or
+//! fabric workers. A workload whose graph generator fails (infeasible
+//! parameters, exhausted retries) contributes grid-shaped rows carrying the
+//! typed error instead of panicking the sweep.
 
 use crate::checkpoint::Checkpoint;
-use crate::fabric::{decode_unit, run_unit_isolated, Sweep, SweepPoint};
+use crate::fabric::SweepPoint;
+use crate::grid::{self, Grid, GridOutcome};
 use crate::report::Table;
-use crate::trials::{TrialOutcome, TrialPlan, TrialSpec};
+use crate::trials::TrialOutcome;
 use crate::workloads::{find_row, workloads, MeasureRecord, Sizes, WorkloadSlot};
 use local_graphs::GraphError;
 use local_model::{FaultPlan, FaultSpec};
-use local_obs::{MetricsRegistry, TraceSink};
-use serde::{Deserialize, Serialize, Value};
+use local_obs::{MetricsRegistry, Trace, TraceSink};
+use serde::{Deserialize, Serialize};
 
 /// Seed of the workload graph generators.
 const GRAPH_SEED: u64 = 0xE12F;
@@ -137,17 +139,9 @@ pub struct Row {
     pub rounds_max: u32,
 }
 
-/// The sweep result.
-#[derive(Debug, Clone)]
-pub struct Outcome12 {
-    /// Measured grid points, in workload-major, drop-then-crash order.
-    pub rows: Vec<Row>,
-    /// Run-wide engine metrics merged over completed trials in grid/trial
-    /// order. Deterministic: the same config produces byte-identical
-    /// serialized metrics regardless of thread count or fabric
-    /// decomposition.
-    pub metrics: MetricsRegistry,
-}
+/// The sweep result: measured grid points in workload-major,
+/// drop-then-crash order, plus the run-wide engine metrics.
+pub type Outcome12 = GridOutcome<Row>;
 
 impl Outcome12 {
     /// The row of one grid point, if measured.
@@ -257,203 +251,128 @@ fn error_row(workload: &'static str, drop_p: f64, crash_p: f64, err: &GraphError
     }
 }
 
-/// Run the sweep.
-pub fn run(cfg: &Config) -> Outcome12 {
-    run_checkpointed(cfg, None)
-}
-
-/// [`run`] with optional checkpoint/resume: completed trials found in the
-/// store are replayed instead of re-executed, and fresh ones are appended,
-/// so a killed sweep rerun with the same configuration and checkpoint path
-/// finishes the remaining work and emits identical rows.
-pub fn run_checkpointed(cfg: &Config, checkpoint: Option<&Checkpoint>) -> Outcome12 {
-    let mut rows = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    for slot in workloads(&cfg.sizes(), GRAPH_SEED) {
-        match slot {
-            Err((name, err)) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        rows.push(error_row(name, drop_p, crash_p, &err));
-                    }
-                }
-            }
-            Ok(w) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        let spec = FaultSpec::none()
-                            .with_drop(drop_p)
-                            .with_crash(crash_p, w.crash_window());
-                        let plan = TrialPlan::new(cfg.trials, cfg.master_seed);
-                        let scope = scope("e12", cfg, w.name(), drop_p, crash_p);
-                        let tspec = TrialSpec::new()
-                            .isolated()
-                            .checkpointed(checkpoint.map(|c| (c, scope.as_str())));
-                        let outcomes = plan.execute(tspec, |trial, _| {
-                            let faults = FaultPlan::sample(w.graph(), &spec, trial.seed);
-                            w.measure(trial.seed, &faults, None)
-                        });
-                        rows.push(fold_row(
-                            w.name(),
-                            drop_p,
-                            crash_p,
-                            cfg.trials,
-                            outcomes,
-                            &mut metrics,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Outcome12 { rows, metrics }
-}
-
-/// [`run`] with an optional trace sink: each trial's engine run emits its
-/// per-round events (live counts, crashes, fault-plane drops and delays)
-/// into `sink`, with trial numbers unique across the whole grid (grid points
-/// are visited in workload-major, drop-then-crash order and each consumes
-/// `cfg.trials` trial numbers). Tracing runs without checkpoint support and
-/// without panic isolation — it is an observability mode, not a production
-/// sweep mode.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome12 {
-    let mut rows = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let mut base = 0u64;
-    for slot in workloads(&cfg.sizes(), GRAPH_SEED) {
-        match slot {
-            Err((name, err)) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        rows.push(error_row(name, drop_p, crash_p, &err));
-                    }
-                }
-            }
-            Ok(w) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        let spec = FaultSpec::none()
-                            .with_drop(drop_p)
-                            .with_crash(crash_p, w.crash_window());
-                        let plan = TrialPlan::new(cfg.trials, cfg.master_seed);
-                        let tspec = TrialSpec::new()
-                            .traced(sink.as_deref_mut())
-                            .trace_base(base);
-                        let outcomes = plan.execute(tspec, |trial, trace| {
-                            let faults = FaultPlan::sample(w.graph(), &spec, trial.seed);
-                            w.measure(trial.seed, &faults, trace)
-                        });
-                        base += cfg.trials;
-                        rows.push(fold_row(
-                            w.name(),
-                            drop_p,
-                            crash_p,
-                            cfg.trials,
-                            outcomes,
-                            &mut metrics,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Outcome12 { rows, metrics }
-}
-
-/// The fabric view of the sweep (see [`crate::fabric`]): one
-/// [`SweepPoint`] per grid cell in the exact serial fold order, with failed
-/// workload slots contributing zero-trial points so the grid shape (and the
-/// error rows) survive the round trip.
-pub struct FabricSweep {
+/// The sweep's grid (see [`crate::grid`]): one point per workload × drop ×
+/// crash cell, with failed workload slots contributing zero-trial points
+/// that fold to error rows, so the grid shape survives.
+pub struct Grid12 {
     cfg: Config,
     slots: Vec<WorkloadSlot>,
     points: Vec<SweepPoint>,
 }
 
-/// Build the fabric view of `cfg`'s sweep.
-pub fn fabric_sweep(cfg: &Config) -> FabricSweep {
-    let slots = workloads(&cfg.sizes(), GRAPH_SEED);
+impl Grid12 {
+    /// Build the workloads and the grid of `cfg`'s sweep.
+    pub fn new(cfg: &Config) -> Self {
+        let slots = workloads(&cfg.sizes(), GRAPH_SEED);
+        let points = fault_points(
+            &slots,
+            &cfg.drop_ps,
+            &cfg.crash_ps,
+            cfg.trials,
+            |w, d, c| scope("e12", cfg, w, d, c),
+        );
+        Grid12 {
+            cfg: cfg.clone(),
+            slots,
+            points,
+        }
+    }
+}
+
+/// The points of a workload × drop × crash grid, in workload-major,
+/// drop-then-crash order; failed slots get zero trials.
+pub(crate) fn fault_points(
+    slots: &[WorkloadSlot],
+    drop_ps: &[f64],
+    crash_ps: &[f64],
+    trials: u64,
+    scope: impl Fn(&str, f64, f64) -> String,
+) -> Vec<SweepPoint> {
     let mut points = Vec::new();
-    for slot in &slots {
+    for slot in slots {
         let (name, trials) = match slot {
-            Ok(w) => (w.name(), cfg.trials),
+            Ok(w) => (w.name(), trials),
             Err((name, _)) => (*name, 0),
         };
-        for &drop_p in &cfg.drop_ps {
-            for &crash_p in &cfg.crash_ps {
+        for &drop_p in drop_ps {
+            for &crash_p in crash_ps {
                 points.push(SweepPoint {
-                    scope: scope("e12", cfg, name, drop_p, crash_p),
+                    scope: scope(name, drop_p, crash_p),
                     trials,
                 });
             }
         }
     }
-    FabricSweep {
-        cfg: cfg.clone(),
-        slots,
-        points,
-    }
+    points
 }
 
-impl Sweep for FabricSweep {
+/// The `(workload slot, drop_p, crash_p)` of point `point` of a
+/// [`fault_points`] grid.
+pub(crate) fn fault_coords(drop_ps: &[f64], crash_ps: &[f64], point: usize) -> (usize, f64, f64) {
+    let per_slot = drop_ps.len() * crash_ps.len();
+    let cell = point % per_slot;
+    (
+        point / per_slot,
+        drop_ps[cell / crash_ps.len()],
+        crash_ps[cell % crash_ps.len()],
+    )
+}
+
+impl Grid for Grid12 {
+    type Record = MeasureRecord;
+    type Row = Row;
+
     fn points(&self) -> &[SweepPoint] {
         &self.points
     }
 
-    fn run_unit(&self, point: usize, index: u64) -> Value {
-        let pps = self.cfg.drop_ps.len() * self.cfg.crash_ps.len();
-        let drop_p = self.cfg.drop_ps[(point % pps) / self.cfg.crash_ps.len()];
-        let crash_p = self.cfg.crash_ps[point % self.cfg.crash_ps.len()];
-        let w = self.slots[point / pps]
+    fn master_seed(&self) -> u64 {
+        self.cfg.master_seed
+    }
+
+    fn trial(&self, point: usize, seed: u64, trace: Option<&Trace>) -> MeasureRecord {
+        let (slot, drop_p, crash_p) = fault_coords(&self.cfg.drop_ps, &self.cfg.crash_ps, point);
+        let w = self.slots[slot]
             .as_ref()
-            .expect("zero-trial error points receive no units");
-        let seed = TrialPlan::new(self.cfg.trials, self.cfg.master_seed).seed(index);
+            .expect("zero-trial error points run no trials");
         let spec = FaultSpec::none()
             .with_drop(drop_p)
             .with_crash(crash_p, w.crash_window());
-        run_unit_isolated(|| {
-            let faults = FaultPlan::sample(w.graph(), &spec, seed);
-            w.measure(seed, &faults, None)
-        })
+        let faults = FaultPlan::sample(w.graph(), &spec, seed);
+        w.measure(seed, &faults, trace)
+    }
+
+    fn fold(
+        &self,
+        point: usize,
+        outcomes: Vec<TrialOutcome<MeasureRecord>>,
+        metrics: &mut MetricsRegistry,
+    ) -> Row {
+        let (slot, drop_p, crash_p) = fault_coords(&self.cfg.drop_ps, &self.cfg.crash_ps, point);
+        match &self.slots[slot] {
+            Err((name, err)) => error_row(name, drop_p, crash_p, err),
+            Ok(w) => fold_row(
+                w.name(),
+                drop_p,
+                crash_p,
+                self.cfg.trials,
+                outcomes,
+                metrics,
+            ),
+        }
     }
 }
 
-impl FabricSweep {
-    /// Fold merged per-point unit values (grouped by
-    /// [`crate::fabric::UnitMap::group`]) back into the same [`Outcome12`]
-    /// a serial [`run`] produces — byte-identical once serialized.
-    pub fn fold_units(&self, per_point: Vec<Vec<Value>>) -> Outcome12 {
-        let mut rows = Vec::new();
-        let mut metrics = MetricsRegistry::new();
-        let mut groups = per_point.into_iter();
-        for slot in &self.slots {
-            for &drop_p in &self.cfg.drop_ps {
-                for &crash_p in &self.cfg.crash_ps {
-                    let values = groups.next().expect("one group per grid point");
-                    match slot {
-                        Err((name, err)) => {
-                            rows.push(error_row(name, drop_p, crash_p, err));
-                        }
-                        Ok(w) => {
-                            let outcomes = values
-                                .iter()
-                                .map(|v| decode_unit(v).expect("fabric journal record shape"))
-                                .collect();
-                            rows.push(fold_row(
-                                w.name(),
-                                drop_p,
-                                crash_p,
-                                self.cfg.trials,
-                                outcomes,
-                                &mut metrics,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Outcome12 { rows, metrics }
-    }
+/// Run the sweep: isolated trials, resumable from `checkpoint`, and with a
+/// `sink`, each trial's engine run emits its per-round events (live counts,
+/// crashes, fault-plane drops and delays) under trial numbers unique across
+/// the whole grid.
+pub fn run(
+    cfg: &Config,
+    checkpoint: Option<&Checkpoint>,
+    sink: Option<&mut dyn TraceSink>,
+) -> Outcome12 {
+    grid::run(&Grid12::new(cfg), checkpoint, sink)
 }
 
 /// Render the EXPERIMENTS.md table.
@@ -506,7 +425,7 @@ mod tests {
 
     #[test]
     fn faults_degrade_validity_but_never_crash_the_sweep() {
-        let out = run(&tiny());
+        let out = run(&tiny(), None, None);
         assert_eq!(out.rows.len(), NAMES.len() * 2 * 2);
         for r in &out.rows {
             assert_eq!(r.panicked, 0, "{}: no workload should panic", r.workload);
@@ -543,50 +462,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_and_checkpoint_replay_matches() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("lcl-e12-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let cfg = tiny();
-        let a = run(&cfg);
-        // First checkpointed run records every trial; the second replays
-        // them all from the file without recomputation. All three must
-        // agree field-for-field.
-        let b = {
-            let ckpt = Checkpoint::open(&path).expect("open checkpoint");
-            run_checkpointed(&cfg, Some(&ckpt))
-        };
-        let c = {
-            let ckpt = Checkpoint::open(&path).expect("reopen checkpoint");
-            run_checkpointed(&cfg, Some(&ckpt))
-        };
-        for (x, y) in a.rows.iter().zip(b.rows.iter().zip(&c.rows)) {
-            for y in [y.0, y.1] {
-                assert_eq!(x.workload, y.workload);
-                assert_eq!(x.outcomes, y.outcomes);
-                assert_eq!(x.validity_rate, y.validity_rate);
-                assert_eq!(x.rounds_mean, y.rounds_mean);
-                assert_eq!(x.rounds_max, y.rounds_max);
-                assert_eq!(x.panic_messages, y.panic_messages);
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn traced_sweep_matches_untraced_rows() {
+    fn traced_sweep_emits_engine_events() {
         use local_obs::MemorySink;
 
         let cfg = tiny();
-        let plain = run(&cfg);
         let mut sink = MemorySink::new();
-        let traced = run_traced(&cfg, Some(&mut sink));
-        assert_eq!(
-            serde_json::to_string(&plain.rows).unwrap(),
-            serde_json::to_string(&traced.rows).unwrap(),
-            "tracing must not change the measured rows"
-        );
+        run(&cfg, None, Some(&mut sink));
         let events = sink.into_events();
         // Every grid point contributed cfg.trials engine runs, each with a
         // run_start/run_end pair, under globally unique trial numbers.
@@ -605,27 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn fabric_units_fold_identically_to_serial() {
-        use crate::fabric::UnitMap;
-        let cfg = tiny();
-        let serial = run(&cfg);
-        let sweep = fabric_sweep(&cfg);
-        let map = UnitMap::new(sweep.points());
-        // Reverse unit order: execution order must not matter.
-        let mut values = vec![Value::Null; map.total() as usize];
-        for unit in (0..map.total()).rev() {
-            let (point, index) = map.locate(unit);
-            values[unit as usize] = sweep.run_unit(point, index);
-        }
-        let fabric = sweep.fold_units(map.group(values));
-        assert_eq!(
-            serde_json::to_string(&serial.rows).unwrap(),
-            serde_json::to_string(&fabric.rows).unwrap(),
-            "fabric decomposition must be invisible in the folded rows"
-        );
-    }
-
-    #[test]
     fn infeasible_generator_parameters_become_error_rows() {
         // n·d odd for the 3-regular generators: both the sinkless workload
         // and the edge-coloring base graph become infeasible.
@@ -633,7 +493,7 @@ mod tests {
             sinkless_n: 61,
             ..tiny()
         };
-        let out = run(&cfg);
+        let out = run(&cfg, None, None);
         assert_eq!(
             out.rows.len(),
             NAMES.len() * 2 * 2,

@@ -9,27 +9,31 @@
 //! boundary, splice, and verify with `check_complete` — escalating the
 //! boundary radius 1 → 2 → 3 when the residue is locally infeasible. Every
 //! workload-catalog entry ([`crate::workloads`]) heals with its own
-//! finisher, through [`Workload::heal`].
+//! finisher, through [`Workload::heal`](crate::workloads::Workload::heal).
 //!
 //! Reported per grid point: the recovery rate (fraction of trials reaching
 //! a *complete valid* labeling), the escalation histogram (how many trials
 //! needed radius 0/1/2/3 — 0 means the faulty run already validated), and
-//! the extra rounds the finisher paid on top of the base run. Workload
-//! construction failures become typed error rows, panics are isolated and
-//! their messages carried into the JSON, and [`run_checkpointed`] adds
-//! kill-and-resume: per-trial records are integer-only, so a resumed sweep
-//! reproduces the uninterrupted JSON byte-for-byte.
+//! the extra rounds the finisher paid on top of the base run. The sweep is
+//! a [`Grid`] run by the generic driver ([`crate::grid`]): workload
+//! construction failures become typed error rows, panics are isolated —
+//! traced or not — and their messages carried into the JSON, and
+//! [`run`] takes a checkpoint for kill-and-resume: per-trial records are
+//! integer-only, so a resumed sweep reproduces the uninterrupted JSON
+//! byte-for-byte.
 
+use super::e12_resilience::{fault_coords, fault_points};
 use crate::checkpoint::Checkpoint;
-use crate::fabric::{decode_unit, run_unit_isolated, Sweep, SweepPoint};
+use crate::fabric::SweepPoint;
+use crate::grid::{self, Grid, GridOutcome};
 use crate::report::Table;
-use crate::trials::{TrialOutcome, TrialPlan, TrialSpec};
+use crate::trials::TrialOutcome;
 use crate::workloads::{find_row, workloads, HealRecord, Sizes, WorkloadSlot};
 use local_algorithms::RecoveryPolicy;
 use local_graphs::GraphError;
 use local_model::{FaultPlan, FaultSpec};
-use local_obs::{MetricsRegistry, TraceSink};
-use serde::{Serialize, Value};
+use local_obs::{MetricsRegistry, Trace, TraceSink};
+use serde::Serialize;
 
 pub use super::e12_resilience::OutcomeCounts;
 
@@ -141,17 +145,9 @@ pub struct Row {
     pub extra_rounds_max: u32,
 }
 
-/// The sweep result.
-#[derive(Debug, Clone)]
-pub struct Outcome13 {
-    /// Measured grid points, in workload-major, drop-then-crash order.
-    pub rows: Vec<Row>,
-    /// Run-wide metrics (engine + recovery counters and histograms), merged
-    /// over completed trials in grid/trial order. Deterministic: the same
-    /// config produces byte-identical serialized metrics regardless of
-    /// thread count or fabric decomposition.
-    pub metrics: MetricsRegistry,
-}
+/// The sweep result: measured grid points in workload-major,
+/// drop-then-crash order, plus the run-wide engine and recovery metrics.
+pub type Outcome13 = GridOutcome<Row>;
 
 impl Outcome13 {
     /// The row of one grid point, if measured.
@@ -294,200 +290,82 @@ fn error_row(
     }
 }
 
-/// Run the sweep.
-pub fn run(cfg: &Config) -> Outcome13 {
-    run_checkpointed(cfg, None)
-}
-
-/// [`run`] with optional checkpoint/resume (see the module docs of
-/// [`crate::checkpoint`]).
-pub fn run_checkpointed(cfg: &Config, checkpoint: Option<&Checkpoint>) -> Outcome13 {
-    let mut rows = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    for slot in workloads(&cfg.sizes(), GRAPH_SEED) {
-        match slot {
-            Err((name, err)) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        rows.push(error_row(name, drop_p, crash_p, cfg, &err));
-                    }
-                }
-            }
-            Ok(w) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        let spec = FaultSpec::none()
-                            .with_drop(drop_p)
-                            .with_crash(crash_p, w.crash_window());
-                        let plan = TrialPlan::new(cfg.trials, cfg.master_seed);
-                        let scope = scope(cfg, w.name(), drop_p, crash_p);
-                        let tspec = TrialSpec::new()
-                            .isolated()
-                            .checkpointed(checkpoint.map(|c| (c, scope.as_str())));
-                        let outcomes = plan.execute(tspec, |trial, _| {
-                            let faults = FaultPlan::sample(w.graph(), &spec, trial.seed);
-                            w.heal(trial.seed, &faults, &cfg.policy, None)
-                        });
-                        rows.push(fold_row(
-                            w.name(),
-                            drop_p,
-                            crash_p,
-                            cfg,
-                            outcomes,
-                            &mut metrics,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Outcome13 { rows, metrics }
-}
-
-/// [`run`] with an optional trace sink: each trial's base engine run emits
-/// per-round events and the recovery driver emits one `recovery` event per
-/// escalation attempt (core/residue sizes, finisher, verification verdict).
-/// Trial numbers are unique across the whole grid. Tracing runs without
-/// checkpoint support and without panic isolation — it is an observability
-/// mode, not a production sweep mode.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome13 {
-    let mut rows = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let mut base = 0u64;
-    for slot in workloads(&cfg.sizes(), GRAPH_SEED) {
-        match slot {
-            Err((name, err)) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        rows.push(error_row(name, drop_p, crash_p, cfg, &err));
-                    }
-                }
-            }
-            Ok(w) => {
-                for &drop_p in &cfg.drop_ps {
-                    for &crash_p in &cfg.crash_ps {
-                        let spec = FaultSpec::none()
-                            .with_drop(drop_p)
-                            .with_crash(crash_p, w.crash_window());
-                        let plan = TrialPlan::new(cfg.trials, cfg.master_seed);
-                        let tspec = TrialSpec::new()
-                            .traced(sink.as_deref_mut())
-                            .trace_base(base);
-                        let outcomes = plan.execute(tspec, |trial, trace| {
-                            let faults = FaultPlan::sample(w.graph(), &spec, trial.seed);
-                            w.heal(trial.seed, &faults, &cfg.policy, trace)
-                        });
-                        base += cfg.trials;
-                        rows.push(fold_row(
-                            w.name(),
-                            drop_p,
-                            crash_p,
-                            cfg,
-                            outcomes,
-                            &mut metrics,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    Outcome13 { rows, metrics }
-}
-
-/// The fabric view of the sweep (see [`crate::fabric`]): one
-/// [`SweepPoint`] per grid cell in the exact serial fold order, with failed
-/// workload slots contributing zero-trial points so the grid shape (and the
-/// error rows) survive the round trip.
-pub struct FabricSweep {
+/// The sweep's grid (see [`crate::grid`]): E12's workload × drop × crash
+/// layout, with zero-trial points for failed workload slots.
+pub struct Grid13 {
     cfg: Config,
     slots: Vec<WorkloadSlot>,
     points: Vec<SweepPoint>,
 }
 
-/// Build the fabric view of `cfg`'s sweep.
-pub fn fabric_sweep(cfg: &Config) -> FabricSweep {
-    let slots = workloads(&cfg.sizes(), GRAPH_SEED);
-    let mut points = Vec::new();
-    for slot in &slots {
-        let (name, trials) = match slot {
-            Ok(w) => (w.name(), cfg.trials),
-            Err((name, _)) => (*name, 0),
-        };
-        for &drop_p in &cfg.drop_ps {
-            for &crash_p in &cfg.crash_ps {
-                points.push(SweepPoint {
-                    scope: scope(cfg, name, drop_p, crash_p),
-                    trials,
-                });
-            }
+impl Grid13 {
+    /// Build the workloads and the grid of `cfg`'s sweep.
+    pub fn new(cfg: &Config) -> Self {
+        let slots = workloads(&cfg.sizes(), GRAPH_SEED);
+        let points = fault_points(
+            &slots,
+            &cfg.drop_ps,
+            &cfg.crash_ps,
+            cfg.trials,
+            |w, d, c| scope(cfg, w, d, c),
+        );
+        Grid13 {
+            cfg: cfg.clone(),
+            slots,
+            points,
         }
-    }
-    FabricSweep {
-        cfg: cfg.clone(),
-        slots,
-        points,
     }
 }
 
-impl Sweep for FabricSweep {
+impl Grid for Grid13 {
+    type Record = HealRecord;
+    type Row = Row;
+
     fn points(&self) -> &[SweepPoint] {
         &self.points
     }
 
-    fn run_unit(&self, point: usize, index: u64) -> Value {
-        let pps = self.cfg.drop_ps.len() * self.cfg.crash_ps.len();
-        let drop_p = self.cfg.drop_ps[(point % pps) / self.cfg.crash_ps.len()];
-        let crash_p = self.cfg.crash_ps[point % self.cfg.crash_ps.len()];
-        let w = self.slots[point / pps]
+    fn master_seed(&self) -> u64 {
+        self.cfg.master_seed
+    }
+
+    fn trial(&self, point: usize, seed: u64, trace: Option<&Trace>) -> HealRecord {
+        let (slot, drop_p, crash_p) = fault_coords(&self.cfg.drop_ps, &self.cfg.crash_ps, point);
+        let w = self.slots[slot]
             .as_ref()
-            .expect("zero-trial error points receive no units");
-        let seed = TrialPlan::new(self.cfg.trials, self.cfg.master_seed).seed(index);
+            .expect("zero-trial error points run no trials");
         let spec = FaultSpec::none()
             .with_drop(drop_p)
             .with_crash(crash_p, w.crash_window());
-        run_unit_isolated(|| {
-            let faults = FaultPlan::sample(w.graph(), &spec, seed);
-            w.heal(seed, &faults, &self.cfg.policy, None)
-        })
+        let faults = FaultPlan::sample(w.graph(), &spec, seed);
+        w.heal(seed, &faults, &self.cfg.policy, trace)
+    }
+
+    fn fold(
+        &self,
+        point: usize,
+        outcomes: Vec<TrialOutcome<HealRecord>>,
+        metrics: &mut MetricsRegistry,
+    ) -> Row {
+        let (slot, drop_p, crash_p) = fault_coords(&self.cfg.drop_ps, &self.cfg.crash_ps, point);
+        match &self.slots[slot] {
+            Err((name, err)) => error_row(name, drop_p, crash_p, &self.cfg, err),
+            Ok(w) => fold_row(w.name(), drop_p, crash_p, &self.cfg, outcomes, metrics),
+        }
     }
 }
 
-impl FabricSweep {
-    /// Fold merged per-point unit values (grouped by
-    /// [`crate::fabric::UnitMap::group`]) back into the same [`Outcome13`]
-    /// a serial [`run`] produces — byte-identical once serialized.
-    pub fn fold_units(&self, per_point: Vec<Vec<Value>>) -> Outcome13 {
-        let mut rows = Vec::new();
-        let mut metrics = MetricsRegistry::new();
-        let mut groups = per_point.into_iter();
-        for slot in &self.slots {
-            for &drop_p in &self.cfg.drop_ps {
-                for &crash_p in &self.cfg.crash_ps {
-                    let values = groups.next().expect("one group per grid point");
-                    match slot {
-                        Err((name, err)) => {
-                            rows.push(error_row(name, drop_p, crash_p, &self.cfg, err));
-                        }
-                        Ok(w) => {
-                            let outcomes = values
-                                .iter()
-                                .map(|v| decode_unit(v).expect("fabric journal record shape"))
-                                .collect();
-                            rows.push(fold_row(
-                                w.name(),
-                                drop_p,
-                                crash_p,
-                                &self.cfg,
-                                outcomes,
-                                &mut metrics,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Outcome13 { rows, metrics }
-    }
+/// Run the sweep: isolated trials, resumable from `checkpoint`, and with a
+/// `sink`, each trial's base engine run emits per-round events and the
+/// recovery driver one `recovery` event per escalation attempt
+/// (core/residue sizes, finisher, verification verdict), under trial
+/// numbers unique across the whole grid.
+pub fn run(
+    cfg: &Config,
+    checkpoint: Option<&Checkpoint>,
+    sink: Option<&mut dyn TraceSink>,
+) -> Outcome13 {
+    grid::run(&Grid13::new(cfg), checkpoint, sink)
 }
 
 /// Render the EXPERIMENTS.md table.
@@ -555,7 +433,7 @@ mod tests {
 
     #[test]
     fn every_grid_point_recovers_completely() {
-        let out = run(&tiny());
+        let out = run(&tiny(), None, None);
         assert_eq!(out.rows.len(), NAMES.len() * 2 * 2);
         for r in &out.rows {
             assert!(r.error.is_none(), "{}: {:?}", r.workload, r.error);
@@ -587,50 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_and_checkpoint_replay_matches() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("lcl-e13-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let cfg = tiny();
-        let a = run(&cfg);
-        let b = {
-            let ckpt = Checkpoint::open(&path).expect("open checkpoint");
-            run_checkpointed(&cfg, Some(&ckpt))
-        };
-        let c = {
-            let ckpt = Checkpoint::open(&path).expect("reopen checkpoint");
-            run_checkpointed(&cfg, Some(&ckpt))
-        };
-        for (x, y) in a.rows.iter().zip(b.rows.iter().zip(&c.rows)) {
-            for y in [y.0, y.1] {
-                assert_eq!(x.workload, y.workload);
-                assert_eq!(x.recovered, y.recovered);
-                assert_eq!(x.escalations, y.escalations);
-                assert_eq!(x.outcomes, y.outcomes);
-                assert_eq!(x.core_mean, y.core_mean);
-                assert_eq!(x.residue_mean, y.residue_mean);
-                assert_eq!(x.base_rounds_mean, y.base_rounds_mean);
-                assert_eq!(x.extra_rounds_mean, y.extra_rounds_mean);
-                assert_eq!(x.failures, y.failures);
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn traced_sweep_matches_untraced_and_emits_recovery_events() {
+    fn traced_sweep_emits_recovery_events() {
         use local_obs::{EventData, MemorySink};
 
         let cfg = tiny();
-        let plain = run(&cfg);
         let mut sink = MemorySink::new();
-        let traced = run_traced(&cfg, Some(&mut sink));
-        assert_eq!(
-            serde_json::to_string(&plain.rows).unwrap(),
-            serde_json::to_string(&traced.rows).unwrap(),
-            "tracing must not change the measured rows"
-        );
+        run(&cfg, None, Some(&mut sink));
         let events = sink.into_events();
         // The faulted grid points exercise the recovery driver, and every
         // recovery event names a real finisher and carries core ≤ residue.
@@ -673,55 +513,13 @@ mod tests {
             .any(|e| matches!(&e.data, EventData::SpanStart { name } if name == "recover")));
     }
 
-    /// Run a fabric sweep in-process (no subprocesses): execute every unit
-    /// through the `Sweep` interface in an arbitrary order, then fold.
-    fn fabric_in_process(cfg: &Config) -> Outcome13 {
-        use crate::fabric::UnitMap;
-        let sweep = fabric_sweep(cfg);
-        let map = UnitMap::new(sweep.points());
-        // Reverse unit order: execution order must not matter.
-        let mut values = vec![Value::Null; map.total() as usize];
-        for unit in (0..map.total()).rev() {
-            let (point, index) = map.locate(unit);
-            values[unit as usize] = sweep.run_unit(point, index);
-        }
-        sweep.fold_units(map.group(values))
-    }
-
-    #[test]
-    fn fabric_units_fold_identically_to_serial() {
-        let cfg = tiny();
-        let serial = run(&cfg);
-        let fabric = fabric_in_process(&cfg);
-        assert_eq!(
-            serde_json::to_string(&serial.rows).unwrap(),
-            serde_json::to_string(&fabric.rows).unwrap(),
-            "fabric decomposition must be invisible in the folded rows"
-        );
-    }
-
-    #[test]
-    fn fabric_preserves_error_rows() {
-        let cfg = Config {
-            sinkless_n: 61, // n·d odd: no 3-regular graph
-            ..tiny()
-        };
-        let serial = run(&cfg);
-        let fabric = fabric_in_process(&cfg);
-        assert_eq!(
-            serde_json::to_string(&serial.rows).unwrap(),
-            serde_json::to_string(&fabric.rows).unwrap(),
-            "zero-trial error points must fold to the same error rows"
-        );
-    }
-
     #[test]
     fn infeasible_generator_parameters_become_error_rows() {
         let cfg = Config {
             sinkless_n: 61, // n·d odd: no 3-regular graph
             ..tiny()
         };
-        let out = run(&cfg);
+        let out = run(&cfg, None, None);
         assert_eq!(
             out.rows.len(),
             NAMES.len() * 2 * 2,

@@ -25,15 +25,16 @@
 
 use crate::adversary::{search, Evaluation, Objective, SearchConfig};
 use crate::checkpoint::Checkpoint;
-use crate::fabric::{decode_unit, run_unit_isolated, Sweep, SweepPoint};
+use crate::fabric::SweepPoint;
+use crate::grid::{self, Grid, GridOutcome};
 use crate::report::Table;
-use crate::trials::{TrialOutcome, TrialPlan, TrialSpec};
+use crate::trials::TrialOutcome;
 use crate::workloads::{find_row, workloads, Sizes, Workload, WorkloadSlot};
 use local_algorithms::RecoveryPolicy;
 use local_graphs::GraphError;
 use local_model::FaultPlan;
 use local_obs::{MetricsRegistry, Trace, TraceSink};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Vertices in the tree-coloring workload (fixed; see the module docs).
 pub const TREE_N: usize = 64;
@@ -159,15 +160,10 @@ pub struct Row {
     pub report_json: String,
 }
 
-/// The sweep result.
-#[derive(Debug, Clone)]
-pub struct Outcome14 {
-    /// Measured grid points, workload-major in [`Objective::ALL`] order.
-    pub rows: Vec<Row>,
-    /// The run-wide metric aggregate (`search_*` counters and gauges),
-    /// folded from every restart in trial order.
-    pub metrics: MetricsRegistry,
-}
+/// The sweep result: measured grid points, workload-major in
+/// [`Objective::ALL`] order, plus the run-wide `search_*` metrics folded
+/// from every restart in trial order.
+pub type Outcome14 = GridOutcome<Row>;
 
 impl Outcome14 {
     /// The row of one grid point, if measured.
@@ -184,7 +180,7 @@ impl Outcome14 {
 /// What one search restart contributes to its grid point. Integer-plus-
 /// string only, so checkpointed records round-trip byte-for-byte.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct TrialResult {
+pub struct TrialResult {
     search_seed: u64,
     objective: u64,
     radius: u32,
@@ -377,155 +373,92 @@ fn error_row(workload: &'static str, objective: Objective, err: &GraphError) -> 
     }
 }
 
-/// Run the sweep.
-pub fn run(cfg: &Config) -> Outcome14 {
-    run_checkpointed(cfg, None)
-}
-
-/// [`run`] with optional checkpoint/resume (see the module docs of
-/// [`crate::checkpoint`]).
-pub fn run_checkpointed(cfg: &Config, checkpoint: Option<&Checkpoint>) -> Outcome14 {
-    let mut rows = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    for slot in workloads(&sizes(), GRAPH_SEED) {
-        match slot {
-            Err((name, err)) => {
-                for objective in Objective::ALL {
-                    rows.push(error_row(name, objective, &err));
-                }
-            }
-            Ok(w) => {
-                for objective in Objective::ALL {
-                    let plan = TrialPlan::new(cfg.restarts, cfg.master_seed);
-                    let scope = scope(cfg, w.name(), objective);
-                    let tspec = TrialSpec::new()
-                        .isolated()
-                        .checkpointed(checkpoint.map(|c| (c, scope.as_str())));
-                    let outcomes = plan.execute(tspec, |trial, _| {
-                        restart(w.as_ref(), objective, cfg, trial.seed, None)
-                    });
-                    rows.push(fold_row(w.name(), objective, cfg, outcomes, &mut metrics));
-                }
-            }
-        }
-    }
-    Outcome14 { rows, metrics }
-}
-
-/// [`run`] with an optional trace sink: every restart emits one
-/// `search_iter` event per search iteration (committed move, committed
-/// score, running best). Restart numbers are unique across the whole grid.
-/// Tracing runs without checkpoint support and without panic isolation — it
-/// is an observability mode, not a production sweep mode.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome14 {
-    let mut rows = Vec::new();
-    let mut metrics = MetricsRegistry::new();
-    let mut base = 0u64;
-    for slot in workloads(&sizes(), GRAPH_SEED) {
-        match slot {
-            Err((name, err)) => {
-                for objective in Objective::ALL {
-                    rows.push(error_row(name, objective, &err));
-                }
-            }
-            Ok(w) => {
-                for objective in Objective::ALL {
-                    let plan = TrialPlan::new(cfg.restarts, cfg.master_seed);
-                    let tspec = TrialSpec::new()
-                        .traced(sink.as_deref_mut())
-                        .trace_base(base);
-                    let outcomes = plan.execute(tspec, |trial, trace| {
-                        restart(w.as_ref(), objective, cfg, trial.seed, trace)
-                    });
-                    base += cfg.restarts;
-                    rows.push(fold_row(w.name(), objective, cfg, outcomes, &mut metrics));
-                }
-            }
-        }
-    }
-    Outcome14 { rows, metrics }
-}
-
-/// The fabric view of the sweep (see [`crate::fabric`]): one
-/// [`SweepPoint`] per workload × objective grid cell in the exact serial
-/// fold order, with failed workload slots contributing zero-trial points so
-/// the grid shape (and the error rows) survive the round trip.
-pub struct FabricSweep {
+/// The sweep's grid (see [`crate::grid`]): one point per workload ×
+/// objective cell, with zero-trial points for failed workload slots. A
+/// trial is one search restart.
+pub struct Grid14 {
     cfg: Config,
     slots: Vec<WorkloadSlot>,
     points: Vec<SweepPoint>,
 }
 
-/// Build the fabric view of `cfg`'s sweep.
-pub fn fabric_sweep(cfg: &Config) -> FabricSweep {
-    let slots = workloads(&sizes(), GRAPH_SEED);
-    let mut points = Vec::new();
-    for slot in &slots {
-        let (name, trials) = match slot {
-            Ok(w) => (w.name(), cfg.restarts),
-            Err((name, _)) => (*name, 0),
-        };
-        for objective in Objective::ALL {
-            points.push(SweepPoint {
-                scope: scope(cfg, name, objective),
-                trials,
-            });
+impl Grid14 {
+    /// Build the fixed workloads and the grid of `cfg`'s sweep.
+    pub fn new(cfg: &Config) -> Self {
+        let slots = workloads(&sizes(), GRAPH_SEED);
+        let mut points = Vec::new();
+        for slot in &slots {
+            let (name, trials) = match slot {
+                Ok(w) => (w.name(), cfg.restarts),
+                Err((name, _)) => (*name, 0),
+            };
+            for objective in Objective::ALL {
+                points.push(SweepPoint {
+                    scope: scope(cfg, name, objective),
+                    trials,
+                });
+            }
+        }
+        Grid14 {
+            cfg: cfg.clone(),
+            slots,
+            points,
         }
     }
-    FabricSweep {
-        cfg: cfg.clone(),
-        slots,
-        points,
+
+    /// The workload slot and objective of point `point`.
+    fn coords(&self, point: usize) -> (&WorkloadSlot, Objective) {
+        let per_slot = Objective::ALL.len();
+        (
+            &self.slots[point / per_slot],
+            Objective::ALL[point % per_slot],
+        )
     }
 }
 
-impl Sweep for FabricSweep {
+impl Grid for Grid14 {
+    type Record = TrialResult;
+    type Row = Row;
+
     fn points(&self) -> &[SweepPoint] {
         &self.points
     }
 
-    fn run_unit(&self, point: usize, index: u64) -> Value {
-        let pps = Objective::ALL.len();
-        let objective = Objective::ALL[point % pps];
-        let w = self.slots[point / pps]
+    fn master_seed(&self) -> u64 {
+        self.cfg.master_seed
+    }
+
+    fn trial(&self, point: usize, seed: u64, trace: Option<&Trace>) -> TrialResult {
+        let (slot, objective) = self.coords(point);
+        let w = slot
             .as_ref()
-            .expect("zero-trial error points receive no units");
-        let seed = TrialPlan::new(self.cfg.restarts, self.cfg.master_seed).seed(index);
-        run_unit_isolated(|| restart(w.as_ref(), objective, &self.cfg, seed, None))
+            .expect("zero-trial error points run no trials");
+        restart(w.as_ref(), objective, &self.cfg, seed, trace)
+    }
+
+    fn fold(
+        &self,
+        point: usize,
+        outcomes: Vec<TrialOutcome<TrialResult>>,
+        metrics: &mut MetricsRegistry,
+    ) -> Row {
+        match self.coords(point) {
+            (Err((name, err)), objective) => error_row(name, objective, err),
+            (Ok(w), objective) => fold_row(w.name(), objective, &self.cfg, outcomes, metrics),
+        }
     }
 }
 
-impl FabricSweep {
-    /// Fold merged per-point unit values (grouped by
-    /// [`crate::fabric::UnitMap::group`]) back into the same [`Outcome14`]
-    /// a serial [`run`] produces — byte-identical once serialized.
-    pub fn fold_units(&self, per_point: Vec<Vec<Value>>) -> Outcome14 {
-        let mut rows = Vec::new();
-        let mut metrics = MetricsRegistry::new();
-        let mut groups = per_point.into_iter();
-        for slot in &self.slots {
-            for objective in Objective::ALL {
-                let values = groups.next().expect("one group per grid point");
-                match slot {
-                    Err((name, err)) => rows.push(error_row(name, objective, err)),
-                    Ok(w) => {
-                        let outcomes = values
-                            .iter()
-                            .map(|v| decode_unit(v).expect("fabric journal record shape"))
-                            .collect();
-                        rows.push(fold_row(
-                            w.name(),
-                            objective,
-                            &self.cfg,
-                            outcomes,
-                            &mut metrics,
-                        ));
-                    }
-                }
-            }
-        }
-        Outcome14 { rows, metrics }
-    }
+/// Run the sweep: isolated restarts, resumable from `checkpoint`, and with
+/// a `sink`, every restart emits one `search_iter` event per search
+/// iteration (committed move, committed score, running best) under restart
+/// numbers unique across the whole grid.
+pub fn run(
+    cfg: &Config,
+    checkpoint: Option<&Checkpoint>,
+    sink: Option<&mut dyn TraceSink>,
+) -> Outcome14 {
+    grid::run(&Grid14::new(cfg), checkpoint, sink)
 }
 
 /// Render one row's pinned replay artifact: the best-found plan, its seed
@@ -651,7 +584,7 @@ mod tests {
 
     #[test]
     fn grid_is_complete_and_budgets_hold() {
-        let out = run(&tiny());
+        let out = run(&tiny(), None, None);
         assert_eq!(out.rows.len(), NAMES.len() * Objective::ALL.len());
         for r in &out.rows {
             assert!(r.error.is_none(), "{}: {:?}", r.workload, r.error);
@@ -675,40 +608,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_and_checkpoint_replay_matches() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("lcl-e14-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let cfg = tiny();
-        let a = run(&cfg);
-        let b = {
-            let ckpt = Checkpoint::open(&path).expect("open checkpoint");
-            run_checkpointed(&cfg, Some(&ckpt))
-        };
-        let c = {
-            let ckpt = Checkpoint::open(&path).expect("reopen checkpoint");
-            run_checkpointed(&cfg, Some(&ckpt))
-        };
-        let a_json = serde_json::to_string(&a.rows).unwrap();
-        assert_eq!(a_json, serde_json::to_string(&b.rows).unwrap());
-        assert_eq!(a_json, serde_json::to_string(&c.rows).unwrap());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn traced_sweep_matches_untraced_and_emits_search_events() {
+    fn traced_sweep_emits_search_events() {
         use local_obs::{EventData, MemorySink};
 
         let cfg = tiny();
-        let plain = run(&cfg);
         let mut sink = MemorySink::new();
-        let traced = run_traced(&cfg, Some(&mut sink));
-        assert_eq!(
-            serde_json::to_string(&plain.rows).unwrap(),
-            serde_json::to_string(&traced.rows).unwrap(),
-            "tracing must not change the measured rows"
-        );
+        run(&cfg, None, Some(&mut sink));
         let events = sink.into_events();
         let iters = events
             .iter()
@@ -724,7 +629,7 @@ mod tests {
     #[test]
     fn pinned_artifacts_replay_to_identical_bytes() {
         let cfg = tiny();
-        let out = run(&cfg);
+        let out = run(&cfg, None, None);
         for row in &out.rows {
             let artifact = artifact_json(&cfg, row);
             // Parse → re-render is byte-stable (field order preserved,
@@ -751,27 +656,6 @@ mod tests {
                 .unwrap()
             );
         }
-    }
-
-    #[test]
-    fn fabric_units_fold_identically_to_serial() {
-        use crate::fabric::UnitMap;
-        let cfg = tiny();
-        let serial = run(&cfg);
-        let sweep = fabric_sweep(&cfg);
-        let map = UnitMap::new(sweep.points());
-        // Reverse unit order: execution order must not matter.
-        let mut values = vec![Value::Null; map.total() as usize];
-        for unit in (0..map.total()).rev() {
-            let (point, index) = map.locate(unit);
-            values[unit as usize] = sweep.run_unit(point, index);
-        }
-        let fabric = sweep.fold_units(map.group(values));
-        assert_eq!(
-            serde_json::to_string(&serial.rows).unwrap(),
-            serde_json::to_string(&fabric.rows).unwrap(),
-            "fabric decomposition must be invisible in the folded rows"
-        );
     }
 
     #[test]

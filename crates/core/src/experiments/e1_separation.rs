@@ -96,14 +96,11 @@ pub struct Outcome {
 }
 
 /// Run the sweep. Every produced coloring is validated before being counted.
-pub fn run(cfg: &Config) -> Outcome {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each randomized trial runs inside
+///
+/// With a trace sink, each randomized trial runs inside
 /// an `e1_trial` span (stamped with a globally unique trial number), so the
 /// stream records per-trial wall-clock timing.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome {
     let mut trace_base = 0u64;
     let mut rows = Vec::new();
     let mut det_fit = Vec::new();
@@ -223,7 +220,7 @@ mod tests {
             ns: vec![1 << 8, 1 << 16],
             seeds: 1,
         };
-        let out = run(&cfg);
+        let out = run(&cfg, None);
         assert_eq!(out.rows.len(), 2);
         let small = &out.rows[0];
         let large = &out.rows[1];

@@ -9,9 +9,10 @@
 use crate::report::Table;
 use crate::shatter::shatter_profile;
 use crate::trials::{TrialOutcome, TrialPlan, TrialSpec};
-use local_algorithms::tree::theorem10::theorem10_phase1_traced;
+use local_algorithms::tree::theorem10::theorem10_phase1;
 use local_algorithms::tree::Theorem10Config;
 use local_graphs::gen;
+use local_model::ExecSpec;
 use local_obs::{EventData, PowHistogram, TraceSink};
 use serde::{Deserialize, Serialize};
 
@@ -63,17 +64,14 @@ pub struct Row {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: every trial's Phase-1 engine run
+///
+/// With a trace sink, every trial's Phase-1 engine run
 /// emits per-round events (live vertices, message volume), and each trial
 /// additionally records a `shattered_component_size` histogram of the bad
 /// components it produced. Trials are stamped with a global sequence number
 /// `point · seeds + seed` so the combined stream stays unambiguous across
 /// sweep points.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let mut rows = Vec::new();
     for (point, &n) in cfg.ns.iter().enumerate() {
         // The hard family (matching E1): complete (Δ−1)-ary trees, whose
@@ -86,14 +84,16 @@ pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row
             .trace_base(base);
         let per_trial: Vec<_> = plan
             .execute(spec, |t, trace| {
-                let (status, _rounds) = theorem10_phase1_traced(
+                let status = theorem10_phase1(
                     &g,
                     cfg.delta,
                     t.seed,
                     Theorem10Config::default(),
-                    trace,
+                    &ExecSpec::new().traced(trace),
                 )
-                .expect("phase 1 has a fixed schedule");
+                .strict()
+                .expect("phase 1 has a fixed schedule")
+                .outputs;
                 let bad: Vec<bool> = status.iter().map(Option::is_none).collect();
                 let profile = shatter_profile(&g, &bad);
                 if let Some(tr) = trace {
@@ -154,7 +154,7 @@ mod tests {
             ns: vec![512, 2048],
             seeds: 2,
         };
-        let rows = run(&cfg);
+        let rows = run(&cfg, None);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(
@@ -178,9 +178,9 @@ mod tests {
             ns: vec![512, 1024],
             seeds: 2,
         };
-        let plain = run(&cfg);
+        let plain = run(&cfg, None);
         let mut sink = MemorySink::new();
-        let traced = run_traced(&cfg, Some(&mut sink));
+        let traced = run(&cfg, Some(&mut sink));
         assert_eq!(
             to_string(&plain).unwrap(),
             to_string(&traced).unwrap(),

@@ -71,14 +71,11 @@ pub struct Row {
 }
 
 /// Run the sweep; every coloring is validated.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each trial runs inside an
+///
+/// With a trace sink, each trial runs inside an
 /// `e3_trial` span (stamped with a globally unique trial number), so the
 /// stream records per-trial wall-clock timing.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let mut trace_base = 0u64;
     let mut rows = Vec::new();
     for &n in &cfg.ns {
@@ -167,7 +164,7 @@ mod tests {
             ns: vec![256, 1024],
             seeds: 1,
         };
-        let rows = run(&cfg);
+        let rows = run(&cfg, None);
         assert_eq!(rows.len(), 2);
         // Setup and phase 1 depend on Δ (and log* n): near-identical across n.
         assert!((rows[0].phase1 - rows[1].phase1).abs() <= rows[0].phase1 * 0.5 + 8.0);

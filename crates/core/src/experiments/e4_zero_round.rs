@@ -63,14 +63,11 @@ pub struct Row {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each trial runs inside an
+///
+/// With a trace sink, each trial runs inside an
 /// `e4_trial` span (stamped with a globally unique trial number), so the
 /// stream records per-trial wall-clock timing.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let mut trace_base = 0u64;
     let mut rows = Vec::new();
     for &delta in &cfg.deltas {
@@ -134,11 +131,14 @@ mod tests {
 
     #[test]
     fn empirical_matches_exact_within_tolerance() {
-        let rows = run(&Config {
-            deltas: vec![3, 4],
-            n_side: 18,
-            trials: 400,
-        });
+        let rows = run(
+            &Config {
+                deltas: vec![3, 4],
+                n_side: 18,
+                trials: 400,
+            },
+            None,
+        );
         for r in &rows {
             assert!(
                 (r.empirical - r.exact).abs() < r.exact * 0.6,

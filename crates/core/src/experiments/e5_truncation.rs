@@ -67,14 +67,11 @@ pub struct Row {
 }
 
 /// Run the sweep.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each trial runs inside an
+///
+/// With a trace sink, each trial runs inside an
 /// `e5_trial` span (stamped with a globally unique trial number), so the
 /// stream records per-trial wall-clock timing.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let mut trace_base = 0u64;
     let mut rows = Vec::new();
     for &n in &cfg.ns {
@@ -131,12 +128,15 @@ mod tests {
 
     #[test]
     fn failure_decays_with_budget() {
-        let rows = run(&Config {
-            delta: 3,
-            ns: vec![256],
-            phases: vec![0, 8],
-            seeds: 15,
-        });
+        let rows = run(
+            &Config {
+                delta: 3,
+                ns: vec![256],
+                phases: vec![0, 8],
+                seeds: 15,
+            },
+            None,
+        );
         assert_eq!(rows.len(), 2);
         let p0 = rows[0].sink_probability;
         let p8 = rows[1].sink_probability;

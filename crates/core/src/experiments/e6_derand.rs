@@ -76,14 +76,11 @@ impl From<DerandReport> for Row {
 /// Panics if a space exhausts `max_tries` without a good φ — at the
 /// configured scales the union bound makes that a parameter bug, not a
 /// recoverable condition.
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each `(n, Δ, id bits)` space is
+///
+/// With a trace sink, each `(n, Δ, id bits)` space is
 /// derandomized inside an `e6_space` span on trace trial 0, so the stream
 /// records per-space wall-clock timing.
-pub fn run_traced(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let trace = sink.as_ref().map(|_| Trace::new(0));
     let rows = cfg
         .spaces
@@ -129,7 +126,7 @@ mod tests {
 
     #[test]
     fn toy_spaces_derandomize_in_few_tries() {
-        let rows = run(&Config::quick());
+        let rows = run(&Config::quick(), None);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(

@@ -69,14 +69,11 @@ impl Row {
 }
 
 /// Run the sweep (paths with increasing IDs; BFS-ordered random trees).
-pub fn run(cfg: &Config) -> Vec<Row> {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each demo instance runs inside an
+///
+/// With a trace sink, each demo instance runs inside an
 /// `e7_instance` span on trace trial 0, so the stream records per-instance
 /// wall-clock timing.
-pub fn run_traced(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
+pub fn run(cfg: &Config, sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
     let trace = sink.as_ref().map(|_| Trace::new(0));
     let mut rows = Vec::new();
     for &n in &cfg.ns {
@@ -133,10 +130,13 @@ mod tests {
 
     #[test]
     fn path_speedup_is_dramatic() {
-        let rows = run(&Config {
-            ns: vec![256, 1024],
-            tree_delta: 4,
-        });
+        let rows = run(
+            &Config {
+                ns: vec![256, 1024],
+                tree_delta: 4,
+            },
+            None,
+        );
         let paths: Vec<&Row> = rows.iter().filter(|r| r.family == "path").collect();
         assert_eq!(paths.len(), 2);
         // Before: Θ(n). After: flat.

@@ -75,15 +75,12 @@ pub struct ConvergenceRow {
 }
 
 /// Run both sweeps.
-pub fn run(cfg: &Config) -> (Vec<ShrinkRow>, Vec<ConvergenceRow>) {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each convergence instance runs
+///
+/// With a trace sink, each convergence instance runs
 /// inside an `e8_convergence` span on trace trial 0, so the stream records
 /// per-instance wall-clock timing (the shrink table is pure arithmetic and
 /// is not traced).
-pub fn run_traced(
+pub fn run(
     cfg: &Config,
     sink: Option<&mut dyn TraceSink>,
 ) -> (Vec<ShrinkRow>, Vec<ConvergenceRow>) {
@@ -174,11 +171,14 @@ mod tests {
 
     #[test]
     fn shrink_and_convergence_shapes() {
-        let (shrink, conv) = run(&Config {
-            ks: vec![1 << 20, 1 << 40],
-            deltas: vec![3],
-            ns: vec![256, 4096],
-        });
+        let (shrink, conv) = run(
+            &Config {
+                ks: vec![1 << 20, 1 << 40],
+                deltas: vec![3],
+                ns: vec![256, 4096],
+            },
+            None,
+        );
         // One round shrinks 2^20 and 2^40 palettes massively.
         for s in &shrink {
             assert!(s.after_one_round < s.k / 100);

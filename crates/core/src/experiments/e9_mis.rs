@@ -80,14 +80,11 @@ pub struct Outcome {
 }
 
 /// Run the sweep; every MIS is validated.
-pub fn run(cfg: &Config) -> Outcome {
-    run_traced(cfg, None)
-}
-
-/// [`run`] with an optional trace sink: each trial runs inside an
+///
+/// With a trace sink, each trial runs inside an
 /// `e9_trial` span (stamped with a globally unique trial number), so the
 /// stream records per-trial wall-clock timing.
-pub fn run_traced(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome {
+pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Outcome {
     let mut trace_base = 0u64;
     let mut rows = Vec::new();
     let mut luby_series = Vec::new();
@@ -175,11 +172,14 @@ mod tests {
 
     #[test]
     fn det_is_flat_and_luby_grows() {
-        let out = run(&Config {
-            delta: 4,
-            ns: vec![1 << 8, 1 << 12],
-            seeds: 1,
-        });
+        let out = run(
+            &Config {
+                delta: 4,
+                ns: vec![1 << 8, 1 << 12],
+                seeds: 1,
+            },
+            None,
+        );
         assert_eq!(out.rows.len(), 2);
         let (small, large) = (&out.rows[0], &out.rows[1]);
         // 16x the vertices: deterministic rounds move by at most a couple

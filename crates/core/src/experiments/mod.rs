@@ -23,12 +23,14 @@
 //! [`Table`](crate::report::Table); the binaries in `local-bench` print the
 //! tables that EXPERIMENTS.md records.
 //!
-//! The trial-grid sweeps (E12/E13/E14) additionally expose a
-//! `fabric_sweep` decomposition — the same grid as a flat
-//! [`Sweep`](crate::fabric::Sweep) unit space plus a `fold_units` inverse —
-//! which is what `--workers N` shards across the crash-tolerant process
-//! fabric ([`crate::fabric`]); the fold is pinned byte-identical to the
-//! serial driver by in-process tests in each module.
+//! The trial-grid sweeps (E12/E13/E14) each state their grid once as a
+//! [`Grid`](crate::grid::Grid) — points, a per-trial body, a per-point fold
+//! — and one generic driver ([`crate::grid::run`]) executes it in-process.
+//! The same grid object is a flat [`Sweep`](crate::fabric::Sweep) unit
+//! space, which is what `--workers N` shards across the crash-tolerant
+//! process fabric ([`crate::fabric`]); [`crate::grid::fold_merged`] folds
+//! the merged units through the same per-point fold, and a parametric test
+//! pins every path byte-identical.
 
 pub mod a1_ablation;
 pub mod e10_indistinguishability;

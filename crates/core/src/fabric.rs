@@ -70,8 +70,8 @@ pub struct SweepPoint {
 }
 
 /// A sweep the fabric can shard: an ordered list of points plus a pure
-/// unit-executor. Implementations capture the experiment config; `run_unit`
-/// must depend only on `(point, index)` so re-execution after a reclaim is
+/// unit-executor. Every [`Grid`](crate::grid::Grid) is one; `run_unit` must
+/// depend only on `(point, index)` so re-execution after a reclaim is
 /// bit-identical.
 pub trait Sweep: Sync {
     /// The grid, in the exact order the serial run folds it.

@@ -37,6 +37,7 @@ pub mod derand;
 pub mod experiments;
 pub mod fabric;
 pub mod fit;
+pub mod grid;
 pub mod invariance;
 pub mod report;
 pub mod retry;

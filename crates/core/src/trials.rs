@@ -298,7 +298,7 @@ pub(crate) fn decode_outcome<R: Deserialize>(v: &serde::Value) -> Option<TrialOu
     None
 }
 
-/// The fate of one isolated trial (see [`TrialPlan::run_isolated`]).
+/// The fate of one isolated trial (see [`TrialSpec::isolated`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrialOutcome<R> {
     /// The trial completed and produced a result.
@@ -505,7 +505,7 @@ mod tests {
     }
 
     /// The isolated + checkpointed shape, via the unified entry point.
-    fn run_checkpointed<R: Serialize + Deserialize + Send>(
+    fn checkpointed_batch<R: Serialize + Deserialize + Send>(
         plan: &TrialPlan,
         checkpoint: Option<(&Checkpoint, &str)>,
         f: impl Fn(Trial) -> R + Sync,
@@ -758,7 +758,7 @@ mod tests {
         let executed = AtomicU64::new(0);
         let first = {
             let ckpt = Checkpoint::open(&path).expect("open");
-            run_checkpointed(&plan, Some((&ckpt, "scope-a")), |t| {
+            checkpointed_batch(&plan, Some((&ckpt, "scope-a")), |t| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 t.seed % 100
             })
@@ -769,7 +769,7 @@ mod tests {
         // outcomes are identical.
         let resumed = {
             let ckpt = Checkpoint::open(&path).expect("reopen");
-            run_checkpointed(&plan, Some((&ckpt, "scope-a")), |t| {
+            checkpointed_batch(&plan, Some((&ckpt, "scope-a")), |t| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 t.seed % 100
             })
@@ -780,7 +780,7 @@ mod tests {
         // A different scope shares the file but none of the results.
         {
             let ckpt = Checkpoint::open(&path).expect("reopen");
-            run_checkpointed(&plan, Some((&ckpt, "scope-b")), |t| {
+            checkpointed_batch(&plan, Some((&ckpt, "scope-b")), |t| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 t.seed % 100
             });
@@ -794,7 +794,7 @@ mod tests {
         let path = temp_checkpoint("panic");
         let plan = TrialPlan::new(6, 33);
         let run = |ckpt: &Checkpoint, allow_panic: bool| {
-            run_checkpointed(&plan, Some((ckpt, "s")), |t| {
+            checkpointed_batch(&plan, Some((ckpt, "s")), |t| {
                 if t.index == 2 {
                     assert!(allow_panic, "trial 2 must come from the checkpoint");
                     panic!("boom at 2");
@@ -842,7 +842,7 @@ mod tests {
         let executed = AtomicU64::new(0);
         let outcomes = {
             let ckpt = Checkpoint::open(&path).expect("reopen");
-            run_checkpointed(&plan, Some((&ckpt, "s")), |t| {
+            checkpointed_batch(&plan, Some((&ckpt, "s")), |t| {
                 executed.fetch_add(1, Ordering::Relaxed);
                 t.seed % 100
             })
@@ -859,7 +859,7 @@ mod tests {
     fn checkpoint_none_matches_run_isolated() {
         let plan = TrialPlan::new(12, 55);
         let a: Vec<TrialOutcome<u64>> = run_isolated(&plan, |t| t.seed);
-        let b: Vec<TrialOutcome<u64>> = run_checkpointed(&plan, None, |t| t.seed);
+        let b: Vec<TrialOutcome<u64>> = checkpointed_batch(&plan, None, |t| t.seed);
         assert_eq!(a, b);
     }
 
@@ -880,7 +880,7 @@ mod tests {
             )
             .expect("rec");
             let outcomes: Vec<TrialOutcome<u64>> =
-                run_checkpointed(&plan, Some((&ckpt, "s")), |t| t.seed);
+                checkpointed_batch(&plan, Some((&ckpt, "s")), |t| t.seed);
             assert_eq!(outcomes, vec![TrialOutcome::Ok(plan.seed(0))]);
         }
         let _ = std::fs::remove_file(&path);

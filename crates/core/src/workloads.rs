@@ -26,10 +26,11 @@
 //! * [`Workload::measure`] — run the protocol under a fault plan and score
 //!   the surviving partial labeling ([`check_partial`]); E12's trial.
 //! * [`Workload::heal`] — run, then hand the partial labeling to the
-//!   recovery driver ([`recover_metered`]) with the entry's finisher; E13's
+//!   recovery driver ([`recover`]) with the entry's finisher; E13's
 //!   trial.
 //! * [`Workload::assess`] — run at a *fixed* evaluation seed and attempt
-//!   recovery via [`recover_report`], folding the damage census into the
+//!   recovery via [`recover`], folding its
+//!   [`DegradedRun`](local_algorithms::DegradedRun) census into the
 //!   adversary objective [`Evaluation`]; E14's plan evaluator.
 //!
 //! Determinism contract: all graphs draw from one [`StdRng`] stream seeded
@@ -43,12 +44,10 @@ use local_algorithms::color::rand_greedy::RandGreedy;
 use local_algorithms::mis::luby::Luby;
 use local_algorithms::mis::DilatedLuby;
 use local_algorithms::orientation::sinkless::SinklessRepair;
-use local_algorithms::tree::theorem10::{
-    theorem10_phase1_faulty_metered, theorem10_phase1_faulty_traced, Theorem10Config,
-};
+use local_algorithms::tree::theorem10::{theorem10_phase1, Theorem10Config};
 use local_algorithms::{
-    recover_metered, recover_report, run_sync, DefectiveGreedyFinisher, EdgeGreedyFinisher,
-    Finisher, GreedyColoringFinisher, LubyRestartFinisher, RecoveryPolicy, RulingSetFinisher,
+    recover, run_sync, DefectiveGreedyFinisher, EdgeGreedyFinisher, Finisher,
+    GreedyColoringFinisher, LubyRestartFinisher, RecoveryPolicy, RulingSetFinisher,
     SinklessFinisher, SyncAlgorithm, SyncRun,
 };
 use local_graphs::analysis::line_graph;
@@ -322,7 +321,7 @@ where
 {
     let (halted, crashed, cut) = run.counts();
     let base_rounds = run.max_decided_round();
-    match recover_metered(problem, g, partial, finisher, policy, trace, metrics) {
+    match recover(problem, g, partial, finisher, policy, trace, metrics) {
         Ok(rec) => HealRecord {
             recovered: true,
             attempts: rec.attempts,
@@ -336,7 +335,7 @@ where
             failure: None,
             metrics: MetricsRegistry::new(),
         },
-        Err(err) => HealRecord {
+        Err(report) => HealRecord {
             recovered: false,
             attempts: policy.max_radius,
             core: 0,
@@ -346,7 +345,7 @@ where
             halted,
             crashed,
             cut,
-            failure: Some(err.to_string()),
+            failure: Some(report.error.to_string()),
             metrics: MetricsRegistry::new(),
         },
     }
@@ -370,7 +369,7 @@ where
     F: Finisher<P>,
 {
     let (_, crashed, cut) = run.counts();
-    match recover_report(problem, g, partial, finisher, policy, trace) {
+    match recover(problem, g, partial, finisher, policy, trace, None) {
         Ok(rec) => (
             Evaluation {
                 radius: rec.radius,
@@ -419,6 +418,24 @@ impl TreeColoring {
             })
             .collect()
     }
+
+    /// Phase-1 ColorBidding under `plan` (Theorem 10's randomized half).
+    fn bid(
+        &self,
+        seed: u64,
+        plan: &FaultPlan,
+        trace: Option<&Trace>,
+        set: Option<&MetricSet>,
+    ) -> SyncRun<Option<usize>> {
+        let spec = ExecSpec::new().with_faults(plan).traced(trace).metered(set);
+        theorem10_phase1(
+            &self.graph,
+            TREE_DELTA,
+            seed,
+            Theorem10Config::default(),
+            &spec,
+        )
+    }
 }
 
 impl Workload for TreeColoring {
@@ -436,15 +453,7 @@ impl Workload for TreeColoring {
 
     fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
         let set = MetricSet::new();
-        let out = theorem10_phase1_faulty_metered(
-            &self.graph,
-            TREE_DELTA,
-            seed,
-            Theorem10Config::default(),
-            plan,
-            trace,
-            Some(&set),
-        );
+        let out = self.bid(seed, plan, trace, Some(&set));
         let labels = Self::labels(&out);
         // Phase 1 promises Δ − ⌈√Δ⌉ colors; the reserved tail belongs to
         // Phase 2, so the partial check scores against the tighter palette.
@@ -465,15 +474,7 @@ impl Workload for TreeColoring {
         trace: Option<&Trace>,
     ) -> HealRecord {
         let set = MetricSet::new();
-        let out = theorem10_phase1_faulty_metered(
-            &self.graph,
-            TREE_DELTA,
-            seed,
-            Theorem10Config::default(),
-            plan,
-            trace,
-            Some(&set),
-        );
+        let out = self.bid(seed, plan, trace, Some(&set));
         let labels = Self::labels(&out);
         let mut r = heal_record(
             &self.graph,
@@ -498,14 +499,7 @@ impl Workload for TreeColoring {
         policy: &RecoveryPolicy,
         trace: Option<&Trace>,
     ) -> (Evaluation, String) {
-        let out = theorem10_phase1_faulty_traced(
-            &self.graph,
-            TREE_DELTA,
-            seed,
-            Theorem10Config::default(),
-            plan,
-            trace,
-        );
+        let out = self.bid(seed, plan, trace, None);
         let labels = Self::labels(&out);
         assess_record(
             &self.graph,

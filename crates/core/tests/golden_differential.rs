@@ -47,7 +47,7 @@ fn e1_rows_match_pre_refactor_fixture() {
         ns: vec![256, 1024],
         seeds: 2,
     };
-    let out = e1_separation::run(&cfg);
+    let out = e1_separation::run(&cfg, None);
     let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
     assert_golden("e1_rows.json", &json);
 }
@@ -59,7 +59,7 @@ fn e9_rows_match_pre_refactor_fixture() {
         ns: vec![256, 1024],
         seeds: 2,
     };
-    let out = e9_mis::run(&cfg);
+    let out = e9_mis::run(&cfg, None);
     let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
     assert_golden("e9_rows.json", &json);
 }
@@ -80,7 +80,7 @@ fn e12_tiny() -> e12_resilience::Config {
 /// the rest exercise drops and crash-stop scheduling.
 #[test]
 fn e12_rows_match_pre_refactor_fixture() {
-    let out = e12_resilience::run(&e12_tiny());
+    let out = e12_resilience::run(&e12_tiny(), None, None);
     let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
     assert_golden("e12_rows.json", &json);
 }
@@ -90,7 +90,7 @@ fn e12_rows_match_pre_refactor_fixture() {
 #[test]
 fn e12_trace_matches_pre_refactor_fixture() {
     let mut sink = MemorySink::new();
-    let out = e12_resilience::run_traced(&e12_tiny(), Some(&mut sink));
+    let out = e12_resilience::run(&e12_tiny(), None, Some(&mut sink));
     sink.flush();
     let lines: Vec<String> = sink
         .into_events()
@@ -101,7 +101,7 @@ fn e12_trace_matches_pre_refactor_fixture() {
     blob.push('\n');
     assert_golden("e12_trace.jsonl", &blob);
     // Traced and untraced rows agree too (tracing is observational).
-    let plain = e12_resilience::run(&e12_tiny());
+    let plain = e12_resilience::run(&e12_tiny(), None, None);
     assert_eq!(
         serde_json::to_string(&plain.rows).unwrap(),
         serde_json::to_string(&out.rows).unwrap(),

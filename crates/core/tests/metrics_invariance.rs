@@ -271,7 +271,7 @@ fn traced_e13_profile_self_times_sum_to_root_total() {
     use local_separation::experiments::e13_recovery as e13;
     let mut sink = local_obs::MemorySink::new();
     let cfg = e13::Config::quick();
-    e13::run_traced(&cfg, Some(&mut sink));
+    e13::run(&cfg, None, Some(&mut sink));
     sink.flush();
     let profile = SpanProfile::from_events(sink.events());
     assert!(!profile.is_empty(), "E13's trace records phase spans");

@@ -146,7 +146,7 @@ proptest! {
         let partial: Vec<Option<bool>> =
             run.outcomes.iter().map(|o| o.output().copied()).collect();
         let finisher = LubyRestartFinisher { seed: fault_seed };
-        if let Ok(rec) = recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default()) {
+        if let Ok(rec) = recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), None, None) {
             prop_assert_eq!(rec.labels.len(), g.n());
             let cv = check_complete(&Mis::new(), &g, &rec.labels);
             prop_assert_eq!(cv.checked, g.n());
@@ -172,7 +172,7 @@ proptest! {
         let partial: Vec<Option<Orientation>> =
             run.outcomes.iter().map(|o| o.output().cloned()).collect();
         let problem = SinklessOrientation::new(3);
-        if let Ok(rec) = recover(&problem, &g, &partial, &SinklessFinisher, &RecoveryPolicy::default()) {
+        if let Ok(rec) = recover(&problem, &g, &partial, &SinklessFinisher, &RecoveryPolicy::default(), None, None) {
             let cv = check_complete(&problem, &g, &rec.labels);
             prop_assert_eq!(cv.checked, g.n());
             prop_assert!(cv.violations.is_empty(), "{:?}", cv.violations);
@@ -209,7 +209,7 @@ proptest! {
 
         let problem = VertexColoring::new(palette);
         let finisher = GreedyColoringFinisher { palette };
-        let rec = recover(&problem, &g, &partial, &finisher, &RecoveryPolicy::default())
+        let rec = recover(&problem, &g, &partial, &finisher, &RecoveryPolicy::default(), None, None)
             .expect("full palette never starves");
         prop_assert!(rec.attempts <= 1, "first attempt suffices, got {}", rec.attempts);
         let cv = check_complete(&problem, &g, &rec.labels);
@@ -275,7 +275,7 @@ proptest! {
             let partial: Vec<Option<bool>> =
                 run.outcomes.iter().map(|o| o.output().copied()).collect();
             let finisher = LubyRestartFinisher { seed: fault_seed };
-            match recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default()) {
+            match recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), None, None) {
                 Ok(rec) => {
                     let cv = check_complete(&Mis::new(), &g, &rec.labels);
                     prop_assert_eq!(cv.checked, g.n());
@@ -283,7 +283,7 @@ proptest! {
                 }
                 Err(err) => {
                     // A clean refusal is acceptable; a panic is not.
-                    prop_assert!(!err.to_string().is_empty());
+                    prop_assert!(!err.error.to_string().is_empty());
                 }
             }
         }

@@ -11,7 +11,7 @@
 
 use local_algorithms::color::linial::{LinialAlgorithm, LinialSchedule};
 use local_algorithms::mis::luby::Luby;
-use local_algorithms::tree::{theorem10_phase1_faulty_sharded, Theorem10Config};
+use local_algorithms::tree::{theorem10_phase1, Theorem10Config};
 use local_algorithms::{run_sync, SyncRun};
 use local_graphs::gen;
 use local_model::{ExecSpec, FaultPlan, FaultSpec, Mode};
@@ -95,7 +95,7 @@ fn luby_mis_fault_free_is_shard_invariant() {
 }
 
 #[test]
-fn theorem10_phase1_under_faults_is_shard_invariant() {
+fn theorem10_bidding_under_faults_is_shard_invariant() {
     let g = gen::stream::complete_dary_tree(40, 10);
     let delta = 10;
     let faults = FaultSpec::none()
@@ -105,9 +105,18 @@ fn theorem10_phase1_under_faults_is_shard_invariant() {
     let plan = FaultPlan::sample(&g, &faults, 99);
     let config = Theorem10Config::default();
 
-    let serial = theorem10_phase1_faulty_sharded(&g, delta, 5, config, &plan, 1);
+    let run = |k| {
+        theorem10_phase1(
+            &g,
+            delta,
+            5,
+            config,
+            &ExecSpec::new().with_faults(&plan).with_shards(k),
+        )
+    };
+    let serial = run(1);
     for k in SHARD_COUNTS {
-        let sharded = theorem10_phase1_faulty_sharded(&g, delta, 5, config, &plan, k);
+        let sharded = run(k);
         assert_runs_identical(&format!("theorem10 at {k} shards"), &serial, &sharded);
     }
 }

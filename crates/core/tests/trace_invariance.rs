@@ -51,17 +51,14 @@ impl Protocol for PulseProtocol {
 fn traced_trial(trial: Trial, trace: Option<&Trace>) -> u64 {
     let n = 4 + (trial.seed % 5) as usize;
     let g = local_graphs::gen::cycle(n);
-    let mut engine = Engine::new(&g, Mode::randomized(trial.seed));
-    if let Some(t) = trace {
-        engine = engine.with_trace(t);
-    }
-    let run = engine.execute(&ExecSpec::default(), &PulseProtocol);
+    let run = Engine::new(&g, Mode::randomized(trial.seed))
+        .execute(&ExecSpec::default().traced(trace), &PulseProtocol);
     run.stats.messages_sent
 }
 
 /// Run the batch through the unified entry point with a trace attached,
 /// unwrapping the (never-panicking) outcomes back to plain results.
-fn run_traced(plan: &TrialPlan, sink: &mut MemorySink) -> Vec<u64> {
+fn traced_batch(plan: &TrialPlan, sink: &mut MemorySink) -> Vec<u64> {
     plan.execute(TrialSpec::new().traced(Some(sink)), traced_trial)
         .into_iter()
         .map(TrialOutcome::into_ok)
@@ -96,7 +93,7 @@ proptest! {
         let plan = TrialPlan::new(trials, master_seed);
 
         let mut parallel = MemorySink::new();
-        let par_results = run_traced(&plan, &mut parallel);
+        let par_results = traced_batch(&plan, &mut parallel);
 
         let mut serial = MemorySink::new();
         let ser_results = serial_reference(&plan, &mut serial);
@@ -111,9 +108,9 @@ proptest! {
     fn repeated_parallel_traces_are_bit_identical(trials in 1u64..12, master_seed in 0u64..500) {
         let plan = TrialPlan::new(trials, master_seed);
         let mut a = MemorySink::new();
-        run_traced(&plan, &mut a);
+        traced_batch(&plan, &mut a);
         let mut b = MemorySink::new();
-        run_traced(&plan, &mut b);
+        traced_batch(&plan, &mut b);
         prop_assert_eq!(a.events(), b.events());
     }
 
@@ -128,7 +125,7 @@ proptest! {
             .map(TrialOutcome::into_ok)
             .collect();
         let mut sink = MemorySink::new();
-        let traced = run_traced(&plan, &mut sink);
+        let traced = traced_batch(&plan, &mut sink);
         prop_assert_eq!(untraced, traced);
     }
 }

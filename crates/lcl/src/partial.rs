@@ -2,10 +2,11 @@
 //!
 //! A crash-tolerant execution yields labels only at the vertices that halted;
 //! the rest are `None`. Validity is then a *local* notion: a vertex can be
-//! judged only if its full radius-1 view survived — it and every neighbor
-//! carry a label. [`check_partial`] scores exactly those vertices and reports
-//! how many passed, so resilience experiments (E12) can speak of a validity
-//! rate instead of an all-or-nothing verdict.
+//! judged only if its full checking ball survived — it and every vertex
+//! within distance `problem.radius()` carry a label (radius 1 for most
+//! problems, 2 for `RulingSet`). [`check_partial`] scores exactly those
+//! vertices and reports how many passed, so resilience experiments (E12)
+//! can speak of a validity rate instead of an all-or-nothing verdict.
 
 use crate::labeling::Labeling;
 use crate::problem::{LclProblem, LocalView, NeighborView, Violation};
@@ -15,11 +16,14 @@ use std::collections::VecDeque;
 /// The verdict of [`check_partial`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialValidity {
-    /// Vertices whose full radius-1 view survived and was checked.
+    /// Vertices whose full radius-`problem.radius()` ball survived (every
+    /// vertex in it labeled) and was checked.
     pub checked: usize,
     /// Checked vertices whose view is acceptable.
     pub valid: usize,
-    /// Vertices skipped because they or a neighbor carry no label.
+    /// Vertices not checked: unlabeled vertices themselves, plus labeled
+    /// ones with an unlabeled vertex in their ball (`checked + skipped`
+    /// is always `n`).
     pub skipped: usize,
     /// The violations among the checked vertices.
     pub violations: Vec<Violation>,

@@ -324,52 +324,26 @@ impl<'g, M> MessagePlane<'g, M> {
 pub struct Engine<'g> {
     graph: &'g Graph,
     mode: Mode,
-    params: GlobalParams,
-    budget: Budget,
     par_threshold: usize,
-    shards: Option<std::num::NonZeroUsize>,
-    trace: Option<&'g Trace>,
 }
 
 /// Below this many vertices the engine steps nodes sequentially (thread
 /// spawn overhead dominates otherwise).
 const PAR_THRESHOLD: usize = 2048;
 
+/// The round limit of a spec that states no [`Budget`].
+const DEFAULT_MAX_ROUNDS: u32 = 100_000;
+
 impl<'g> Engine<'g> {
-    /// Engine for `graph` under `mode`, advertising the graph's true
-    /// parameters, with a default round limit of `100_000`.
+    /// Engine for `graph` under `mode`. Everything else about a run — fault
+    /// plan, budget, advertised parameters, trace, metrics, shard count — is
+    /// stated per run by the [`ExecSpec`] passed to [`execute`](Self::execute).
     pub fn new(graph: &'g Graph, mode: Mode) -> Self {
         Engine {
             graph,
             mode,
-            params: GlobalParams::from_graph(graph),
-            budget: Budget::rounds(100_000),
             par_threshold: PAR_THRESHOLD,
-            shards: None,
-            trace: None,
         }
-    }
-
-    /// Sweep with exactly `shards` vertex shards (clamped to `n`), even below
-    /// the automatic parallelism threshold. Output is bit-identical across
-    /// shard counts; a spec-level [`ExecSpec::with_shards`] wins over this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards =
-            Some(std::num::NonZeroUsize::new(shards).expect("shard count must be nonzero"));
-        self
-    }
-
-    /// Attach a trace buffer: the run emits `run_start`, one `round` event
-    /// per sweep, end-of-run histograms (messages per vertex, halt rounds),
-    /// and `run_end`. Without a trace the per-sweep cost is one branch on
-    /// this `Option` — no allocation, no virtual call.
-    pub fn with_trace(mut self, trace: &'g Trace) -> Self {
-        self.trace = Some(trace);
-        self
     }
 
     /// Override the vertex count above which nodes are stepped on scoped
@@ -381,34 +355,6 @@ impl<'g> Engine<'g> {
         self
     }
 
-    /// Override the advertised global parameters (Theorems 3/6/8 pretend the
-    /// graph is much larger than it is).
-    pub fn with_params(mut self, params: GlobalParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Override the round limit after which [`SimError::RoundLimitExceeded`]
-    /// is returned. Shorthand for [`with_budget`](Self::with_budget) with a
-    /// rounds-only [`Budget`].
-    pub fn with_max_rounds(mut self, max_rounds: u32) -> Self {
-        self.budget.max_rounds = max_rounds;
-        self
-    }
-
-    /// Replace the full watchdog [`Budget`] (rounds, and optionally total
-    /// messages and wall-clock time). A faulty run that breaches any axis is
-    /// cut, with the [`Breach`] recorded on the [`FaultyRun`].
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The parameters this engine advertises to nodes.
-    pub fn params(&self) -> &GlobalParams {
-        &self.params
-    }
-
     /// The graph being simulated.
     pub fn graph(&self) -> &Graph {
         self.graph
@@ -418,11 +364,12 @@ impl<'g> Engine<'g> {
     ///
     /// Every node gets an [`Outcome`](crate::faults::Outcome) — `Halted`
     /// with its output, `Crashed` at its scheduled round, or `Cut` if it was
-    /// still live when the budget ran out. A spec field left `None` falls
-    /// back to the engine's own setting (builder methods remain for
-    /// engine-lifetime configuration); the fault-free case runs the no-op
-    /// plan, whose drop/delay/crash branches all constant-fold away, so the
-    /// hot loop stays allocation-free at bench parity.
+    /// still live when the budget ran out. A spec field left `None` takes
+    /// the engine default: the graph's true [`GlobalParams`], a rounds-only
+    /// budget of `100_000`, no trace or metrics, and an automatic shard count
+    /// by graph size. The fault-free case runs the no-op plan, whose
+    /// drop/delay/crash branches all constant-fold away, so the hot loop
+    /// stays allocation-free at bench parity.
     ///
     /// With no fault plan (or a trivial one, [`FaultPlan::is_trivial`]) the
     /// result is observably identical to the faulty path: same outputs, halt
@@ -449,10 +396,12 @@ impl<'g> Engine<'g> {
         };
         self.execute_inner(
             protocol,
-            spec.params.as_ref().unwrap_or(&self.params),
-            spec.budget.as_ref().unwrap_or(&self.budget),
+            &spec
+                .params
+                .unwrap_or_else(|| GlobalParams::from_graph(self.graph)),
+            &spec.budget.unwrap_or(Budget::rounds(DEFAULT_MAX_ROUNDS)),
             faults,
-            spec.trace.or(self.trace),
+            spec.trace,
             spec.metrics,
             spec.shards,
         )
@@ -507,10 +456,10 @@ impl<'g> Engine<'g> {
             sent: vec![0u64; n],
         };
 
-        // An explicitly requested shard count (spec beats engine builder)
-        // forces the sharded path even on tiny graphs — the invariance tests
-        // rely on that; otherwise shard only past the parallelism threshold.
-        let shards = match spec_shards.or(self.shards) {
+        // An explicitly requested shard count forces the sharded path even
+        // on tiny graphs — the invariance tests rely on that; otherwise shard
+        // only past the parallelism threshold.
+        let shards = match spec_shards {
             Some(k) => k.get().min(n.max(1)),
             None if n >= self.par_threshold => std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get)
@@ -874,6 +823,13 @@ mod tests {
         fn exec<P: Protocol + Sync>(
             &self,
             protocol: &P,
+        ) -> Result<Run<<P::Node as NodeProgram>::Output>, SimError> {
+            self.exec_with(&ExecSpec::default(), protocol)
+        }
+        fn exec_with<P: Protocol + Sync>(
+            &self,
+            spec: &ExecSpec<'_>,
+            protocol: &P,
         ) -> Result<Run<<P::Node as NodeProgram>::Output>, SimError>;
         fn exec_faulty<P: Protocol + Sync>(
             &self,
@@ -883,12 +839,13 @@ mod tests {
     }
 
     impl Exec for Engine<'_> {
-        fn exec<P: Protocol + Sync>(
+        fn exec_with<P: Protocol + Sync>(
             &self,
+            spec: &ExecSpec<'_>,
             protocol: &P,
         ) -> Result<Run<<P::Node as NodeProgram>::Output>, SimError> {
-            self.execute(&ExecSpec::default(), protocol)
-                .into_run(self.budget.max_rounds)
+            self.execute(spec, protocol)
+                .into_run(spec.budget.map_or(DEFAULT_MAX_ROUNDS, |b| b.max_rounds))
         }
         fn exec_faulty<P: Protocol + Sync>(
             &self,
@@ -900,9 +857,8 @@ mod tests {
     }
 
     #[test]
-    fn spec_overrides_engine_settings() {
-        // A spec budget wins over the engine's; a spec trace attaches
-        // without the builder.
+    fn spec_fields_configure_the_run() {
+        // Budget, trace and advertised parameters all come from the spec.
         let g = gen::path(3);
         let engine = Engine::new(&g, Mode::deterministic());
         let fr = engine.execute(&ExecSpec::rounds(4), &ForeverProtocol);
@@ -1036,8 +992,7 @@ mod tests {
     fn round_limit_enforced() {
         let g = gen::path(3);
         let err = Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(10)
-            .exec(&ForeverProtocol)
+            .exec_with(&ExecSpec::rounds(10), &ForeverProtocol)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1078,8 +1033,7 @@ mod tests {
         // exactly `max_rounds` sweeps (sweeps 0 .. max_rounds - 1): allowed.
         let g = gen::path(4);
         let run = Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(5)
-            .exec(&HaltAtProtocol(4))
+            .exec_with(&ExecSpec::rounds(5), &HaltAtProtocol(4))
             .unwrap();
         assert_eq!(run.stats.sweeps, 5);
         assert_eq!(run.rounds, 4);
@@ -1087,8 +1041,7 @@ mod tests {
         // One round later would need a sixth sweep: the limit must trip, and
         // never let a sweep past `max_rounds` execute.
         let err = Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(5)
-            .exec(&HaltAtProtocol(5))
+            .exec_with(&ExecSpec::rounds(5), &HaltAtProtocol(5))
             .unwrap_err();
         assert_eq!(
             err,
@@ -1182,8 +1135,7 @@ mod tests {
         let g = gen::path(3);
         let params = GlobalParams::from_graph(&g).with_claimed_n(1 << 30);
         let run = Engine::new(&g, Mode::deterministic())
-            .with_params(params)
-            .exec(&ParamProtocol)
+            .exec_with(&ExecSpec::default().with_params(params), &ParamProtocol)
             .unwrap();
         assert!(run.outputs.iter().all(|&o| o == 1 << 30));
     }
@@ -1242,9 +1194,8 @@ mod tests {
     #[test]
     fn budget_exhaustion_cuts_instead_of_erroring() {
         let g = gen::path(3);
-        let run = Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(10)
-            .exec_faulty(&ForeverProtocol, &FaultPlan::none());
+        let run =
+            Engine::new(&g, Mode::deterministic()).execute(&ExecSpec::rounds(10), &ForeverProtocol);
         assert_eq!(run.cut(), 3);
         assert_eq!(run.halted(), 0);
         assert_eq!(run.stats.sweeps, 10);
@@ -1254,9 +1205,8 @@ mod tests {
     #[test]
     fn budget_breach_kind_is_recorded() {
         let g = gen::path(3);
-        let run = Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(10)
-            .exec_faulty(&ForeverProtocol, &FaultPlan::none());
+        let run =
+            Engine::new(&g, Mode::deterministic()).execute(&ExecSpec::rounds(10), &ForeverProtocol);
         assert_eq!(run.breach, Some(Breach::Rounds));
         let run = Engine::new(&g, Mode::deterministic())
             .exec_faulty(&FloodMinProtocol, &FaultPlan::none());
@@ -1268,16 +1218,18 @@ mod tests {
         // FloodMin on a cycle sends 2 messages per node per sweep; a cap of
         // 10 is breached after the first sweep (12 sent > 10).
         let g = gen::cycle(6);
-        let run = Engine::new(&g, Mode::deterministic())
-            .with_budget(Budget::rounds(100).with_max_messages(10))
-            .exec_faulty(&FloodMinProtocol, &FaultPlan::none());
+        let run = Engine::new(&g, Mode::deterministic()).execute(
+            &ExecSpec::default().with_budget(Budget::rounds(100).with_max_messages(10)),
+            &FloodMinProtocol,
+        );
         assert_eq!(run.breach, Some(Breach::Messages));
         assert_eq!(run.cut(), 6);
         assert_eq!(run.stats.sweeps, 1);
         // A generous cap never trips.
-        let run = Engine::new(&g, Mode::deterministic())
-            .with_budget(Budget::rounds(100).with_max_messages(1_000_000))
-            .exec_faulty(&FloodMinProtocol, &FaultPlan::none());
+        let run = Engine::new(&g, Mode::deterministic()).execute(
+            &ExecSpec::default().with_budget(Budget::rounds(100).with_max_messages(1_000_000)),
+            &FloodMinProtocol,
+        );
         assert_eq!(run.breach, None);
         assert_eq!(run.halted(), 6);
     }
@@ -1286,9 +1238,10 @@ mod tests {
     fn message_budget_spares_a_run_that_finishes_on_the_cap_sweep() {
         // Immediate halting sends nothing: even a zero cap cannot breach.
         let g = gen::star(4);
-        let run = Engine::new(&g, Mode::deterministic())
-            .with_budget(Budget::rounds(10).with_max_messages(0))
-            .exec_faulty(&ImmediateProtocol, &FaultPlan::none());
+        let run = Engine::new(&g, Mode::deterministic()).execute(
+            &ExecSpec::default().with_budget(Budget::rounds(10).with_max_messages(0)),
+            &ImmediateProtocol,
+        );
         assert_eq!(run.breach, None);
         assert_eq!(run.halted(), 4);
     }
@@ -1296,9 +1249,11 @@ mod tests {
     #[test]
     fn wall_clock_budget_cuts_a_diverging_run() {
         let g = gen::path(3);
-        let run = Engine::new(&g, Mode::deterministic())
-            .with_budget(Budget::rounds(u32::MAX).with_wall_clock(std::time::Duration::ZERO))
-            .exec_faulty(&ForeverProtocol, &FaultPlan::none());
+        let run = Engine::new(&g, Mode::deterministic()).execute(
+            &ExecSpec::default()
+                .with_budget(Budget::rounds(u32::MAX).with_wall_clock(std::time::Duration::ZERO)),
+            &ForeverProtocol,
+        );
         assert_eq!(run.breach, Some(Breach::WallClock));
         assert_eq!(run.cut(), 3);
     }
@@ -1423,8 +1378,7 @@ mod tests {
         let g = gen::cycle(5);
         let trace = Trace::new(7);
         let run = Engine::new(&g, Mode::deterministic())
-            .with_trace(&trace)
-            .exec(&FloodMinProtocol)
+            .exec_with(&ExecSpec::default().with_trace(&trace), &FloodMinProtocol)
             .unwrap();
         let events = trace.into_events();
         assert!(events.iter().all(|e| e.trial == 7));
@@ -1479,14 +1433,12 @@ mod tests {
         let g = gen::cycle(64);
         let seq = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
-            .with_trace(&seq)
-            .exec(&FloodMinProtocol)
+            .exec_with(&ExecSpec::default().with_trace(&seq), &FloodMinProtocol)
             .unwrap();
         let par = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
             .with_par_threshold(1)
-            .with_trace(&par)
-            .exec(&FloodMinProtocol)
+            .exec_with(&ExecSpec::default().with_trace(&par), &FloodMinProtocol)
             .unwrap();
         assert_eq!(seq.into_events(), par.into_events());
     }
@@ -1496,9 +1448,10 @@ mod tests {
         let g = gen::path(5);
         let trace = Trace::new(0);
         let plan = FaultPlan::from_crash_schedule(vec![Some(1), None, None, None, None]);
-        Engine::new(&g, Mode::deterministic())
-            .with_trace(&trace)
-            .exec_faulty(&FloodMinProtocol, &plan);
+        Engine::new(&g, Mode::deterministic()).execute(
+            &ExecSpec::default().with_trace(&trace).with_faults(&plan),
+            &FloodMinProtocol,
+        );
         let events = trace.into_events();
         let crashes: u64 = events
             .iter()
@@ -1520,9 +1473,7 @@ mod tests {
 
         let trace = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(3)
-            .with_trace(&trace)
-            .exec_faulty(&ForeverProtocol, &FaultPlan::none());
+            .execute(&ExecSpec::rounds(3).with_trace(&trace), &ForeverProtocol);
         let events = trace.into_events();
         match &events.last().unwrap().data {
             EventData::RunEnd { cut, breach, .. } => {
@@ -1575,8 +1526,7 @@ mod tests {
             .exec(&FloodMinProtocol)
             .unwrap();
         let run = Engine::new(&g, Mode::deterministic())
-            .with_shards(4)
-            .exec(&FloodMinProtocol)
+            .exec_with(&ExecSpec::default().with_shards(4), &FloodMinProtocol)
             .unwrap();
         assert_eq!(run.outputs, base.outputs);
         assert_eq!(run.stats, base.stats);
@@ -1637,14 +1587,14 @@ mod tests {
         let seq = Trace::new(0);
         let g = gen::cycle(40);
         Engine::new(&g, Mode::deterministic())
-            .with_trace(&seq)
-            .exec(&FloodMinProtocol)
+            .exec_with(&ExecSpec::default().with_trace(&seq), &FloodMinProtocol)
             .unwrap();
         let sharded = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
-            .with_shards(6)
-            .with_trace(&sharded)
-            .exec(&FloodMinProtocol)
+            .exec_with(
+                &ExecSpec::default().with_shards(6).with_trace(&sharded),
+                &FloodMinProtocol,
+            )
             .unwrap();
         assert_eq!(seq.into_events(), sharded.into_events());
     }

@@ -19,7 +19,7 @@ use rand_chacha::ChaCha8Rng;
 /// Run `protocol` on `g` under `mode` with the baseline message plane.
 ///
 /// Semantics (round numbering, halting, message accounting, round limit,
-/// RNG derivation) match [`crate::Engine::run`] exactly; only the internal
+/// RNG derivation) match [`crate::Engine::execute`] exactly; only the internal
 /// data layout differs.
 ///
 /// # Errors

@@ -9,9 +9,10 @@
 //! function, and composing capabilities is field assignment, not a new API.
 //!
 //! `ExecSpec::default()` is the fault-free, untraced run under the engine's
-//! own budget and parameters — byte-identical to the pre-refactor
-//! `Engine::run` path (a golden differential test in the core crate holds
-//! this fixed).
+//! defaults (the graph's true parameters, a `100_000`-round budget, automatic
+//! sharding) — byte-identical to the pre-refactor `Engine::run` path (a
+//! golden differential test in the core crate holds this fixed). The spec is
+//! the only run configuration: the engine itself has no builder knobs.
 
 use crate::faults::FaultPlan;
 use crate::params::GlobalParams;
@@ -22,17 +23,17 @@ use std::num::NonZeroUsize;
 /// How one simulation executes: fault plan, watchdog budget, trace
 /// attachment, and advertised global parameters.
 ///
-/// All fields are `Option`s whose `None` means "keep the engine's own
-/// setting", so a spec only states what it overrides. Borrowed fields
+/// All fields are `Option`s whose `None` means "take the engine default",
+/// so a spec only states what it overrides. Borrowed fields
 /// (`faults`, `trace`) keep the hot path allocation-free: a spec is a few
 /// words on the stack, cheap to build per run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ExecSpec<'a> {
     /// Advertised global parameters (Theorems 3/6/8 pretend the graph is
-    /// larger than it is); `None` advertises the engine's.
+    /// larger than it is); `None` advertises the graph's true parameters.
     pub params: Option<GlobalParams>,
     /// Watchdog budget (rounds, and optionally messages / wall-clock);
-    /// `None` runs under the engine's budget.
+    /// `None` runs under a rounds-only budget of `100_000`.
     pub budget: Option<Budget>,
     /// Fault plan (drops, delays, crash-stop schedule); `None` is the
     /// statically-eliminated no-op plan — the fault-free fast path.
@@ -45,14 +46,14 @@ pub struct ExecSpec<'a> {
     /// nothing — like tracing, the disabled path is a single branch.
     pub metrics: Option<&'a MetricSet>,
     /// Number of vertex shards the engine sweeps in parallel; `None` lets the
-    /// engine choose (its own setting, or an automatic choice by graph size).
+    /// engine choose automatically by graph size.
     /// Output is bit-identical across shard counts, so this is purely a
     /// performance/test knob.
     pub shards: Option<NonZeroUsize>,
 }
 
 impl<'a> ExecSpec<'a> {
-    /// The fault-free, untraced spec under the engine's own settings.
+    /// The fault-free, untraced spec under the engine defaults.
     pub fn new() -> Self {
         ExecSpec::default()
     }
@@ -62,13 +63,13 @@ impl<'a> ExecSpec<'a> {
         ExecSpec::default().with_budget(Budget::rounds(max_rounds))
     }
 
-    /// Advertise `params` instead of the engine's.
+    /// Advertise `params` instead of the graph's true parameters.
     pub fn with_params(mut self, params: GlobalParams) -> Self {
         self.params = Some(params);
         self
     }
 
-    /// Run under `budget` instead of the engine's.
+    /// Run under `budget` instead of the default.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
         self

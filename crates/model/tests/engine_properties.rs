@@ -139,8 +139,12 @@ proptest! {
         // Advertising a larger n must not alter a protocol that ignores n.
         let a = Engine::new(&g, Mode::deterministic()).exec(&MixerProtocol).unwrap();
         let b = Engine::new(&g, Mode::deterministic())
-            .with_params(GlobalParams::from_graph(&g).with_claimed_n(1 << 40))
-            .exec(&MixerProtocol)
+            .execute(
+                &ExecSpec::default()
+                    .with_params(GlobalParams::from_graph(&g).with_claimed_n(1 << 40)),
+                &MixerProtocol,
+            )
+            .into_run(100_000)
             .unwrap();
         prop_assert_eq!(a.outputs, b.outputs);
     }

@@ -151,13 +151,11 @@ proptest! {
         };
         let plan = FaultPlan::sample(&g, &spec, fault_seed);
         for mode in [Mode::deterministic(), Mode::randomized(seed)] {
-            let sequential = Engine::new(&g, mode.clone())
-                .with_max_rounds(50)
-                .exec_faulty(&MixerProtocol, &plan);
+            let spec = ExecSpec::rounds(50).with_faults(&plan);
+            let sequential = Engine::new(&g, mode.clone()).execute(&spec, &MixerProtocol);
             let parallel = Engine::new(&g, mode.clone())
-                .with_max_rounds(50)
                 .with_par_threshold(1)
-                .exec_faulty(&MixerProtocol, &plan);
+                .execute(&spec, &MixerProtocol);
             prop_assert_eq!(&sequential.outcomes, &parallel.outcomes);
             prop_assert_eq!(sequential.dropped, parallel.dropped);
             prop_assert_eq!(sequential.delayed, parallel.delayed);
@@ -166,9 +164,7 @@ proptest! {
 
             // And the trace is a pure function of the seed: rerunning
             // reproduces it exactly.
-            let again = Engine::new(&g, mode.clone())
-                .with_max_rounds(50)
-                .exec_faulty(&MixerProtocol, &plan);
+            let again = Engine::new(&g, mode.clone()).execute(&spec, &MixerProtocol);
             prop_assert_eq!(&sequential.outcomes, &again.outcomes);
         }
     }
@@ -180,8 +176,7 @@ proptest! {
         let spec = FaultSpec::none().with_crash(0.5, 2);
         let plan = FaultPlan::sample(&g, &spec, fault_seed);
         let run = Engine::new(&g, Mode::deterministic())
-            .with_max_rounds(50)
-            .exec_faulty(&MixerProtocol, &plan);
+            .execute(&ExecSpec::rounds(50).with_faults(&plan), &MixerProtocol);
         for (v, outcome) in run.outcomes.iter().enumerate() {
             match plan.crash_schedule()[v] {
                 // Window 2 ⇒ crash rounds 0/1, always before the ≥2 horizon.
@@ -213,8 +208,7 @@ fn faulty_runs_see_claimed_params() {
     let g = gen::path(3);
     let params = GlobalParams::from_graph(&g).with_claimed_n(1 << 20);
     let run = Engine::new(&g, Mode::deterministic())
-        .with_params(params)
-        .exec_faulty(&ParamProtocol, &FaultPlan::none());
+        .execute(&ExecSpec::default().with_params(params), &ParamProtocol);
     assert!(run
         .outcomes
         .iter()

@@ -162,9 +162,13 @@ fn theorems_9_10_separation_and_shattering() {
 #[test]
 fn shatter_profile_agrees_with_theorem10_stats() {
     use exp_separation::algorithms::tree::theorem10::theorem10_phase1;
+    use exp_separation::model::ExecSpec;
     let mut rng = StdRng::seed_from_u64(203);
     let g = gen::random_tree_max_degree(4000, 16, &mut rng);
-    let (status, _) = theorem10_phase1(&g, 16, 3, Theorem10Config::default()).unwrap();
+    let status = theorem10_phase1(&g, 16, 3, Theorem10Config::default(), &ExecSpec::new())
+        .strict()
+        .unwrap()
+        .outputs;
     let bad: Vec<bool> = status.iter().map(Option::is_none).collect();
     let profile = shatter_profile(&g, &bad);
     let out = theorem10_color(&g, 16, 3, Theorem10Config::default()).unwrap();
