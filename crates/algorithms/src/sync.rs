@@ -13,12 +13,13 @@
 //! after the last decision — that extra sweep is infrastructure, not
 //! algorithmic cost, and is excluded from the metric.
 
-use local_graphs::{Graph, PortId};
+use local_graphs::{Graph, Neighbor, NodeId, PortId};
 use local_model::{
     Action, Breach, Budget, Engine, ExecSpec, GlobalParams, Mode, NodeInit, NodeIo, NodeProgram,
     Outcome, Protocol, SimError,
 };
 use rand::RngCore;
+use std::sync::Mutex;
 
 /// The result of one [`SyncAlgorithm::update`].
 #[derive(Debug, Clone)]
@@ -32,17 +33,16 @@ pub enum SyncStep<S, O> {
 
 /// Capabilities available inside [`SyncAlgorithm::update`].
 pub struct SyncCtx<'a> {
-    degree: usize,
     id: Option<u64>,
     params: &'a GlobalParams,
     rng: Option<&'a mut dyn RngCore>,
-    back_ports: &'a [PortId],
+    nbrs: &'a [Neighbor],
 }
 
 impl<'a> SyncCtx<'a> {
     /// Degree of this vertex.
     pub fn degree(&self) -> usize {
-        self.degree
+        self.nbrs.len()
     }
 
     /// Unique ID (DetLOCAL only).
@@ -78,7 +78,7 @@ impl<'a> SyncCtx<'a> {
     ///
     /// Panics if `p >= degree`.
     pub fn back_port(&self, p: PortId) -> PortId {
-        self.back_ports[p]
+        self.nbrs[p].back_port
     }
 }
 
@@ -120,94 +120,155 @@ pub struct SyncOutcome<O> {
     pub messages: u64,
 }
 
-/// Engine node wrapping a [`SyncAlgorithm`] vertex.
-pub struct SyncNode<'a, A: SyncAlgorithm> {
+/// One vertex of a sync run: the state both node wrappers share.
+struct Vertex<'a, A: SyncAlgorithm> {
     algo: &'a A,
+    nbrs: &'a [Neighbor],
     state: A::State,
     decided: Option<(u32, A::Output)>,
-    back_ports: Vec<PortId>,
-    /// Last state heard per port. A neighbor that halted (its whole
-    /// neighborhood decided) stops transmitting, but its state is final —
+    /// Last state heard per port: this vertex's slice of the run's flat
+    /// last-heard buffer, seeded with the neighbors' initial states. A
+    /// neighbor that halted stops transmitting, but its state is final —
     /// the cache stands in for the silent final broadcasts.
-    heard: Vec<Option<(A::State, bool)>>,
+    heard: &'a mut [A::State],
 }
 
-type SyncMsg<A> = (<A as SyncAlgorithm>::State, bool);
+impl<'a, A: SyncAlgorithm> Vertex<'a, A> {
+    /// One [`SyncAlgorithm::update`] against the heard states.
+    fn update<M: Clone>(&mut self, round: u32, io: &mut NodeIo<'_, M>) {
+        let mut ctx = SyncCtx {
+            id: io.id(),
+            params: io.params(),
+            rng: if io.is_randomized() {
+                Some(io.rng())
+            } else {
+                None
+            },
+            nbrs: self.nbrs,
+        };
+        match self.algo.update(round, &mut ctx, &self.state, self.heard) {
+            SyncStep::Continue(s) => self.state = s,
+            SyncStep::Decide(s, o) => {
+                self.state = s;
+                self.decided = Some((round, o));
+            }
+        }
+    }
+}
+
+/// Engine node wrapping a [`SyncAlgorithm`] vertex.
+///
+/// A vertex halts once it has decided and every neighbor has too: every
+/// port is either silent or carries `done = true`. In a fault-free run a
+/// port goes silent only when its neighbor halted, which that neighbor does
+/// only after deciding and broadcasting `done = true` at least once.
+pub struct SyncNode<'a, A: SyncAlgorithm>(Vertex<'a, A>);
 
 impl<'a, A: SyncAlgorithm> NodeProgram for SyncNode<'a, A> {
-    type Msg = SyncMsg<A>;
+    type Msg = (A::State, bool);
     type Output = (A::Output, u32);
 
     fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
-        if round == 0 {
-            io.broadcast((self.state.clone(), false));
-            return Action::Continue;
-        }
-        let mut neighbor_states: Vec<A::State> = Vec::with_capacity(io.degree());
-        let mut all_neighbors_decided = true;
-        for p in 0..io.degree() {
-            if let Some((s, done)) = io.recv(p) {
-                self.heard[p] = Some((s.clone(), *done));
-            }
-            let (s, done) = self.heard[p]
-                .as_ref()
-                .expect("every sync node broadcasts in round 0");
-            neighbor_states.push(s.clone());
-            all_neighbors_decided &= *done;
-        }
-        if self.decided.is_none() {
-            let degree = io.degree();
-            let id = io.id();
-            let step = {
-                let mut ctx = SyncCtx {
-                    degree,
-                    id,
-                    params: io.params(),
-                    rng: if io.is_randomized() {
-                        Some(io.rng())
-                    } else {
-                        None
-                    },
-                    back_ports: &self.back_ports,
-                };
-                self.algo
-                    .update(round, &mut ctx, &self.state, &neighbor_states)
-            };
-            match step {
-                SyncStep::Continue(s) => self.state = s,
-                SyncStep::Decide(s, o) => {
-                    self.state = s;
-                    self.decided = Some((round, o));
+        let v = &mut self.0;
+        if round > 0 {
+            let mut all_neighbors_decided = true;
+            for p in 0..io.degree() {
+                if let Some((s, done)) = io.take(p) {
+                    v.heard[p] = s;
+                    all_neighbors_decided &= done;
                 }
             }
-        } else if all_neighbors_decided {
-            let (r, o) = self.decided.clone().expect("checked above");
-            return Action::Halt((o, r));
+            if v.decided.is_none() {
+                v.update(round, io);
+            } else if all_neighbors_decided {
+                let (r, o) = v.decided.take().expect("checked above");
+                return Action::Halt((o, r));
+            }
         }
-        io.broadcast((self.state.clone(), self.decided.is_some()));
+        io.broadcast((v.state.clone(), v.decided.is_some()));
         Action::Continue
     }
 }
 
-/// Protocol adapter for a [`SyncAlgorithm`].
-pub struct SyncProtocol<'a, A> {
-    algo: &'a A,
-    /// Per-vertex back-port tables (local input established in round one of
-    /// any real execution; see [`SyncCtx::back_port`]).
-    back_ports: Vec<Vec<PortId>>,
+/// The setup both protocol adapters share: every vertex built up front with
+/// its initial state and its slice of one CSR-aligned last-heard buffer,
+/// dealt out by vertex index (`None` once dealt).
+struct SyncSetup<'a, A: SyncAlgorithm>(Mutex<Vec<Option<Vertex<'a, A>>>>);
+
+impl<'a, A: SyncAlgorithm> SyncSetup<'a, A> {
+    /// Build every vertex with its initial state, then fill `heard` (empty
+    /// on entry) with the neighbor's initial state per CSR slot and give
+    /// each vertex its slice.
+    fn new(
+        algo: &'a A,
+        g: &'a Graph,
+        mode: &Mode,
+        params: &GlobalParams,
+        heard: &'a mut Vec<A::State>,
+    ) -> Self {
+        let ids = match mode {
+            Mode::Deterministic { ids } => Some(ids.assign(g)),
+            Mode::Randomized { .. } => None,
+        };
+        // Build without large temporaries and size `heard` once. A freed
+        // multi-megabyte temporary leaves a hole that the engine's later
+        // allocations fill; glibc's malloc then returns the whole freed heap
+        // top to the OS after each run, and the next run page-faults its
+        // working set back in.
+        let mut vertices: Vec<Vertex<'a, A>> = g
+            .vertices()
+            .map(|v| Vertex {
+                algo,
+                nbrs: g.neighbors(v),
+                state: algo.init(&NodeInit {
+                    node: v,
+                    degree: g.degree(v),
+                    id: ids.as_ref().map(|ids| ids[v]),
+                    params,
+                }),
+                decided: None,
+                heard: &mut [],
+            })
+            .collect();
+        heard.reserve_exact(g.csr_offsets()[g.n()]);
+        heard.extend(
+            vertices
+                .iter()
+                .flat_map(|vx| vx.nbrs.iter().map(|nb| vertices[nb.node].state.clone())),
+        );
+        let mut rest = heard.as_mut_slice();
+        for vx in &mut vertices {
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(vx.nbrs.len());
+            vx.heard = mine;
+            rest = tail;
+        }
+        let vertices = vertices.into_iter().map(Some).collect();
+        SyncSetup(Mutex::new(vertices))
+    }
+
+    /// Hand out vertex `v`.
+    ///
+    /// # Panics
+    ///
+    /// If `v` was already dealt.
+    fn vertex(&self, v: NodeId) -> Vertex<'a, A> {
+        let dealt = self
+            .0
+            .lock()
+            .expect("no create call panics holding the lock")[v]
+            .take();
+        dealt.expect("sync node created twice for one vertex")
+    }
 }
+
+/// Protocol adapter for a [`SyncAlgorithm`].
+pub struct SyncProtocol<'a, A: SyncAlgorithm>(SyncSetup<'a, A>);
 
 impl<'a, A: SyncAlgorithm> Protocol for SyncProtocol<'a, A> {
     type Node = SyncNode<'a, A>;
 
     fn create(&self, init: &NodeInit<'_>) -> Self::Node {
-        SyncNode {
-            algo: self.algo,
-            state: self.algo.init(init),
-            decided: None,
-            back_ports: self.back_ports[init.node].clone(),
-            heard: vec![None; init.degree],
-        }
+        SyncNode(self.0.vertex(init.node))
     }
 }
 
@@ -320,95 +381,45 @@ impl<O> SyncRun<O> {
 
 /// Engine node wrapping a [`SyncAlgorithm`] vertex for faulty runs.
 ///
-/// Differs from [`SyncNode`] in two fault-model concessions:
-///
-/// * The last-heard cache is pre-seeded with every neighbor's *initial*
-///   state, so a dropped message means "stale state" rather than a panic —
-///   crash-stop neighbors simply freeze at their last delivered state.
-/// * A vertex halts one round after deciding (one final broadcast), instead
-///   of waiting for all neighbors to decide — a crashed neighbor would
-///   otherwise pin the whole run at the sweep budget.
-pub struct FaultySyncNode<'a, A: SyncAlgorithm> {
-    algo: &'a A,
-    state: A::State,
-    decided: Option<(u32, A::Output)>,
-    back_ports: Vec<PortId>,
-    /// Last state heard per port, seeded with the neighbor's initial state.
-    heard: Vec<A::State>,
-}
+/// Differs from [`SyncNode`] in one fault-model concession: a vertex halts
+/// one round after deciding (one final broadcast), instead of waiting for
+/// all neighbors to decide — a crashed neighbor would otherwise pin the
+/// whole run at the sweep budget. A dropped message means a stale state in
+/// the last-heard cache, and a crash-stop neighbor freezes at its last
+/// delivered state.
+pub struct FaultySyncNode<'a, A: SyncAlgorithm>(Vertex<'a, A>);
 
 impl<'a, A: SyncAlgorithm> NodeProgram for FaultySyncNode<'a, A> {
     type Msg = A::State;
     type Output = (A::Output, u32);
 
     fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
-        if round == 0 {
-            io.broadcast(self.state.clone());
-            return Action::Continue;
-        }
-        for p in 0..io.degree() {
-            if let Some(s) = io.recv(p) {
-                self.heard[p] = s.clone();
+        let v = &mut self.0;
+        if round > 0 {
+            if let Some((r, o)) = v.decided.take() {
+                // The final state went out last round; nothing left to do.
+                return Action::Halt((o, r));
             }
-        }
-        if let Some((r, o)) = self.decided.clone() {
-            // The final state went out last round; nothing left to do.
-            return Action::Halt((o, r));
-        }
-        let step = {
-            let degree = io.degree();
-            let id = io.id();
-            let mut ctx = SyncCtx {
-                degree,
-                id,
-                params: io.params(),
-                rng: if io.is_randomized() {
-                    Some(io.rng())
-                } else {
-                    None
-                },
-                back_ports: &self.back_ports,
-            };
-            self.algo.update(round, &mut ctx, &self.state, &self.heard)
-        };
-        match step {
-            SyncStep::Continue(s) => self.state = s,
-            SyncStep::Decide(s, o) => {
-                self.state = s;
-                self.decided = Some((round, o));
+            for p in 0..io.degree() {
+                if let Some(s) = io.take(p) {
+                    v.heard[p] = s;
+                }
             }
+            v.update(round, io);
         }
-        io.broadcast(self.state.clone());
+        io.broadcast(v.state.clone());
         Action::Continue
     }
 }
 
 /// Protocol adapter for faulty [`SyncAlgorithm`] runs.
-pub struct FaultySyncProtocol<'a, A: SyncAlgorithm> {
-    algo: &'a A,
-    graph: &'a Graph,
-    back_ports: Vec<Vec<PortId>>,
-    /// Every vertex's initial state, used to seed the last-heard caches.
-    init_states: Vec<A::State>,
-}
+pub struct FaultySyncProtocol<'a, A: SyncAlgorithm>(SyncSetup<'a, A>);
 
 impl<'a, A: SyncAlgorithm> Protocol for FaultySyncProtocol<'a, A> {
     type Node = FaultySyncNode<'a, A>;
 
     fn create(&self, init: &NodeInit<'_>) -> Self::Node {
-        let heard = self
-            .graph
-            .neighbors(init.node)
-            .iter()
-            .map(|nb| self.init_states[nb.node].clone())
-            .collect();
-        FaultySyncNode {
-            algo: self.algo,
-            state: self.init_states[init.node].clone(),
-            decided: None,
-            back_ports: self.back_ports[init.node].clone(),
-            heard,
-        }
+        FaultySyncNode(self.0.vertex(init.node))
     }
 }
 
@@ -424,9 +435,10 @@ impl<'a, A: SyncAlgorithm> Protocol for FaultySyncProtocol<'a, A> {
 ///   3/6/8 pretend the graph is larger than it is).
 /// * `spec.faults` injects message drops, delays, and crash-stop nodes. The
 ///   fault-tolerant node wrapper ([`FaultySyncNode`]) differs observably
-///   from the fault-free one ([`SyncNode`]) — pre-seeded last-heard caches,
-///   halting one round after deciding — so the fault-free case (`None`)
-///   runs [`SyncNode`], bit-identical to the pre-refactor `run_sync`.
+///   from the fault-free one ([`SyncNode`]) — it halts one round after
+///   deciding — so the fault-free case (`None`) runs [`SyncNode`]. Both
+///   share one setup: initial states computed once, and one flat last-heard
+///   buffer aligned with the graph's CSR slots.
 /// * `spec.trace` receives the engine's per-round events (live counts,
 ///   message volume, crashes, fault-plane drops/delays, budget consumption).
 ///
@@ -446,10 +458,6 @@ pub fn run_sync<A: SyncAlgorithm>(
         max_rounds: budget.max_rounds.saturating_add(2),
         ..budget
     };
-    let back_ports: Vec<Vec<PortId>> = g
-        .vertices()
-        .map(|v| g.neighbors(v).iter().map(|nb| nb.back_port).collect())
-        .collect();
     let engine_spec = ExecSpec {
         params: Some(params),
         budget: Some(engine_budget),
@@ -459,32 +467,11 @@ pub fn run_sync<A: SyncAlgorithm>(
         shards: spec.shards,
     };
     let engine = Engine::new(g, mode.clone());
+    let mut heard = Vec::new();
+    let setup = SyncSetup::new(algo, g, &mode, &params, &mut heard);
     let run = match spec.faults {
-        None => engine.execute(&engine_spec, &SyncProtocol { algo, back_ports }),
-        Some(_) => {
-            let ids: Option<Vec<u64>> = match &mode {
-                Mode::Deterministic { ids } => Some(ids.assign(g)),
-                Mode::Randomized { .. } => None,
-            };
-            let init_states: Vec<A::State> = g
-                .vertices()
-                .map(|v| {
-                    algo.init(&NodeInit {
-                        node: v,
-                        degree: g.degree(v),
-                        id: ids.as_ref().map(|ids| ids[v]),
-                        params: &params,
-                    })
-                })
-                .collect();
-            let protocol = FaultySyncProtocol {
-                algo,
-                graph: g,
-                back_ports,
-                init_states,
-            };
-            engine.execute(&engine_spec, &protocol)
-        }
+        None => engine.execute(&engine_spec, &SyncProtocol(setup)),
+        Some(_) => engine.execute(&engine_spec, &FaultySyncProtocol(setup)),
     };
     SyncRun {
         outcomes: run
@@ -629,6 +616,96 @@ mod tests {
         .unwrap();
         assert_eq!(out.rounds, 3); // vertex 2 decides at round 3
         assert_eq!(out.outputs[1], 2);
+    }
+
+    #[test]
+    fn staggered_halts_pin_rounds_sweeps_and_messages() {
+        // Vertices decide at rounds 1..=5 (ID + 1); each halts once it and
+        // all its neighbors have decided, i.e. once every port is silent or
+        // carries `done = true`. Expected values were recorded from the
+        // earlier per-node-cache implementation.
+        let expected = [
+            (
+                gen::path(5),
+                [(1, 1), (2, 2), (3, 4), (4, 6), (5, 3)],
+                7,
+                39,
+            ),
+            (
+                gen::star(5),
+                [(1, 10), (2, 0), (3, 0), (4, 0), (5, 0)],
+                7,
+                42,
+            ),
+        ];
+        for (g, decided, sweeps, messages) in expected {
+            let run = run_sync(
+                &g,
+                Mode::deterministic(),
+                &Staggered,
+                &ExecSpec::rounds(100),
+            );
+            let got: Vec<(u32, u64)> = run
+                .outcomes
+                .iter()
+                .map(|o| match o {
+                    Outcome::Halted { round, output } => (*round, *output),
+                    other => panic!("vertex did not halt: {other:?}"),
+                })
+                .collect();
+            assert_eq!(got, decided);
+            assert_eq!((run.sweeps, run.messages), (sweeps, messages));
+        }
+    }
+
+    #[test]
+    fn setup_deals_seeded_heard_slices_in_any_order() {
+        let g = gen::gnp(12, 0.4, &mut StdRng::seed_from_u64(3));
+        let params = GlobalParams::from_graph(&g);
+        let mut heard = Vec::new();
+        let algo = MaxWithin { horizon: 1 };
+        let protocol = SyncProtocol(SyncSetup::new(
+            &algo,
+            &g,
+            &Mode::deterministic(),
+            &params,
+            &mut heard,
+        ));
+        for v in g.vertices().rev() {
+            let node = protocol.create(&NodeInit {
+                node: v,
+                degree: g.degree(v),
+                id: Some(v as u64),
+                params: &params,
+            });
+            let want: Vec<u64> = g.neighbors(v).iter().map(|nb| nb.node as u64).collect();
+            assert_eq!(node.0.heard, &want[..], "vertex {v}");
+            assert_eq!(node.0.state, v as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "created twice")]
+    fn setup_refuses_to_deal_a_vertex_twice() {
+        let g = gen::path(3);
+        let params = GlobalParams::from_graph(&g);
+        let mut heard = Vec::new();
+        let algo = MaxWithin { horizon: 1 };
+        let protocol = FaultySyncProtocol(SyncSetup::new(
+            &algo,
+            &g,
+            &Mode::deterministic(),
+            &params,
+            &mut heard,
+        ));
+        let init = NodeInit {
+            node: 1,
+            degree: 2,
+            id: Some(1),
+            params: &params,
+        };
+        let _first = protocol.create(&init);
+        let _second = protocol.create(&init);
     }
 
     #[test]

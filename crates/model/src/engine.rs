@@ -131,23 +131,30 @@ struct NodeColumns<N: NodeProgram> {
     sent: Vec<u64>,
 }
 
-/// Vertex boundaries cutting `0..n` into `k` shards balanced by *directed
-/// edge slots* (each shard owns ≈ `total/k` outbox slots), so a hub-heavy
-/// prefix doesn't starve the other shards. Falls back to an even vertex
-/// split on edgeless graphs. Boundaries are monotone; empty shards are legal.
+/// Vertex boundaries cutting `0..n` into `k` shards balanced by *work*:
+/// each vertex weighs `1 + degree` (its step plus one outbox slot per port),
+/// so neither a hub-heavy prefix nor a long tail of leaves starves the other
+/// shards. Vertex `v`'s weight starts at `v + offsets[v]`, which is strictly
+/// increasing, so each boundary is a binary search. Boundaries are monotone;
+/// empty shards are legal.
 fn shard_bounds(offsets: &[usize], k: usize) -> Vec<usize> {
     let n = offsets.len() - 1;
-    let total = offsets[n];
+    let total = n + offsets[n];
     let mut bounds = Vec::with_capacity(k + 1);
     bounds.push(0usize);
     for s in 1..k {
-        let b = if total == 0 {
-            n * s / k
-        } else {
-            // First vertex whose starting slot reaches the s-th slot quantile.
-            offsets.partition_point(|&o| o < total * s / k)
-        };
-        bounds.push(b.max(bounds[s - 1]).min(n));
+        // First vertex whose starting weight reaches the s-th quantile.
+        let target = total * s / k;
+        let (mut lo, mut hi) = (bounds[s - 1], n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if mid + offsets[mid] < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        bounds.push(lo);
     }
     bounds.push(n);
     bounds
@@ -160,9 +167,9 @@ fn shard_bounds(offsets: &[usize], k: usize) -> Vec<usize> {
 ///
 /// This is the one stepping routine — the serial path calls it over `0..n`
 /// and each shard worker over its own cut, so the two orders are
-/// bit-identical by construction: every node reads only its own inbox
-/// segment and pre-seeded RNG stream, and writes only its own column cells
-/// and outbox segment.
+/// bit-identical by construction: every node reads (and may take from) only
+/// its own inbox segment and pre-seeded RNG stream, and writes only its own
+/// column cells and outbox segment.
 #[allow(clippy::too_many_arguments)]
 fn step_span<N: NodeProgram>(
     round: u32,
@@ -176,7 +183,7 @@ fn step_span<N: NodeProgram>(
     rngs: &mut [ChaCha8Rng],
     done: &mut [Option<(u32, N::Output)>],
     sent: &mut [u64],
-    inbox: &[Option<N::Msg>],
+    inbox: &mut [Option<N::Msg>],
     out: &mut [Option<N::Msg>],
 ) -> (u64, u64) {
     let base = offsets[range.start];
@@ -193,7 +200,7 @@ fn step_span<N: NodeProgram>(
                 degree: o1 - o0,
                 id: ids.map(|ids| ids[v]),
                 params,
-                inbox: &inbox[o0..o1],
+                inbox: &mut inbox[o0..o1],
                 outbox: &mut out[o0..o1],
                 rng: if randomized { Some(&mut rngs[i]) } else { None },
             };
@@ -566,7 +573,7 @@ impl<'g> Engine<'g> {
                     &mut cols.rngs,
                     &mut cols.done,
                     &mut cols.sent,
-                    &plane.inbox,
+                    &mut plane.inbox,
                     &mut plane.out,
                 )
             } else {
@@ -1610,6 +1617,26 @@ mod tests {
             for w in b.windows(2) {
                 assert!(w[0] <= w[1]);
             }
+        }
+    }
+
+    #[test]
+    fn shard_bounds_balance_vertices_plus_slots() {
+        // A complete 16-ary tree is ~7% internal vertices (degree 16) and
+        // ~93% leaves (degree 1): balancing slots alone would give shard 0
+        // the internal vertices and shard 1 nearly every leaf.
+        let g = gen::complete_dary_tree(16_384, 16);
+        let offsets = g.csr_offsets();
+        let weight = |r: std::ops::Range<usize>| r.len() + offsets[r.end] - offsets[r.start];
+        let b = shard_bounds(offsets, 2);
+        let half = weight(0..g.n()) / 2;
+        let max_vertex = 1 + g.max_degree();
+        for shard in [0..b[1], b[1]..g.n()] {
+            assert!(
+                weight(shard.clone()).abs_diff(half) <= max_vertex,
+                "shard {shard:?} weighs {} against half {half}",
+                weight(shard.clone())
+            );
         }
     }
 

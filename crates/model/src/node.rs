@@ -69,7 +69,7 @@ pub struct NodeIo<'a, M> {
     pub(crate) degree: usize,
     pub(crate) id: Option<u64>,
     pub(crate) params: &'a GlobalParams,
-    pub(crate) inbox: &'a [Option<M>],
+    pub(crate) inbox: &'a mut [Option<M>],
     pub(crate) outbox: &'a mut [Option<M>],
     pub(crate) rng: Option<&'a mut ChaCha8Rng>,
 }
@@ -103,6 +103,18 @@ impl<'a, M: Clone> NodeIo<'a, M> {
         self.inbox[p].as_ref()
     }
 
+    /// Move the message received on port `p` out of the inbox, leaving the
+    /// port silent for the rest of this step. Saves a clone when the node
+    /// keeps the message; delivery rewrites every inbox slot before the next
+    /// step, so nothing else observes the move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p >= degree`.
+    pub fn take(&mut self, p: PortId) -> Option<M> {
+        self.inbox[p].take()
+    }
+
     /// Iterate over `(port, message)` for all ports that received a message.
     pub fn received(&self) -> impl Iterator<Item = (PortId, &M)> {
         self.inbox
@@ -121,10 +133,13 @@ impl<'a, M: Clone> NodeIo<'a, M> {
         self.outbox[p] = Some(msg);
     }
 
-    /// Send a copy of `msg` on every port.
+    /// Send a copy of `msg` on every port (the last port gets `msg` itself).
     pub fn broadcast(&mut self, msg: M) {
-        for p in 0..self.degree {
-            self.outbox[p] = Some(msg.clone());
+        if let Some((last, rest)) = self.outbox[..self.degree].split_last_mut() {
+            for slot in rest {
+                *slot = Some(msg.clone());
+            }
+            *last = Some(msg);
         }
     }
 
@@ -154,13 +169,13 @@ mod tests {
     #[test]
     fn io_send_recv_roundtrip() {
         let params = GlobalParams { n: 3, delta: 2 };
-        let inbox = vec![Some(7u32), None];
+        let mut inbox = vec![Some(7u32), None];
         let mut outbox = vec![None, None];
         let mut io = NodeIo {
             degree: 2,
             id: Some(5),
             params: &params,
-            inbox: &inbox,
+            inbox: &mut inbox,
             outbox: &mut outbox,
             rng: None,
         };
@@ -169,6 +184,9 @@ mod tests {
         assert_eq!(io.recv(0), Some(&7));
         assert_eq!(io.recv(1), None);
         assert_eq!(io.received().collect::<Vec<_>>(), vec![(0, &7)]);
+        assert_eq!(io.take(0), Some(7));
+        assert_eq!(io.take(0), None);
+        assert_eq!(io.recv(0), None);
         io.send(1, 9);
         io.broadcast(3);
         assert!(!io.is_randomized());
@@ -180,13 +198,13 @@ mod tests {
     #[should_panic(expected = "model violation")]
     fn rng_in_det_mode_panics() {
         let params = GlobalParams { n: 1, delta: 0 };
-        let inbox: Vec<Option<u32>> = vec![];
+        let mut inbox: Vec<Option<u32>> = vec![];
         let mut outbox: Vec<Option<u32>> = vec![];
         let mut io = NodeIo {
             degree: 0,
             id: Some(0),
             params: &params,
-            inbox: &inbox,
+            inbox: &mut inbox,
             outbox: &mut outbox,
             rng: None,
         };

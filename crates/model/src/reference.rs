@@ -114,7 +114,7 @@ where
                 continue;
             }
             let deg = g.degree(v);
-            let inbox: Vec<Option<<P::Node as NodeProgram>::Msg>> = if round == 0 {
+            let mut inbox: Vec<Option<<P::Node as NodeProgram>::Msg>> = if round == 0 {
                 (0..deg).map(|_| None).collect()
             } else {
                 g.neighbors(v)
@@ -135,7 +135,7 @@ where
                     degree: deg,
                     id: slot.id,
                     params,
-                    inbox: &inbox,
+                    inbox: &mut inbox,
                     outbox: &mut out,
                     rng: slot.rng.as_mut(),
                 };
