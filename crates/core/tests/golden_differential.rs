@@ -5,13 +5,18 @@
 //! the five `TrialPlan::run*` variants). After the collapse onto
 //! `Engine::execute` / `run_sync(&ExecSpec)` / `TrialPlan::execute`, these
 //! tests assert the unified pipeline is bit-identical on rows (rounds,
-//! messages, outputs) and trace bytes, fault-free and faulty.
+//! messages, outputs) and trace bytes, fault-free and faulty. The E12–E14
+//! rows and `metrics/v1` registries pin every workload-catalog entry's
+//! `measure`, `heal` and `assess`, error rows included.
 //!
 //! Regenerate (only when an *intentional* behavior change lands) with:
 //! `GOLDEN_REGEN=1 cargo test -p local-separation --test golden_differential`
 
+use local_algorithms::RecoveryPolicy;
 use local_obs::{MemorySink, TraceSink};
-use local_separation::experiments::{e12_resilience, e1_separation, e9_mis};
+use local_separation::experiments::{
+    e12_resilience, e13_recovery, e14_adversary, e1_separation, e9_mis,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -64,6 +69,11 @@ fn e9_rows_match_pre_refactor_fixture() {
     assert_golden("e9_rows.json", &json);
 }
 
+/// The `metrics/v1` document body of a sweep: its run-wide registry.
+fn metrics_doc(metrics: &local_obs::MetricsRegistry) -> String {
+    serde_json::to_string_pretty(metrics).expect("metrics serialize")
+}
+
 fn e12_tiny() -> e12_resilience::Config {
     e12_resilience::Config {
         tree_n: 80,
@@ -83,6 +93,7 @@ fn e12_rows_match_pre_refactor_fixture() {
     let out = e12_resilience::run(&e12_tiny(), None, None);
     let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
     assert_golden("e12_rows.json", &json);
+    assert_golden("e12_metrics.json", &metrics_doc(&out.metrics));
 }
 
 /// The traced E12 sweep, scrubbed of wall-clock span timings, must stay
@@ -106,4 +117,60 @@ fn e12_trace_matches_pre_refactor_fixture() {
         serde_json::to_string(&plain.rows).unwrap(),
         serde_json::to_string(&out.rows).unwrap(),
     );
+}
+
+fn e13_tiny() -> e13_recovery::Config {
+    e13_recovery::Config {
+        tree_n: 80,
+        sinkless_n: 60,
+        mis_n: 60,
+        drop_ps: vec![0.0, 0.2],
+        crash_ps: vec![0.0, 0.05],
+        trials: 2,
+        master_seed: 7,
+        policy: RecoveryPolicy::default(),
+    }
+}
+
+/// E13 rows and metrics over every catalog entry: fault-free points heal
+/// as no-ops, faulted ones exercise each family's finisher.
+#[test]
+fn e13_rows_and_metrics_match_fixture() {
+    let out = e13_recovery::run(&e13_tiny(), None, None);
+    let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
+    assert_golden("e13_rows.json", &json);
+    assert_golden("e13_metrics.json", &metrics_doc(&out.metrics));
+}
+
+/// An odd `sinkless_n` has no cubic graph: the `sinkless` and
+/// `edge-coloring` slots fold to error rows, pinned here byte for byte.
+#[test]
+fn e13_error_rows_match_fixture() {
+    let cfg = e13_recovery::Config {
+        sinkless_n: 61,
+        ..e13_tiny()
+    };
+    let out = e13_recovery::run(&cfg, None, None);
+    let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
+    assert_golden("e13_error_rows.json", &json);
+}
+
+/// E14 rows and metrics at the experiment's tiny search effort: every
+/// workload × objective point's best plan, census and report.
+#[test]
+fn e14_rows_and_metrics_match_fixture() {
+    let cfg = e14_adversary::Config {
+        iterations: 4,
+        candidates: 3,
+        tenure: 3,
+        restarts: 1,
+        crash_budget: 3,
+        drop_budget: 4,
+        master_seed: 7,
+        policy: RecoveryPolicy::default(),
+    };
+    let out = e14_adversary::run(&cfg, None, None);
+    let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
+    assert_golden("e14_rows.json", &json);
+    assert_golden("e14_metrics.json", &metrics_doc(&out.metrics));
 }
