@@ -72,6 +72,23 @@ impl Theorem10Config {
         }
         cs
     }
+
+    /// Phase 1's round budget for maximum degree `delta`: `2t + 4` rounds
+    /// for a `t`-entry schedule.
+    pub fn phase1_budget(&self, delta: usize) -> u32 {
+        schedule_budget(&self.schedule(delta))
+    }
+}
+
+/// The `2t + 4` round budget of a `t`-entry Phase-1 schedule.
+fn schedule_budget(schedule: &[f64]) -> u32 {
+    2 * schedule.len() as u32 + 4
+}
+
+/// Phase 1's main palette `Δ − ⌈√Δ⌉`: the top `⌈√Δ⌉` colors stay reserved
+/// for Phase 2.
+pub fn main_palette(delta: usize) -> usize {
+    delta - (delta as f64).sqrt().ceil() as usize
 }
 
 /// Phase-1 status of a vertex.
@@ -254,11 +271,10 @@ pub fn theorem10_phase1(
         "graph degree {} exceeds Δ = {delta}",
         g.max_degree()
     );
-    let reserved = (delta as f64).sqrt().ceil() as usize;
     let schedule = config.schedule(delta);
-    let budget = 2 * schedule.len() as u32 + 4;
+    let budget = schedule_budget(&schedule);
     let phase1 = Phase1 {
-        main_palette: delta - reserved,
+        main_palette: main_palette(delta),
         delta,
         schedule,
         margin: config.palette_margin,
@@ -310,8 +326,8 @@ pub fn theorem10_color_traced(
     config: Theorem10Config,
     trace: Option<&Trace>,
 ) -> Result<Theorem10Outcome, SimError> {
-    let reserved = (delta as f64).sqrt().ceil() as usize;
-    let main_palette = delta - reserved;
+    let main_palette = main_palette(delta);
+    let reserved = delta - main_palette;
     let phase1 =
         theorem10_phase1(g, delta, seed, config, &ExecSpec::new().traced(trace)).strict()?;
     let (phase1_colors, phase1_rounds) = (phase1.outputs, phase1.rounds);

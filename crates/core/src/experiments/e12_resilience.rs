@@ -31,8 +31,7 @@ use crate::fabric::SweepPoint;
 use crate::grid::{self, Grid, GridOutcome};
 use crate::report::Table;
 use crate::trials::TrialOutcome;
-use crate::workloads::{find_row, workloads, MeasureRecord, Sizes, WorkloadSlot};
-use local_graphs::GraphError;
+use crate::workloads::{workloads, MeasureRecord, Sizes, WorkloadSlot};
 use local_model::{FaultPlan, FaultSpec};
 use local_obs::{MetricsRegistry, Trace, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -146,12 +145,9 @@ pub type Outcome12 = GridOutcome<Row>;
 impl Outcome12 {
     /// The row of one grid point, if measured.
     pub fn get(&self, workload: &str, drop_p: f64, crash_p: f64) -> Option<&Row> {
-        find_row(
-            &self.rows,
-            workload,
-            |r| r.workload,
-            |r| r.drop_p == drop_p && r.crash_p == crash_p,
-        )
+        self.rows
+            .iter()
+            .find(|r| r.workload == workload && r.drop_p == drop_p && r.crash_p == crash_p)
     }
 }
 
@@ -226,28 +222,6 @@ fn fold_row(
             rounds_total as f64 / completed as f64
         },
         rounds_max,
-    }
-}
-
-/// A grid point whose workload failed to construct: zeroed aggregates plus
-/// the typed error, so the JSON report shows *why* the numbers are missing.
-fn error_row(workload: &'static str, drop_p: f64, crash_p: f64, err: &GraphError) -> Row {
-    Row {
-        workload,
-        drop_p,
-        crash_p,
-        trials: 0,
-        panicked: 0,
-        panic_messages: Vec::new(),
-        error: Some(err.to_string()),
-        outcomes: OutcomeCounts {
-            halted: 0,
-            crashed: 0,
-            cut: 0,
-        },
-        validity_rate: 0.0,
-        rounds_mean: 0.0,
-        rounds_max: 0,
     }
 }
 
@@ -350,7 +324,12 @@ impl Grid for Grid12 {
     ) -> Row {
         let (slot, drop_p, crash_p) = fault_coords(&self.cfg.drop_ps, &self.cfg.crash_ps, point);
         match &self.slots[slot] {
-            Err((name, err)) => error_row(name, drop_p, crash_p, err),
+            // A failed workload folds zero trials and carries the typed
+            // error, so the JSON report shows *why* the numbers are missing.
+            Err((name, err)) => Row {
+                error: Some(err.to_string()),
+                ..fold_row(name, drop_p, crash_p, 0, outcomes, metrics)
+            },
             Ok(w) => fold_row(
                 w.name(),
                 drop_p,

@@ -28,9 +28,8 @@ use crate::fabric::SweepPoint;
 use crate::grid::{self, Grid, GridOutcome};
 use crate::report::Table;
 use crate::trials::TrialOutcome;
-use crate::workloads::{find_row, workloads, HealRecord, Sizes, WorkloadSlot};
+use crate::workloads::{workloads, HealRecord, Sizes, WorkloadSlot};
 use local_algorithms::RecoveryPolicy;
-use local_graphs::GraphError;
 use local_model::{FaultPlan, FaultSpec};
 use local_obs::{MetricsRegistry, Trace, TraceSink};
 use serde::Serialize;
@@ -152,12 +151,9 @@ pub type Outcome13 = GridOutcome<Row>;
 impl Outcome13 {
     /// The row of one grid point, if measured.
     pub fn get(&self, workload: &str, drop_p: f64, crash_p: f64) -> Option<&Row> {
-        find_row(
-            &self.rows,
-            workload,
-            |r| r.workload,
-            |r| r.drop_p == drop_p && r.crash_p == crash_p,
-        )
+        self.rows
+            .iter()
+            .find(|r| r.workload == workload && r.drop_p == drop_p && r.crash_p == crash_p)
     }
 }
 
@@ -257,39 +253,6 @@ fn fold_row(
     }
 }
 
-/// A grid point whose workload failed to construct.
-fn error_row(
-    workload: &'static str,
-    drop_p: f64,
-    crash_p: f64,
-    cfg: &Config,
-    err: &GraphError,
-) -> Row {
-    Row {
-        workload,
-        drop_p,
-        crash_p,
-        trials: 0,
-        panicked: 0,
-        panic_messages: Vec::new(),
-        error: Some(err.to_string()),
-        recovered: 0,
-        recovery_rate: 0.0,
-        escalations: vec![0; cfg.policy.max_radius as usize + 1],
-        failures: Vec::new(),
-        outcomes: OutcomeCounts {
-            halted: 0,
-            crashed: 0,
-            cut: 0,
-        },
-        core_mean: 0.0,
-        residue_mean: 0.0,
-        base_rounds_mean: 0.0,
-        extra_rounds_mean: 0.0,
-        extra_rounds_max: 0,
-    }
-}
-
 /// The sweep's grid (see [`crate::grid`]): E12's workload × drop × crash
 /// layout, with zero-trial points for failed workload slots.
 pub struct Grid13 {
@@ -349,7 +312,11 @@ impl Grid for Grid13 {
     ) -> Row {
         let (slot, drop_p, crash_p) = fault_coords(&self.cfg.drop_ps, &self.cfg.crash_ps, point);
         match &self.slots[slot] {
-            Err((name, err)) => error_row(name, drop_p, crash_p, &self.cfg, err),
+            Err((name, err)) => Row {
+                trials: 0,
+                error: Some(err.to_string()),
+                ..fold_row(name, drop_p, crash_p, &self.cfg, outcomes, metrics)
+            },
             Ok(w) => fold_row(w.name(), drop_p, crash_p, &self.cfg, outcomes, metrics),
         }
     }

@@ -29,9 +29,8 @@ use crate::fabric::SweepPoint;
 use crate::grid::{self, Grid, GridOutcome};
 use crate::report::Table;
 use crate::trials::TrialOutcome;
-use crate::workloads::{find_row, workloads, Sizes, Workload, WorkloadSlot};
+use crate::workloads::{workloads, Sizes, Workload, WorkloadSlot};
 use local_algorithms::RecoveryPolicy;
-use local_graphs::GraphError;
 use local_model::FaultPlan;
 use local_obs::{MetricsRegistry, Trace, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -168,12 +167,9 @@ pub type Outcome14 = GridOutcome<Row>;
 impl Outcome14 {
     /// The row of one grid point, if measured.
     pub fn get(&self, workload: &str, objective: Objective) -> Option<&Row> {
-        find_row(
-            &self.rows,
-            workload,
-            |r| r.workload,
-            |r| r.objective == objective.name(),
-        )
+        self.rows
+            .iter()
+            .find(|r| r.workload == workload && r.objective == objective.name())
     }
 }
 
@@ -348,31 +344,6 @@ fn fold_row(
     }
 }
 
-/// A grid point whose workload failed to construct.
-fn error_row(workload: &'static str, objective: Objective, err: &GraphError) -> Row {
-    Row {
-        workload,
-        objective: objective.name().to_string(),
-        restarts: 0,
-        panicked: 0,
-        panic_messages: Vec::new(),
-        error: Some(err.to_string()),
-        best_restart: 0,
-        best_search_seed: 0,
-        best_objective: 0,
-        radius: 0,
-        degraded: false,
-        breaches: 0,
-        violations: 0,
-        crashed: 0,
-        cut: 0,
-        accepted: 0,
-        evaluations: 0,
-        plan_json: String::new(),
-        report_json: "null".to_string(),
-    }
-}
-
 /// The sweep's grid (see [`crate::grid`]): one point per workload ×
 /// objective cell, with zero-trial points for failed workload slots. A
 /// trial is one search restart.
@@ -443,7 +414,11 @@ impl Grid for Grid14 {
         metrics: &mut MetricsRegistry,
     ) -> Row {
         match self.coords(point) {
-            (Err((name, err)), objective) => error_row(name, objective, err),
+            (Err((name, err)), objective) => Row {
+                restarts: 0,
+                error: Some(err.to_string()),
+                ..fold_row(name, objective, &self.cfg, outcomes, metrics)
+            },
             (Ok(w), objective) => fold_row(w.name(), objective, &self.cfg, outcomes, metrics),
         }
     }

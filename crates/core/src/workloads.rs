@@ -29,9 +29,15 @@
 //!   recovery driver ([`recover`]) with the entry's finisher; E13's
 //!   trial.
 //! * [`Workload::assess`] — run at a *fixed* evaluation seed and attempt
-//!   recovery via [`recover`], folding its
-//!   [`DegradedRun`](local_algorithms::DegradedRun) census into the
+//!   recovery via [`recover`], folding its [`DegradedRun`] census into the
 //!   adversary objective [`Evaluation`]; E14's plan evaluator.
+//!
+//! All six entries share **one** `Workload` implementation, generic over a
+//! private per-family description (`Family`): its `Problem` and `Finisher`
+//! types, a `run` returning the base run's census and the partial labeling,
+//! and the few per-family differences (the graph the labeling covers,
+//! `tree-coloring`'s tighter measured palette). Dispatch inside an entry is
+//! static; only the catalog slot is boxed.
 //!
 //! Determinism contract: all graphs draw from one [`StdRng`] stream seeded
 //! by `graph_seed`, legacy entries first — a config that only *appends*
@@ -44,20 +50,20 @@ use local_algorithms::color::rand_greedy::RandGreedy;
 use local_algorithms::mis::luby::Luby;
 use local_algorithms::mis::DilatedLuby;
 use local_algorithms::orientation::sinkless::SinklessRepair;
-use local_algorithms::tree::theorem10::{theorem10_phase1, Theorem10Config};
+use local_algorithms::tree::theorem10::{main_palette, theorem10_phase1, Theorem10Config};
 use local_algorithms::{
-    recover, run_sync, DefectiveGreedyFinisher, EdgeGreedyFinisher, Finisher,
-    GreedyColoringFinisher, LubyRestartFinisher, RecoveryPolicy, RulingSetFinisher,
+    recover, run_sync, DefectiveGreedyFinisher, DegradedRun, EdgeGreedyFinisher, Finisher,
+    GreedyColoringFinisher, LubyRestartFinisher, Recovery, RecoveryPolicy, RulingSetFinisher,
     SinklessFinisher, SyncAlgorithm, SyncRun,
 };
 use local_graphs::analysis::line_graph;
 use local_graphs::{gen, Graph, GraphError};
 use local_lcl::problems::{
-    DefectiveColoring, EdgeKColoring, Mis, Orientation, PortColors, RulingSet, SinklessOrientation,
+    DefectiveColoring, EdgeKColoring, Mis, PortColors, RulingSet, SinklessOrientation,
     VertexColoring,
 };
-use local_lcl::{check_partial, LclProblem, PartialValidity};
-use local_model::{derived_u64, Budget, ExecSpec, FaultPlan, Mode, Outcome};
+use local_lcl::{check_partial, LclProblem};
+use local_model::{derived_u64, Budget, ExecSpec, FaultPlan, Mode};
 use local_obs::{MetricSet, MetricsRegistry, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,6 +75,8 @@ const TREE_DELTA: usize = 16;
 const SINKLESS_DELTA: usize = 3;
 /// Phases of the sinkless repair protocol.
 const SINKLESS_PHASES: u32 = 20;
+/// Round budget (and crash window) of the sinkless repair runs.
+const SINKLESS_BUDGET: u32 = 2 * SINKLESS_PHASES + 6;
 /// Degree of the MIS workload.
 const MIS_DELTA: usize = 4;
 /// Round budget of the MIS sweep runs (E12/E13).
@@ -93,11 +101,11 @@ const RULING_K: u32 = 2;
 const DEFECTIVE_COLORS: usize = 2;
 /// Tolerated monochromatic degree of the defective-coloring workload.
 const DEFECTIVE_DEFECT: usize = 1;
-/// Stream tag separating [`Workload::heal`]'s restart-finisher seed from
-/// every other consumer of the trial seed (E13's historical tag).
+/// Stream tag separating [`Workload::heal`]'s finisher seed from every
+/// other consumer of the trial seed (E13's historical tag).
 const HEAL_FINISHER_STREAM: u64 = 0xE13;
-/// Stream tag separating [`Workload::assess`]'s restart-finisher seed from
-/// every other consumer of the evaluation seed (E14's historical tag).
+/// Stream tag separating [`Workload::assess`]'s finisher seed from every
+/// other consumer of the evaluation seed (E14's historical tag).
 const ASSESS_FINISHER_STREAM: u64 = 0xE14;
 
 /// Catalog names, in catalog order (legacy entries first).
@@ -114,18 +122,6 @@ pub const NAMES: [&str; 6] = [
 /// entry; `None` for names outside the catalog.
 pub fn static_name(name: &str) -> Option<&'static str> {
     NAMES.iter().copied().find(|n| *n == name)
-}
-
-/// Shared row lookup behind `Outcome12/13/14::get`: the first row whose
-/// workload name equals `workload` and whose experiment-specific key
-/// matches.
-pub fn find_row<'a, R>(
-    rows: &'a [R],
-    workload: &str,
-    name_of: impl Fn(&R) -> &str,
-    key: impl Fn(&R) -> bool,
-) -> Option<&'a R> {
-    rows.iter().find(|r| name_of(r) == workload && key(r))
 }
 
 /// Graph sizes of the catalog's generators. The three new families reuse
@@ -178,8 +174,9 @@ pub struct MeasureRecord {
 pub struct HealRecord {
     /// Whether recovery produced a complete valid labeling.
     pub recovered: bool,
-    /// Boundary-radius escalations the recovery needed (0 = the faulty run
-    /// already validated).
+    /// Boundary-radius escalations the recovery made (0 = the faulty run
+    /// already validated; a defeated recovery counts every attempt it made
+    /// before giving up).
     pub attempts: u32,
     /// Damaged-core size.
     pub core: usize,
@@ -256,191 +253,160 @@ pub trait Workload: Send + Sync {
 /// error that kept it from building (the sweeps render those as error rows).
 pub type WorkloadSlot = Result<Box<dyn Workload>, (&'static str, GraphError)>;
 
-/// Run `algo` on `g` under the fault plan, with the standard sweep
-/// plumbing (budget, optional trace, optional meter).
-fn faulty_run<A: SyncAlgorithm>(
-    g: &Graph,
-    algo: &A,
-    budget: u32,
-    seed: u64,
-    plan: &FaultPlan,
-    trace: Option<&Trace>,
-    set: Option<&MetricSet>,
-) -> SyncRun<A::Output> {
-    run_sync(
-        g,
-        Mode::randomized(seed),
-        algo,
-        &ExecSpec::default()
-            .with_budget(Budget::rounds(budget))
-            .with_faults(plan)
-            .traced(trace)
-            .metered(set),
-    )
+/// Which trial semantics a [`Family::run`] serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Purpose {
+    /// [`Workload::measure`].
+    Measure,
+    /// [`Workload::heal`].
+    Heal,
+    /// [`Workload::assess`].
+    Assess,
 }
 
-/// Partial labels of the vertices that decided.
-fn decided_labels<O: Clone>(run: &SyncRun<O>) -> Vec<Option<O>> {
-    run.outcomes.iter().map(|o| o.output().cloned()).collect()
+/// The per-vertex fates of one base run.
+struct Census {
+    /// Vertices that decided an output.
+    halted: usize,
+    /// Vertices silenced by the crash schedule.
+    crashed: usize,
+    /// Vertices still undecided when the budget ran out.
+    cut: usize,
+    /// Largest decided round.
+    max_round: u32,
 }
 
-/// Fold a run and its partial-validity verdict into a [`MeasureRecord`].
-fn measure_record<O>(run: &SyncRun<O>, pv: &PartialValidity, set: &MetricSet) -> MeasureRecord {
-    let (halted, crashed, cut) = run.counts();
-    let mut metrics = MetricsRegistry::new();
-    metrics.absorb(set);
-    MeasureRecord {
-        halted,
-        crashed,
-        cut,
-        checked: pv.checked,
-        valid: pv.valid,
-        skipped: pv.skipped,
-        max_round: run.max_decided_round(),
-        metrics,
-    }
-}
-
-/// Run recovery on one faulty base run and fold the result into a
-/// [`HealRecord`]. The caller owns the trial's [`MetricSet`] and absorbs it
-/// into the record afterwards — this only feeds the recovery counters.
-#[allow(clippy::too_many_arguments)]
-fn heal_record<P, F, O>(
-    g: &Graph,
-    run: &SyncRun<O>,
-    partial: &[Option<P::Label>],
-    problem: &P,
-    finisher: &F,
-    policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
-    metrics: Option<&MetricSet>,
-) -> HealRecord
-where
-    P: LclProblem,
-    F: Finisher<P>,
-{
-    let (halted, crashed, cut) = run.counts();
-    let base_rounds = run.max_decided_round();
-    match recover(problem, g, partial, finisher, policy, trace, metrics) {
-        Ok(rec) => HealRecord {
-            recovered: true,
-            attempts: rec.attempts,
-            core: rec.core_size,
-            residue: rec.residue_size,
-            base_rounds,
-            extra_rounds: rec.extra_rounds,
+impl Census {
+    fn of<O>(run: &SyncRun<O>) -> Self {
+        let (halted, crashed, cut) = run.counts();
+        Census {
             halted,
             crashed,
             cut,
-            failure: None,
-            metrics: MetricsRegistry::new(),
-        },
-        Err(report) => HealRecord {
-            recovered: false,
-            attempts: policy.max_radius,
-            core: 0,
-            residue: 0,
-            base_rounds,
-            extra_rounds: 0,
-            halted,
-            crashed,
-            cut,
-            failure: Some(report.error.to_string()),
-            metrics: MetricsRegistry::new(),
-        },
-    }
-}
-
-/// Score one plan's base run + recovery attempt: the common tail of every
-/// [`Workload::assess`]. Returns the [`Evaluation`] the adversary
-/// objectives fold and the degradation report JSON (`"null"` when recovery
-/// succeeded).
-fn assess_record<P, F, O>(
-    g: &Graph,
-    run: &SyncRun<O>,
-    partial: &[Option<P::Label>],
-    problem: &P,
-    finisher: &F,
-    policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
-) -> (Evaluation, String)
-where
-    P: LclProblem,
-    F: Finisher<P>,
-{
-    let (_, crashed, cut) = run.counts();
-    match recover(problem, g, partial, finisher, policy, trace, None) {
-        Ok(rec) => (
-            Evaluation {
-                radius: rec.radius,
-                degraded: false,
-                breaches: 0,
-                violations: 0,
-                crashed: crashed as u64,
-                cut: cut as u64,
-            },
-            "null".to_string(),
-        ),
-        Err(report) => {
-            let breaches = report.trail.iter().filter(|a| a.breach.is_some()).count();
-            let eval = Evaluation {
-                radius: policy.max_radius + 1,
-                degraded: true,
-                breaches: breaches as u64,
-                violations: report.violations as u64,
-                crashed: crashed as u64,
-                cut: cut as u64,
-            };
-            let json = serde_json::to_string(&*report).expect("degraded run serializes");
-            (eval, json)
+            max_round: run.max_decided_round(),
         }
     }
 }
 
-/// `tree-coloring` — Theorem 10's Phase-1 ColorBidding on a Δ = 16 tree.
-struct TreeColoring {
-    graph: Graph,
-    budget: u32,
-}
+/// The label type of a family's problem.
+type Label<F> = <<F as Family>::Problem as LclProblem>::Label;
 
-impl TreeColoring {
-    /// Decided vertices carry `Some(color)` or `None` (filtered bad) —
-    /// both are decisions, but only colors are checkable; flattening folds
-    /// filtered vertices into the damaged core, so recovery colors them
-    /// too (the finisher plays Theorem 10's deterministic Phase 2, bounded
-    /// to the residue instead of centralized).
-    fn labels(out: &SyncRun<Option<usize>>) -> Vec<Option<usize>> {
-        out.outcomes
-            .iter()
-            .map(|o| match o {
-                Outcome::Halted { output, .. } => *output,
-                _ => None,
-            })
-            .collect()
+/// What sets one catalog family apart: its protocol run, its LCL, and its
+/// finisher. Everything the families share — scoring, healing and
+/// assessing the partial labeling — is the one [`Workload`] impl over
+/// [`Entry`].
+trait Family: Send + Sync {
+    /// The LCL the partial labeling is checked and recovered against.
+    type Problem: LclProblem;
+    /// The recovery finisher.
+    type Finisher: Finisher<Self::Problem>;
+
+    /// Run the protocol on `g` at `seed` under `spec` (fault plan, trace,
+    /// meter): the run's census plus the partial labeling of
+    /// [`Family::base`].
+    fn run(
+        &self,
+        g: &Graph,
+        seed: u64,
+        spec: ExecSpec<'_>,
+        purpose: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>);
+
+    /// The graph the partial labeling covers, given the graph the protocol
+    /// ran on.
+    fn base<'g>(&'g self, g: &'g Graph) -> &'g Graph {
+        g
     }
 
-    /// Phase-1 ColorBidding under `plan` (Theorem 10's randomized half).
-    fn bid(
+    /// The problem [`Workload::heal`] and [`Workload::assess`] recover.
+    fn problem(&self) -> Self::Problem;
+
+    /// The problem [`Workload::measure`] scores the partial labeling by.
+    fn measured_problem(&self) -> Self::Problem {
+        self.problem()
+    }
+
+    /// The finisher, at a seed already separated from the base run's.
+    fn finisher(&self, seed: u64) -> Self::Finisher;
+}
+
+/// Run `algo` on `g` at `seed` for at most `budget` rounds under `spec`:
+/// the census plus every decided vertex's output.
+fn run_decided<A: SyncAlgorithm>(
+    g: &Graph,
+    algo: &A,
+    budget: u32,
+    seed: u64,
+    spec: ExecSpec<'_>,
+) -> (Census, Vec<Option<A::Output>>) {
+    let run = run_sync(
+        g,
+        Mode::randomized(seed),
+        algo,
+        &spec.with_budget(Budget::rounds(budget)),
+    );
+    let labels = run.outcomes.iter().map(|o| o.output().cloned()).collect();
+    (Census::of(&run), labels)
+}
+
+/// A catalog entry: the graph plans target, its fault-plane windows, and
+/// the family that runs, checks and heals on it.
+struct Entry<F> {
+    name: &'static str,
+    graph: Graph,
+    crash_window: u32,
+    adversary_crash_window: u32,
+    family: F,
+}
+
+impl<F: Family> Entry<F> {
+    /// Run the family's protocol under `plan`, traced and metered as given.
+    fn run(
         &self,
         seed: u64,
         plan: &FaultPlan,
         trace: Option<&Trace>,
         set: Option<&MetricSet>,
-    ) -> SyncRun<Option<usize>> {
+        purpose: Purpose,
+    ) -> (Census, Vec<Option<Label<F>>>) {
         let spec = ExecSpec::new().with_faults(plan).traced(trace).metered(set);
-        theorem10_phase1(
-            &self.graph,
-            TREE_DELTA,
-            seed,
-            Theorem10Config::default(),
-            &spec,
-        )
+        self.family.run(&self.graph, seed, spec, purpose)
+    }
+
+    /// [`Entry::run`], then hand the partial labeling to [`recover`] with
+    /// the family's finisher, seeded on the purpose's own stream.
+    fn run_and_recover(
+        &self,
+        seed: u64,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+        trace: Option<&Trace>,
+        set: Option<&MetricSet>,
+        purpose: Purpose,
+    ) -> (Census, Result<Recovery<Label<F>>, Box<DegradedRun>>) {
+        let (census, labels) = self.run(seed, plan, trace, set, purpose);
+        let stream = match purpose {
+            Purpose::Assess => ASSESS_FINISHER_STREAM,
+            Purpose::Measure | Purpose::Heal => HEAL_FINISHER_STREAM,
+        };
+        let finisher = self.family.finisher(derived_u64(seed, stream));
+        let base = self.family.base(&self.graph);
+        let healed = recover(
+            &self.family.problem(),
+            base,
+            &labels,
+            &finisher,
+            policy,
+            trace,
+            set,
+        );
+        (census, healed)
     }
 }
 
-impl Workload for TreeColoring {
+impl<F: Family> Workload for Entry<F> {
     fn name(&self) -> &'static str {
-        NAMES[0]
+        self.name
     }
 
     fn graph(&self) -> &Graph {
@@ -448,22 +414,30 @@ impl Workload for TreeColoring {
     }
 
     fn crash_window(&self) -> u32 {
-        self.budget
+        self.crash_window
+    }
+
+    fn adversary_crash_window(&self) -> u32 {
+        self.adversary_crash_window
     }
 
     fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
         let set = MetricSet::new();
-        let out = self.bid(seed, plan, trace, Some(&set));
-        let labels = Self::labels(&out);
-        // Phase 1 promises Δ − ⌈√Δ⌉ colors; the reserved tail belongs to
-        // Phase 2, so the partial check scores against the tighter palette.
-        let reserved = (TREE_DELTA as f64).sqrt().ceil() as usize;
-        let pv = check_partial(
-            &VertexColoring::new(TREE_DELTA - reserved),
-            &self.graph,
-            &labels,
-        );
-        measure_record(&out, &pv, &set)
+        let (census, labels) = self.run(seed, plan, trace, Some(&set), Purpose::Measure);
+        let base = self.family.base(&self.graph);
+        let pv = check_partial(&self.family.measured_problem(), base, &labels);
+        let mut metrics = MetricsRegistry::new();
+        metrics.absorb(&set);
+        MeasureRecord {
+            halted: census.halted,
+            crashed: census.crashed,
+            cut: census.cut,
+            checked: pv.checked,
+            valid: pv.valid,
+            skipped: pv.skipped,
+            max_round: census.max_round,
+            metrics,
+        }
     }
 
     fn heal(
@@ -474,22 +448,41 @@ impl Workload for TreeColoring {
         trace: Option<&Trace>,
     ) -> HealRecord {
         let set = MetricSet::new();
-        let out = self.bid(seed, plan, trace, Some(&set));
-        let labels = Self::labels(&out);
-        let mut r = heal_record(
-            &self.graph,
-            &out,
-            &labels,
-            &VertexColoring::new(TREE_DELTA),
-            &GreedyColoringFinisher {
-                palette: TREE_DELTA,
-            },
-            policy,
-            trace,
-            Some(&set),
-        );
-        r.metrics.absorb(&set);
-        r
+        let (census, healed) =
+            self.run_and_recover(seed, plan, policy, trace, Some(&set), Purpose::Heal);
+        let (recovered, attempts, core, residue, extra_rounds, failure) = match healed {
+            Ok(rec) => (
+                true,
+                rec.attempts,
+                rec.core_size,
+                rec.residue_size,
+                rec.extra_rounds,
+                None,
+            ),
+            Err(report) => (
+                false,
+                report.trail.len() as u32,
+                0,
+                0,
+                0,
+                Some(report.error.to_string()),
+            ),
+        };
+        let mut metrics = MetricsRegistry::new();
+        metrics.absorb(&set);
+        HealRecord {
+            recovered,
+            attempts,
+            core,
+            residue,
+            base_rounds: census.max_round,
+            extra_rounds,
+            halted: census.halted,
+            crashed: census.crashed,
+            cut: census.cut,
+            failure,
+            metrics,
+        }
     }
 
     fn assess(
@@ -499,233 +492,139 @@ impl Workload for TreeColoring {
         policy: &RecoveryPolicy,
         trace: Option<&Trace>,
     ) -> (Evaluation, String) {
-        let out = self.bid(seed, plan, trace, None);
-        let labels = Self::labels(&out);
-        assess_record(
-            &self.graph,
-            &out,
-            &labels,
-            &VertexColoring::new(TREE_DELTA),
-            &GreedyColoringFinisher {
-                palette: TREE_DELTA,
-            },
-            policy,
-            trace,
-        )
+        let (census, healed) =
+            self.run_and_recover(seed, plan, policy, trace, None, Purpose::Assess);
+        let (crashed, cut) = (census.crashed as u64, census.cut as u64);
+        match healed {
+            Ok(rec) => (
+                Evaluation {
+                    radius: rec.radius,
+                    degraded: false,
+                    breaches: 0,
+                    violations: 0,
+                    crashed,
+                    cut,
+                },
+                "null".to_string(),
+            ),
+            Err(report) => {
+                let breaches = report.trail.iter().filter(|a| a.breach.is_some()).count();
+                let eval = Evaluation {
+                    radius: policy.max_radius + 1,
+                    degraded: true,
+                    breaches: breaches as u64,
+                    violations: report.violations as u64,
+                    crashed,
+                    cut,
+                };
+                let json = serde_json::to_string(&*report).expect("degraded run serializes");
+                (eval, json)
+            }
+        }
+    }
+}
+
+/// `tree-coloring` — Theorem 10's Phase-1 ColorBidding on a Δ = 16 tree.
+struct TreeColoring;
+
+impl Family for TreeColoring {
+    type Problem = VertexColoring;
+    type Finisher = GreedyColoringFinisher;
+
+    /// Decided vertices carry `Some(color)` or `None` (filtered bad) —
+    /// both are decisions, but only colors are checkable; flattening folds
+    /// filtered vertices into the damaged core, so recovery colors them
+    /// too (the finisher plays Theorem 10's deterministic Phase 2, bounded
+    /// to the residue instead of centralized).
+    fn run(
+        &self,
+        g: &Graph,
+        seed: u64,
+        spec: ExecSpec<'_>,
+        _: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>) {
+        let run = theorem10_phase1(g, TREE_DELTA, seed, Theorem10Config::default(), &spec);
+        let labels = run
+            .outcomes
+            .iter()
+            .map(|o| o.output().copied().flatten())
+            .collect();
+        (Census::of(&run), labels)
+    }
+
+    fn problem(&self) -> VertexColoring {
+        VertexColoring::new(TREE_DELTA)
+    }
+
+    /// Phase 1 promises only its main palette; the reserved tail belongs
+    /// to Phase 2, so the partial check scores against the tighter palette.
+    fn measured_problem(&self) -> VertexColoring {
+        VertexColoring::new(main_palette(TREE_DELTA))
+    }
+
+    fn finisher(&self, _: u64) -> GreedyColoringFinisher {
+        GreedyColoringFinisher {
+            palette: TREE_DELTA,
+        }
     }
 }
 
 /// `sinkless` — the sinkless-orientation repair protocol on a cubic graph.
-struct Sinkless {
-    graph: Graph,
-}
+struct Sinkless;
 
-impl Sinkless {
-    fn algo() -> SinklessRepair {
-        SinklessRepair {
+impl Family for Sinkless {
+    type Problem = SinklessOrientation;
+    type Finisher = SinklessFinisher;
+
+    fn run(
+        &self,
+        g: &Graph,
+        seed: u64,
+        spec: ExecSpec<'_>,
+        _: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>) {
+        let algo = SinklessRepair {
             phases: SINKLESS_PHASES,
-        }
+        };
+        run_decided(g, &algo, SINKLESS_BUDGET, seed, spec)
     }
 
-    fn budget() -> u32 {
-        2 * SINKLESS_PHASES + 6
-    }
-}
-
-impl Workload for Sinkless {
-    fn name(&self) -> &'static str {
-        NAMES[1]
+    fn problem(&self) -> SinklessOrientation {
+        SinklessOrientation::new(SINKLESS_DELTA)
     }
 
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn crash_window(&self) -> u32 {
-        Self::budget()
-    }
-
-    fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &Self::algo(),
-            Self::budget(),
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<Orientation>> = decided_labels(&out);
-        let pv = check_partial(
-            &SinklessOrientation::new(SINKLESS_DELTA),
-            &self.graph,
-            &labels,
-        );
-        measure_record(&out, &pv, &set)
-    }
-
-    fn heal(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> HealRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &Self::algo(),
-            Self::budget(),
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<Orientation>> = decided_labels(&out);
-        let mut r = heal_record(
-            &self.graph,
-            &out,
-            &labels,
-            &SinklessOrientation::new(SINKLESS_DELTA),
-            &SinklessFinisher,
-            policy,
-            trace,
-            Some(&set),
-        );
-        r.metrics.absorb(&set);
-        r
-    }
-
-    fn assess(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> (Evaluation, String) {
-        let out = faulty_run(
-            &self.graph,
-            &Self::algo(),
-            Self::budget(),
-            seed,
-            plan,
-            trace,
-            None,
-        );
-        let labels: Vec<Option<Orientation>> = decided_labels(&out);
-        assess_record(
-            &self.graph,
-            &out,
-            &labels,
-            &SinklessOrientation::new(SINKLESS_DELTA),
-            &SinklessFinisher,
-            policy,
-            trace,
-        )
+    fn finisher(&self, _: u64) -> SinklessFinisher {
+        SinklessFinisher
     }
 }
 
 /// `mis` — Luby's randomized MIS on a quartic graph.
-struct MisLuby {
-    graph: Graph,
-}
+struct MisLuby;
 
-impl Workload for MisLuby {
-    fn name(&self) -> &'static str {
-        NAMES[2]
-    }
+impl Family for MisLuby {
+    type Problem = Mis;
+    type Finisher = LubyRestartFinisher;
 
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn crash_window(&self) -> u32 {
-        MIS_SWEEP_BUDGET
-    }
-
-    fn adversary_crash_window(&self) -> u32 {
-        MIS_ADVERSARY_CRASH_WINDOW
-    }
-
-    fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &Luby::new(),
-            MIS_SWEEP_BUDGET,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<bool>> = decided_labels(&out);
-        let pv = check_partial(&Mis::new(), &self.graph, &labels);
-        measure_record(&out, &pv, &set)
-    }
-
-    fn heal(
+    fn run(
         &self,
+        g: &Graph,
         seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> HealRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &Luby::new(),
-            MIS_SWEEP_BUDGET,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<bool>> = decided_labels(&out);
-        let mut r = heal_record(
-            &self.graph,
-            &out,
-            &labels,
-            &Mis::new(),
-            &LubyRestartFinisher {
-                seed: derived_u64(seed, HEAL_FINISHER_STREAM),
-            },
-            policy,
-            trace,
-            Some(&set),
-        );
-        r.metrics.absorb(&set);
-        r
+        spec: ExecSpec<'_>,
+        purpose: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>) {
+        let budget = match purpose {
+            Purpose::Assess => MIS_ASSESS_BUDGET,
+            Purpose::Measure | Purpose::Heal => MIS_SWEEP_BUDGET,
+        };
+        run_decided(g, &Luby::new(), budget, seed, spec)
     }
 
-    fn assess(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> (Evaluation, String) {
-        let out = faulty_run(
-            &self.graph,
-            &Luby::new(),
-            MIS_ASSESS_BUDGET,
-            seed,
-            plan,
-            trace,
-            None,
-        );
-        let labels: Vec<Option<bool>> = decided_labels(&out);
-        assess_record(
-            &self.graph,
-            &out,
-            &labels,
-            &Mis::new(),
-            &LubyRestartFinisher {
-                seed: derived_u64(seed, ASSESS_FINISHER_STREAM),
-            },
-            policy,
-            trace,
-        )
+    fn problem(&self) -> Mis {
+        Mis::new()
+    }
+
+    fn finisher(&self, seed: u64) -> LubyRestartFinisher {
+        LubyRestartFinisher { seed }
     }
 }
 
@@ -735,16 +634,24 @@ impl Workload for MisLuby {
 /// surviving edge colors translate back to per-port labels of the base.
 struct EdgeColoring {
     base: Graph,
-    line: Graph,
 }
 
-impl EdgeColoring {
-    /// Translate decided line-graph colors to the base graph's per-vertex
-    /// port labels: a base vertex is labeled iff *all* its incident edges
-    /// decided.
-    fn port_labels(&self, out: &SyncRun<usize>) -> Vec<Option<PortColors>> {
-        let colors = decided_labels(out);
-        self.base
+impl Family for EdgeColoring {
+    type Problem = EdgeKColoring;
+    type Finisher = EdgeGreedyFinisher;
+
+    /// A base vertex is labeled iff *all* its incident edges decided.
+    fn run(
+        &self,
+        line: &Graph,
+        seed: u64,
+        spec: ExecSpec<'_>,
+        _: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>) {
+        let algo = RandGreedy::new(EDGE_PALETTE);
+        let (census, colors) = run_decided(line, &algo, EDGE_BUDGET, seed, spec);
+        let ports = self
+            .base
             .vertices()
             .map(|v| {
                 self.base
@@ -754,116 +661,32 @@ impl EdgeColoring {
                     .collect::<Option<Vec<usize>>>()
                     .map(PortColors)
             })
-            .collect()
-    }
-}
-
-impl Workload for EdgeColoring {
-    fn name(&self) -> &'static str {
-        NAMES[3]
+            .collect();
+        (census, ports)
     }
 
-    fn graph(&self) -> &Graph {
-        &self.line
+    fn base<'g>(&'g self, _line: &'g Graph) -> &'g Graph {
+        &self.base
     }
 
-    fn crash_window(&self) -> u32 {
-        EDGE_BUDGET
+    fn problem(&self) -> EdgeKColoring {
+        EdgeKColoring::new(EDGE_PALETTE)
     }
 
-    fn adversary_crash_window(&self) -> u32 {
-        EDGE_ADVERSARY_CRASH_WINDOW
-    }
-
-    fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.line,
-            &RandGreedy::new(EDGE_PALETTE),
-            EDGE_BUDGET,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels = self.port_labels(&out);
-        let pv = check_partial(&EdgeKColoring::new(EDGE_PALETTE), &self.base, &labels);
-        measure_record(&out, &pv, &set)
-    }
-
-    fn heal(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> HealRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.line,
-            &RandGreedy::new(EDGE_PALETTE),
-            EDGE_BUDGET,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels = self.port_labels(&out);
-        let mut r = heal_record(
-            &self.base,
-            &out,
-            &labels,
-            &EdgeKColoring::new(EDGE_PALETTE),
-            &EdgeGreedyFinisher {
-                palette: EDGE_PALETTE,
-            },
-            policy,
-            trace,
-            Some(&set),
-        );
-        r.metrics.absorb(&set);
-        r
-    }
-
-    fn assess(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> (Evaluation, String) {
-        let out = faulty_run(
-            &self.line,
-            &RandGreedy::new(EDGE_PALETTE),
-            EDGE_BUDGET,
-            seed,
-            plan,
-            trace,
-            None,
-        );
-        let labels = self.port_labels(&out);
-        assess_record(
-            &self.base,
-            &out,
-            &labels,
-            &EdgeKColoring::new(EDGE_PALETTE),
-            &EdgeGreedyFinisher {
-                palette: EDGE_PALETTE,
-            },
-            policy,
-            trace,
-        )
+    fn finisher(&self, _: u64) -> EdgeGreedyFinisher {
+        EdgeGreedyFinisher {
+            palette: EDGE_PALETTE,
+        }
     }
 }
 
 /// `ruling-set` — the dilated lottery computing a `(2, k)`-ruling set of a
 /// cubic graph, checked by the radius-`k` partial verifier.
-struct RulingSetWorkload {
-    graph: Graph,
+struct Ruling {
     horizon: u32,
 }
 
-impl RulingSetWorkload {
+impl Ruling {
     /// Settle horizon: members are pairwise at distance > k, so radius-1
     /// member balls are disjoint and a cubic graph holds at most `n / 4`
     /// of them; one phase per member plus a final coverage phase.
@@ -872,104 +695,35 @@ impl RulingSetWorkload {
     }
 }
 
-impl Workload for RulingSetWorkload {
-    fn name(&self) -> &'static str {
-        NAMES[4]
-    }
+impl Family for Ruling {
+    type Problem = RulingSet;
+    type Finisher = RulingSetFinisher;
 
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn crash_window(&self) -> u32 {
-        self.horizon
-    }
-
-    fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &DilatedLuby::new(RULING_K, self.horizon),
-            self.horizon + 4,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<bool>> = decided_labels(&out);
-        let pv = check_partial(&RulingSet::new(RULING_K as usize), &self.graph, &labels);
-        measure_record(&out, &pv, &set)
-    }
-
-    fn heal(
+    fn run(
         &self,
+        g: &Graph,
         seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> HealRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &DilatedLuby::new(RULING_K, self.horizon),
-            self.horizon + 4,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<bool>> = decided_labels(&out);
-        let mut r = heal_record(
-            &self.graph,
-            &out,
-            &labels,
-            &RulingSet::new(RULING_K as usize),
-            &RulingSetFinisher {
-                k: RULING_K as usize,
-            },
-            policy,
-            trace,
-            Some(&set),
-        );
-        r.metrics.absorb(&set);
-        r
+        spec: ExecSpec<'_>,
+        _: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>) {
+        let algo = DilatedLuby::new(RULING_K, self.horizon);
+        run_decided(g, &algo, self.horizon + 4, seed, spec)
     }
 
-    fn assess(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> (Evaluation, String) {
-        let out = faulty_run(
-            &self.graph,
-            &DilatedLuby::new(RULING_K, self.horizon),
-            self.horizon + 4,
-            seed,
-            plan,
-            trace,
-            None,
-        );
-        let labels: Vec<Option<bool>> = decided_labels(&out);
-        assess_record(
-            &self.graph,
-            &out,
-            &labels,
-            &RulingSet::new(RULING_K as usize),
-            &RulingSetFinisher {
-                k: RULING_K as usize,
-            },
-            policy,
-            trace,
-        )
+    fn problem(&self) -> RulingSet {
+        RulingSet::new(RULING_K as usize)
+    }
+
+    fn finisher(&self, _: u64) -> RulingSetFinisher {
+        RulingSetFinisher {
+            k: RULING_K as usize,
+        }
     }
 }
 
 /// `defective-coloring` — bid-arbitrated local search for a 1-defective
 /// 2-coloring of a cubic graph.
 struct Defective {
-    graph: Graph,
     horizon: u32,
 }
 
@@ -979,110 +733,50 @@ impl Defective {
     fn horizon(m: usize) -> u32 {
         2 * m as u32 + 3
     }
+}
 
-    fn algo(&self) -> DefectiveLocalSearch {
-        DefectiveLocalSearch::new(DEFECTIVE_COLORS, DEFECTIVE_DEFECT, self.horizon)
+impl Family for Defective {
+    type Problem = DefectiveColoring;
+    type Finisher = DefectiveGreedyFinisher;
+
+    fn run(
+        &self,
+        g: &Graph,
+        seed: u64,
+        spec: ExecSpec<'_>,
+        _: Purpose,
+    ) -> (Census, Vec<Option<Label<Self>>>) {
+        let algo = DefectiveLocalSearch::new(DEFECTIVE_COLORS, DEFECTIVE_DEFECT, self.horizon);
+        run_decided(g, &algo, self.horizon + 4, seed, spec)
+    }
+
+    fn problem(&self) -> DefectiveColoring {
+        DefectiveColoring::new(DEFECTIVE_COLORS, DEFECTIVE_DEFECT)
+    }
+
+    fn finisher(&self, _: u64) -> DefectiveGreedyFinisher {
+        DefectiveGreedyFinisher {
+            colors: DEFECTIVE_COLORS,
+            defect: DEFECTIVE_DEFECT,
+        }
     }
 }
 
-impl Workload for Defective {
-    fn name(&self) -> &'static str {
-        NAMES[5]
-    }
-
-    fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    fn crash_window(&self) -> u32 {
-        self.horizon
-    }
-
-    fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &self.algo(),
-            self.horizon + 4,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<usize>> = decided_labels(&out);
-        let pv = check_partial(
-            &DefectiveColoring::new(DEFECTIVE_COLORS, DEFECTIVE_DEFECT),
-            &self.graph,
-            &labels,
-        );
-        measure_record(&out, &pv, &set)
-    }
-
-    fn heal(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> HealRecord {
-        let set = MetricSet::new();
-        let out = faulty_run(
-            &self.graph,
-            &self.algo(),
-            self.horizon + 4,
-            seed,
-            plan,
-            trace,
-            Some(&set),
-        );
-        let labels: Vec<Option<usize>> = decided_labels(&out);
-        let mut r = heal_record(
-            &self.graph,
-            &out,
-            &labels,
-            &DefectiveColoring::new(DEFECTIVE_COLORS, DEFECTIVE_DEFECT),
-            &DefectiveGreedyFinisher {
-                colors: DEFECTIVE_COLORS,
-                defect: DEFECTIVE_DEFECT,
-            },
-            policy,
-            trace,
-            Some(&set),
-        );
-        r.metrics.absorb(&set);
-        r
-    }
-
-    fn assess(
-        &self,
-        seed: u64,
-        plan: &FaultPlan,
-        policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-    ) -> (Evaluation, String) {
-        let out = faulty_run(
-            &self.graph,
-            &self.algo(),
-            self.horizon + 4,
-            seed,
-            plan,
-            trace,
-            None,
-        );
-        let labels: Vec<Option<usize>> = decided_labels(&out);
-        assess_record(
-            &self.graph,
-            &out,
-            &labels,
-            &DefectiveColoring::new(DEFECTIVE_COLORS, DEFECTIVE_DEFECT),
-            &DefectiveGreedyFinisher {
-                colors: DEFECTIVE_COLORS,
-                defect: DEFECTIVE_DEFECT,
-            },
-            policy,
-            trace,
-        )
-    }
+/// Box one catalog entry.
+fn entry<F: Family + 'static>(
+    name: &'static str,
+    graph: Graph,
+    crash_window: u32,
+    adversary_crash_window: u32,
+    family: F,
+) -> Box<dyn Workload> {
+    Box::new(Entry {
+        name,
+        graph,
+        crash_window,
+        adversary_crash_window,
+        family,
+    })
 }
 
 /// Build the full catalog, in [`NAMES`] order. A failing graph generator
@@ -1101,29 +795,34 @@ pub fn workloads(sizes: &Sizes, graph_seed: u64) -> Vec<WorkloadSlot> {
     let ruling = gen::random_regular(sizes.mis_n, SINKLESS_DELTA, &mut rng);
     let defective = gen::random_regular(sizes.mis_n, SINKLESS_DELTA, &mut rng);
 
-    let tree_budget = 2 * Theorem10Config::default().schedule(TREE_DELTA).len() as u32 + 4;
+    let tree_budget = Theorem10Config::default().phase1_budget(TREE_DELTA);
     vec![
-        Ok(Box::new(TreeColoring {
-            graph: tree,
-            budget: tree_budget,
-        }) as Box<dyn Workload>),
+        Ok(entry(
+            NAMES[0],
+            tree,
+            tree_budget,
+            tree_budget,
+            TreeColoring,
+        )),
         cubic
             .map_err(|e| (NAMES[1], e))
-            .map(|graph| Box::new(Sinkless { graph }) as Box<dyn Workload>),
-        quartic
-            .map_err(|e| (NAMES[2], e))
-            .map(|graph| Box::new(MisLuby { graph }) as Box<dyn Workload>),
+            .map(|g| entry(NAMES[1], g, SINKLESS_BUDGET, SINKLESS_BUDGET, Sinkless)),
+        quartic.map_err(|e| (NAMES[2], e)).map(|g| {
+            let window = MIS_ADVERSARY_CRASH_WINDOW;
+            entry(NAMES[2], g, MIS_SWEEP_BUDGET, window, MisLuby)
+        }),
         edge_base.map_err(|e| (NAMES[3], e)).map(|base| {
             let line = line_graph(&base);
-            Box::new(EdgeColoring { base, line }) as Box<dyn Workload>
+            let window = EDGE_ADVERSARY_CRASH_WINDOW;
+            entry(NAMES[3], line, EDGE_BUDGET, window, EdgeColoring { base })
         }),
-        ruling.map_err(|e| (NAMES[4], e)).map(|graph| {
-            let horizon = RulingSetWorkload::horizon(graph.n());
-            Box::new(RulingSetWorkload { graph, horizon }) as Box<dyn Workload>
+        ruling.map_err(|e| (NAMES[4], e)).map(|g| {
+            let horizon = Ruling::horizon(g.n());
+            entry(NAMES[4], g, horizon, horizon, Ruling { horizon })
         }),
-        defective.map_err(|e| (NAMES[5], e)).map(|graph| {
-            let horizon = Defective::horizon(graph.m());
-            Box::new(Defective { graph, horizon }) as Box<dyn Workload>
+        defective.map_err(|e| (NAMES[5], e)).map(|g| {
+            let horizon = Defective::horizon(g.m());
+            entry(NAMES[5], g, horizon, horizon, Defective { horizon })
         }),
     ]
 }
@@ -1214,5 +913,27 @@ mod tests {
             assert_eq!(r.core, 0, "{}: empty damaged core", w.name());
             assert_eq!(r.extra_rounds, 0, "{}: finisher is a no-op", w.name());
         }
+    }
+
+    #[test]
+    fn defeated_heal_counts_the_attempts_it_made() {
+        use local_model::FaultSpec;
+
+        // A zero-round budget breaches at radius 1, and recovery gives up
+        // there: one attempt, not the policy's whole ladder.
+        let policy = RecoveryPolicy {
+            max_radius: 3,
+            budget: Budget::rounds(0),
+        };
+        let cat = workloads(&sizes(), 0xCAA);
+        let w = cat[2].as_ref().expect("feasible sizes");
+        assert_eq!(w.name(), "mis");
+        // Crashes in round 1 silence vertices before Luby decides them.
+        let spec = FaultSpec::none().with_crash(0.2, 1);
+        let plan = FaultPlan::sample(w.graph(), &spec, 7);
+        assert!(plan.crash_count() > 0, "the plan must damage the run");
+        let r = w.heal(7, &plan, &policy, None);
+        assert!(!r.recovered, "a zero-round budget cannot heal");
+        assert_eq!(r.attempts, 1);
     }
 }
