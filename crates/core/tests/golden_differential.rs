@@ -15,7 +15,8 @@
 use local_algorithms::RecoveryPolicy;
 use local_obs::{MemorySink, TraceSink};
 use local_separation::experiments::{
-    e12_resilience, e13_recovery, e14_adversary, e1_separation, e9_mis,
+    a1_ablation, e12_resilience, e13_recovery, e14_adversary, e1_separation, e2_shattering,
+    e3_theorem11, e9_mis,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -55,6 +56,50 @@ fn e1_rows_match_pre_refactor_fixture() {
     let out = e1_separation::run(&cfg, None);
     let json = serde_json::to_string_pretty(&out.rows).expect("rows serialize");
     assert_golden("e1_rows.json", &json);
+}
+
+/// E2 rows: Theorem 10's Phase-1 shattering stats (bad vertices and the
+/// largest bad component) on complete trees.
+#[test]
+fn e2_rows_match_fixture() {
+    let cfg = e2_shattering::Config {
+        delta: 16,
+        ns: vec![256, 1024],
+        seeds: 2,
+    };
+    let rows = e2_shattering::run(&cfg, None);
+    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
+    assert_golden("e2_rows.json", &json);
+}
+
+/// E3 rows: Theorem 11, the other caller of Theorem 9 on a masked
+/// subgraph. At this size its set `S` comes out empty, so the row pins the
+/// pipeline and Phase 2's bookkeeping round; `tree_be`'s own tests pin
+/// masked runs.
+#[test]
+fn e3_rows_match_fixture() {
+    let cfg = e3_theorem11::Config {
+        delta: 12,
+        ns: vec![512],
+        seeds: 2,
+    };
+    let rows = e3_theorem11::run(&cfg, None);
+    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
+    assert_golden("e3_rows.json", &json);
+}
+
+/// A1 rows: both Theorem-10 phases under each of the nine
+/// (growth constant, palette margin) pairs.
+#[test]
+fn a1_rows_match_fixture() {
+    let cfg = a1_ablation::Config {
+        n: 1024,
+        seeds: 1,
+        ..a1_ablation::Config::quick()
+    };
+    let rows = a1_ablation::run(&cfg, None);
+    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
+    assert_golden("a1_rows.json", &json);
 }
 
 #[test]
