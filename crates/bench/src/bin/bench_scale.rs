@@ -10,10 +10,17 @@
 //! ```text
 //! bench_scale --workload flood --n 1000000 --repeat 5
 //! bench_scale --workload luby  --n 10000000 --d 3 --shards 4
+//! bench_scale --workload theorem10 --n 16384 --d 16
 //! ```
+//!
+//! `theorem10` runs Theorem 10's full pipeline on the complete `(d−1)`-ary
+//! tree with at least `n` vertices (the row's `n` is the requested size). It
+//! takes no `--shards`: `theorem10_color` runs under the engine's automatic
+//! choice.
 
 use local_algorithms::mis::luby::Luby;
 use local_algorithms::run_sync;
+use local_algorithms::tree::{theorem10_color, Theorem10Config};
 use local_graphs::{gen, Graph};
 use local_model::{Action, Engine, ExecSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol};
 use std::time::Instant;
@@ -132,6 +139,19 @@ fn run_luby(g: &Graph, shards: usize, seed: u64) -> RunResult {
     }
 }
 
+fn run_theorem10(g: &Graph, delta: usize, seed: u64) -> RunResult {
+    let out = theorem10_color(g, delta, seed, Theorem10Config::default())
+        .expect("theorem 10 completes fault-free");
+    let mut h = Fnv::new();
+    for &c in out.coloring.labels.as_slice() {
+        h.write(c as u64);
+    }
+    RunResult {
+        rounds: out.coloring.rounds,
+        fingerprint: h.0,
+    }
+}
+
 /// The run spec for a `--shards` value (0 = the engine's automatic choice).
 fn spec_for(shards: usize) -> ExecSpec<'static> {
     match shards {
@@ -172,7 +192,11 @@ fn main() {
     let g = match workload.as_str() {
         "flood" => gen::stream::cycle(n),
         "luby" => gen::stream::circulant(n, d).expect("feasible (n, d)"),
-        other => panic!("unknown workload {other:?} (expected flood|luby)"),
+        "theorem10" => {
+            assert_eq!(shards, 0, "--shards must be 0 for theorem10");
+            gen::complete_dary_tree(n, d)
+        }
+        other => panic!("unknown workload {other:?} (expected flood|luby|theorem10)"),
     };
     let gen_ns = gen_start.elapsed().as_nanos();
 
@@ -182,7 +206,8 @@ fn main() {
         let t = Instant::now();
         let r = match workload.as_str() {
             "flood" => run_flood(&g, shards, horizon),
-            _ => run_luby(&g, shards, seed),
+            "luby" => run_luby(&g, shards, seed),
+            _ => run_theorem10(&g, d, seed),
         };
         times.push(t.elapsed().as_nanos() as u64);
         if let Some(prev) = &result {

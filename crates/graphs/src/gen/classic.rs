@@ -13,18 +13,6 @@ pub fn path(n: usize) -> Graph {
     b.build()
 }
 
-/// The cycle `C_n` (requires `n ≥ 3`; smaller `n` yields a path).
-pub fn cycle(n: usize) -> Graph {
-    if n < 3 {
-        return path(n);
-    }
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        b.add_edge(v, (v + 1) % n).expect("cycle edges are unique");
-    }
-    b.build()
-}
-
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
@@ -97,6 +85,7 @@ pub fn gnp(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
 mod tests {
     use super::*;
     use crate::analysis;
+    use crate::gen::cycle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

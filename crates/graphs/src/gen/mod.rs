@@ -7,8 +7,9 @@
 //! [`random_tree`], [`random_tree_max_degree`], [`gnp`], [`random_regular`],
 //! [`random_bipartite_regular`], [`high_girth_regular`].
 //!
-//! Streaming constructors for huge instances (no materialized edge list):
-//! [`stream::cycle`], [`stream::circulant`], [`stream::complete_dary_tree`].
+//! [`cycle`] and [`complete_dary_tree`] are the streaming constructors of
+//! [`stream`], which builds regular families without a materialized edge
+//! list; [`stream::circulant`] is the third.
 
 mod classic;
 mod edge_set;
@@ -17,7 +18,8 @@ mod regular;
 pub mod stream;
 mod trees;
 
-pub use classic::{complete, complete_bipartite, cycle, gnp, grid, path, star};
+pub use classic::{complete, complete_bipartite, gnp, grid, path, star};
 pub use high_girth::high_girth_regular;
 pub use regular::{random_bipartite_regular, random_regular};
-pub use trees::{broom, caterpillar, complete_dary_tree, random_tree, random_tree_max_degree};
+pub use stream::{complete_dary_tree, cycle};
+pub use trees::{broom, caterpillar, random_tree, random_tree_max_degree};

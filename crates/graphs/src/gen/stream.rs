@@ -7,16 +7,18 @@
 //! memory; the adjacency itself is still resident, which is what the round
 //! engine needs.
 //!
-//! Every streaming constructor produces a graph `==` to its explicit
-//! counterpart (same ports, edge ids, and endpoints); differential tests
-//! below pin that, so algorithms may mix the two freely.
+//! [`cycle`] and [`complete_dary_tree`] are the only constructors of their
+//! families (`gen` re-exports them). Each produces the graph `==` to the one
+//! `GraphBuilder` gives for the same edge sequence (same ports, edge ids,
+//! and endpoints); differential tests below pin that.
 
 use crate::error::GraphError;
 use crate::graph::implicit;
 use crate::graph::Graph;
 
-/// The cycle `C_n`, structurally identical to [`crate::gen::cycle`] but with
-/// an implicit edge table (`n < 3` falls back to the explicit path).
+/// The cycle `C_n` with an implicit edge table: edge `e < n−1` joins `e` and
+/// `e + 1`, edge `n−1` closes the cycle. Smaller `n` (`< 3`) yields the path
+/// `P_n`.
 pub fn cycle(n: usize) -> Graph {
     if n < 3 {
         return super::path(n);
@@ -49,9 +51,13 @@ pub fn circulant(n: usize, d: usize) -> Result<Graph, GraphError> {
 }
 
 /// The complete `(d−1)`-ary tree of maximum degree `d` with at least `n_min`
-/// vertices, structurally identical to [`crate::gen::complete_dary_tree`]
-/// but streamed: the layer layout is computed arithmetically and edges come
-/// from the closed form "edge `e` joins vertex `e + 1` to its parent".
+/// vertices: the root has `d` children, internal vertices have `d − 1`
+/// children, all leaves at equal depth. Vertices are numbered layer by
+/// layer, and edge `e` joins vertex `e + 1` to its parent.
+///
+/// This is the "complete regular tree" whose diameter realizes the
+/// `Ω(log_Δ n)` bound discussed after Theorem 6. The actual vertex count is
+/// returned implicitly via `Graph::n()`.
 ///
 /// # Panics
 ///
@@ -59,7 +65,6 @@ pub fn circulant(n: usize, d: usize) -> Result<Graph, GraphError> {
 pub fn complete_dary_tree(n_min: usize, d: usize) -> Graph {
     assert!(d >= 2, "complete_dary_tree requires d >= 2");
     // Depth 0: 1 vertex (root). Depth 1: d. Depth k≥2: d(d−1)^(k−1).
-    // (Mirrors the explicit generator's layer computation exactly.)
     let mut layers: Vec<usize> = vec![1];
     let mut total = 1usize;
     while total < n_min {
@@ -81,19 +86,63 @@ pub fn complete_dary_tree(n_min: usize, d: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use crate::GraphBuilder;
+
+    /// `C_n` built edge by edge, `(v, v + 1 mod n)` in order; the path for
+    /// `n < 3`.
+    fn builder_cycle(n: usize) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        if n < 3 {
+            for v in 1..n {
+                b.add_edge(v - 1, v).expect("path edges are unique");
+            }
+        } else {
+            for v in 0..n {
+                b.add_edge(v, (v + 1) % n).expect("cycle edges are unique");
+            }
+        }
+        b.build()
+    }
+
+    /// The complete `(d−1)`-ary tree built edge by edge, each child joined
+    /// to its parent in vertex order.
+    fn builder_dary_tree(n_min: usize, d: usize) -> Graph {
+        let mut layers: Vec<usize> = vec![1];
+        let mut total = 1usize;
+        while total < n_min {
+            let next = if layers.len() == 1 {
+                d
+            } else {
+                layers[layers.len() - 1] * (d - 1)
+            };
+            layers.push(next);
+            total += next;
+        }
+        let mut b = GraphBuilder::new(total);
+        let mut layer_start = 0;
+        for i in 1..layers.len() {
+            let per_parent = if i == 1 { d } else { d - 1 };
+            let start = layer_start + layers[i - 1];
+            for j in 0..layers[i] {
+                b.add_edge(layer_start + j / per_parent, start + j)
+                    .expect("tree edges are unique");
+            }
+            layer_start = start;
+        }
+        b.build()
+    }
 
     #[test]
     fn cycle_matches_builder() {
         for n in [0, 1, 2, 3, 4, 7, 64, 257] {
-            assert_eq!(cycle(n), gen::cycle(n), "n = {n}");
+            assert_eq!(cycle(n), builder_cycle(n), "n = {n}");
         }
     }
 
     #[test]
     fn cycle_edges_match_builder() {
         for n in [3, 5, 12] {
-            assert_eq!(cycle(n).edges(), gen::cycle(n).edges(), "n = {n}");
+            assert_eq!(cycle(n).edges(), builder_cycle(n).edges(), "n = {n}");
         }
     }
 
@@ -154,9 +203,9 @@ mod tests {
 
     #[test]
     fn dary_tree_matches_builder() {
-        for (n_min, d) in [(1, 2), (10, 2), (40, 3), (100, 4), (500, 5)] {
+        for (n_min, d) in [(1, 2), (10, 2), (40, 3), (100, 4), (500, 5), (16_384, 16)] {
             let a = complete_dary_tree(n_min, d);
-            let b = gen::complete_dary_tree(n_min, d);
+            let b = builder_dary_tree(n_min, d);
             assert_eq!(a, b, "(n_min, d) = ({n_min}, {d})");
             assert_eq!(a.edges(), b.edges());
             assert_eq!(a.max_degree(), b.max_degree());

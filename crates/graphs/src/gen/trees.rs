@@ -78,48 +78,6 @@ pub fn random_tree_max_degree(n: usize, delta: usize, rng: &mut impl Rng) -> Gra
     b.build()
 }
 
-/// The complete `(d−1)`-ary tree of maximum degree `d` with at least `n_min`
-/// vertices: the root has `d` children, internal vertices have `d − 1`
-/// children, all leaves at equal depth.
-///
-/// This is the "complete regular tree" whose diameter realizes the
-/// `Ω(log_Δ n)` bound discussed after Theorem 6. The actual vertex count is
-/// returned implicitly via `Graph::n()`.
-///
-/// # Panics
-///
-/// Panics if `d < 2`.
-pub fn complete_dary_tree(n_min: usize, d: usize) -> Graph {
-    assert!(d >= 2, "complete_dary_tree requires d >= 2");
-    // Depth 0: 1 vertex (root). Depth 1: d vertices. Depth k≥2: d(d−1)^(k−1).
-    let mut layers: Vec<usize> = vec![1];
-    let mut total = 1usize;
-    while total < n_min {
-        let next = if layers.len() == 1 {
-            d
-        } else {
-            layers.last().expect("nonempty") * (d - 1)
-        };
-        layers.push(next);
-        total += next;
-    }
-    let mut b = GraphBuilder::new(total);
-    // Assign vertex ids layer by layer.
-    let mut layer_start = vec![0usize; layers.len()];
-    for i in 1..layers.len() {
-        layer_start[i] = layer_start[i - 1] + layers[i - 1];
-    }
-    for i in 1..layers.len() {
-        let per_parent = if i == 1 { d } else { d - 1 };
-        for j in 0..layers[i] {
-            let child = layer_start[i] + j;
-            let parent = layer_start[i - 1] + j / per_parent;
-            b.add_edge(parent, child).expect("tree edges are unique");
-        }
-    }
-    b.build()
-}
-
 /// A caterpillar: a spine path of `spine` vertices, each carrying `legs`
 /// pendant leaves. Diameter `Θ(spine)` with maximum degree `legs + 2` —
 /// the *deep* tree family used by adversarial-ID workloads, where random
@@ -168,6 +126,7 @@ pub fn broom(handle: usize, bristles: usize) -> Graph {
 mod tests {
     use super::*;
     use crate::analysis;
+    use crate::gen::complete_dary_tree;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1100,9 +1100,10 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        // A graph larger than PAR_THRESHOLD exercises the rayon path; the
-        // same protocol on a small graph exercises the sequential path. Both
-        // must be reproducible under the same seed.
+        // A graph larger than PAR_THRESHOLD exercises the sharded path
+        // (shards on `std::thread::scope` threads); the same protocol on a
+        // small graph exercises the sequential path. Both must be
+        // reproducible under the same seed.
         let g = gen::cycle(PAR_THRESHOLD + 10);
         let a = Engine::new(&g, Mode::randomized(7))
             .exec(&RandProtocol)
