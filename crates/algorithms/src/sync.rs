@@ -13,13 +13,14 @@
 //! after the last decision — that extra sweep is infrastructure, not
 //! algorithmic cost, and is excluded from the metric.
 
-use local_graphs::{Graph, Neighbor, NodeId, PortId};
+use local_graphs::{Graph, Neighbor, PortId};
+use local_model::arena::BufferSlot;
 use local_model::{
     Action, Breach, Budget, Engine, ExecSpec, GlobalParams, Mode, NodeInit, NodeIo, NodeProgram,
     Outcome, Protocol, SimError,
 };
 use rand::RngCore;
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// The result of one [`SyncAlgorithm::update`].
 #[derive(Debug, Clone)]
@@ -87,11 +88,15 @@ impl<'a> SyncCtx<'a> {
 /// `update` is called with round numbers `1, 2, …`; at round `r` the
 /// `neighbors` slice holds (by port) the states after round `r − 1`
 /// (initial states for `r = 1`).
+///
+/// Both associated types are `'static`, as the engine's message and output
+/// types must be: the engine and this layer keep their run buffers between
+/// runs, typed by element.
 pub trait SyncAlgorithm: Sync {
     /// Public per-vertex state, broadcast to neighbors every round.
-    type State: Clone + Send + Sync;
+    type State: Clone + Send + Sync + 'static;
     /// Final per-vertex output.
-    type Output: Clone + Send;
+    type Output: Clone + Send + 'static;
 
     /// The initial state of a vertex.
     fn init(&self, init: &NodeInit<'_>) -> Self::State;
@@ -190,85 +195,69 @@ impl<'a, A: SyncAlgorithm> NodeProgram for SyncNode<'a, A> {
     }
 }
 
-/// The setup both protocol adapters share: every vertex built up front with
-/// its initial state and its slice of one CSR-aligned last-heard buffer,
-/// dealt out by vertex index (`None` once dealt).
-struct SyncSetup<'a, A: SyncAlgorithm>(Mutex<Vec<Option<Vertex<'a, A>>>>);
-
-impl<'a, A: SyncAlgorithm> SyncSetup<'a, A> {
-    /// Build every vertex with its initial state, then fill `heard` (empty
-    /// on entry) with the neighbor's initial state per CSR slot and give
-    /// each vertex its slice.
-    fn new(
-        algo: &'a A,
-        g: &'a Graph,
-        mode: &Mode,
-        params: &GlobalParams,
-        heard: &'a mut Vec<A::State>,
-    ) -> Self {
-        let ids = match mode {
-            Mode::Deterministic { ids } => Some(ids.assign(g)),
-            Mode::Randomized { .. } => None,
-        };
-        // Build without large temporaries and size `heard` once. A freed
-        // multi-megabyte temporary leaves a hole that the engine's later
-        // allocations fill; glibc's malloc then returns the whole freed heap
-        // top to the OS after each run, and the next run page-faults its
-        // working set back in.
-        let mut vertices: Vec<Vertex<'a, A>> = g
-            .vertices()
-            .map(|v| Vertex {
-                algo,
-                nbrs: g.neighbors(v),
-                state: algo.init(&NodeInit {
-                    node: v,
-                    degree: g.degree(v),
-                    id: ids.as_ref().map(|ids| ids[v]),
-                    params,
-                }),
-                decided: None,
-                heard: &mut [],
-            })
-            .collect();
-        heard.reserve_exact(g.csr_offsets()[g.n()]);
-        heard.extend(
-            vertices
-                .iter()
-                .flat_map(|vx| vx.nbrs.iter().map(|nb| vertices[nb.node].state.clone())),
-        );
-        let mut rest = heard.as_mut_slice();
-        for vx in &mut vertices {
-            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(vx.nbrs.len());
-            vx.heard = mine;
-            rest = tail;
-        }
-        let vertices = vertices.into_iter().map(Some).collect();
-        SyncSetup(Mutex::new(vertices))
-    }
-
-    /// Hand out vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// If `v` was already dealt.
-    fn vertex(&self, v: NodeId) -> Vertex<'a, A> {
-        let dealt = self
-            .0
-            .lock()
-            .expect("no create call panics holding the lock")[v]
-            .take();
-        dealt.expect("sync node created twice for one vertex")
-    }
+thread_local! {
+    /// The sync layer's slot in the per-thread run arena: the CSR-aligned
+    /// last-heard buffer (see [`local_model::arena`]).
+    static HEARD: BufferSlot = const { BufferSlot::new() };
 }
 
-/// Protocol adapter for a [`SyncAlgorithm`].
-pub struct SyncProtocol<'a, A: SyncAlgorithm>(SyncSetup<'a, A>);
+/// The setup both node wrappers share: every vertex built up front with its
+/// initial state, then `heard` (empty on entry) filled with the neighbor's
+/// initial state per CSR slot, and each vertex given its slice.
+fn setup<'a, A: SyncAlgorithm>(
+    algo: &'a A,
+    g: &'a Graph,
+    mode: &Mode,
+    params: &GlobalParams,
+    heard: &'a mut Vec<A::State>,
+) -> Vec<Vertex<'a, A>> {
+    let ids = match mode {
+        Mode::Deterministic { ids } => Some(ids.assign(g)),
+        Mode::Randomized { .. } => None,
+    };
+    let mut vertices: Vec<Vertex<'a, A>> = g
+        .vertices()
+        .map(|v| Vertex {
+            algo,
+            nbrs: g.neighbors(v),
+            state: algo.init(&NodeInit {
+                node: v,
+                degree: g.degree(v),
+                id: ids.as_ref().map(|ids| ids[v]),
+                params,
+            }),
+            decided: None,
+            heard: &mut [],
+        })
+        .collect();
+    heard.extend(
+        vertices
+            .iter()
+            .flat_map(|vx| vx.nbrs.iter().map(|nb| vertices[nb.node].state.clone())),
+    );
+    let mut rest = heard.as_mut_slice();
+    for vx in &mut vertices {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(vx.nbrs.len());
+        vx.heard = mine;
+        rest = tail;
+    }
+    vertices
+}
 
-impl<'a, A: SyncAlgorithm> Protocol for SyncProtocol<'a, A> {
-    type Node = SyncNode<'a, A>;
+/// Protocol adapter handing the engine a sync run's pre-built vertices in
+/// one move, each wrapped as node type `W` — the vector becomes the
+/// engine's node column in place, with no second copy.
+struct Handover<'a, A: SyncAlgorithm, W>(Cell<Vec<Vertex<'a, A>>>, fn(Vertex<'a, A>) -> W);
 
-    fn create(&self, init: &NodeInit<'_>) -> Self::Node {
-        SyncNode(self.0.vertex(init.node))
+impl<'a, A: SyncAlgorithm, W: NodeProgram + Send> Protocol for Handover<'a, A, W> {
+    type Node = W;
+
+    fn create(&self, _init: &NodeInit<'_>) -> W {
+        unreachable!("the engine builds sync nodes through create_all")
+    }
+
+    fn create_all(&self, _g: &Graph, _ids: Option<&[u64]>, _params: &GlobalParams) -> Vec<W> {
+        self.0.take().into_iter().map(self.1).collect()
     }
 }
 
@@ -278,7 +267,7 @@ impl<'a, A: SyncAlgorithm> Protocol for SyncProtocol<'a, A> {
 /// *decided* (the sync-layer metric, one less than its engine halt round).
 /// Fault-free runs under a sufficient budget have every vertex `Halted`;
 /// [`strict`](Self::strict) recovers the all-decided [`SyncOutcome`] shape.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncRun<O> {
     /// Per-vertex fates, indexed by vertex.
     pub outcomes: Vec<Outcome<O>>,
@@ -412,17 +401,6 @@ impl<'a, A: SyncAlgorithm> NodeProgram for FaultySyncNode<'a, A> {
     }
 }
 
-/// Protocol adapter for faulty [`SyncAlgorithm`] runs.
-pub struct FaultySyncProtocol<'a, A: SyncAlgorithm>(SyncSetup<'a, A>);
-
-impl<'a, A: SyncAlgorithm> Protocol for FaultySyncProtocol<'a, A> {
-    type Node = FaultySyncNode<'a, A>;
-
-    fn create(&self, init: &NodeInit<'_>) -> Self::Node {
-        FaultySyncNode(self.0.vertex(init.node))
-    }
-}
-
 /// Run a [`SyncAlgorithm`] on `g` under `mode`, as described by `spec` —
 /// the single sync-layer entry point.
 ///
@@ -438,7 +416,8 @@ impl<'a, A: SyncAlgorithm> Protocol for FaultySyncProtocol<'a, A> {
 ///   from the fault-free one ([`SyncNode`]) — it halts one round after
 ///   deciding — so the fault-free case (`None`) runs [`SyncNode`]. Both
 ///   share one setup: initial states computed once, and one flat last-heard
-///   buffer aligned with the graph's CSR slots.
+///   buffer aligned with the graph's CSR slots, kept in the thread's run
+///   arena between runs.
 /// * `spec.trace` receives the engine's per-round events (live counts,
 ///   message volume, crashes, fault-plane drops/delays, budget consumption).
 ///
@@ -467,12 +446,13 @@ pub fn run_sync<A: SyncAlgorithm>(
         shards: spec.shards,
     };
     let engine = Engine::new(g, mode.clone());
-    let mut heard = Vec::new();
-    let setup = SyncSetup::new(algo, g, &mode, &params, &mut heard);
+    let mut heard = HEARD.with(|h| h.take(g.csr_offsets()[g.n()]));
+    let vertices = Cell::new(setup(algo, g, &mode, &params, &mut heard));
     let run = match spec.faults {
-        None => engine.execute(&engine_spec, &SyncProtocol(setup)),
-        Some(_) => engine.execute(&engine_spec, &FaultySyncProtocol(setup)),
+        None => engine.execute(&engine_spec, &Handover(vertices, SyncNode)),
+        Some(_) => engine.execute(&engine_spec, &Handover(vertices, FaultySyncNode)),
     };
+    HEARD.with(|h| h.give(heard));
     SyncRun {
         outcomes: run
             .outcomes
@@ -659,53 +639,87 @@ mod tests {
     }
 
     #[test]
-    fn setup_deals_seeded_heard_slices_in_any_order() {
+    fn setup_seeds_each_heard_slice() {
         let g = gen::gnp(12, 0.4, &mut StdRng::seed_from_u64(3));
         let params = GlobalParams::from_graph(&g);
         let mut heard = Vec::new();
         let algo = MaxWithin { horizon: 1 };
-        let protocol = SyncProtocol(SyncSetup::new(
-            &algo,
-            &g,
-            &Mode::deterministic(),
-            &params,
-            &mut heard,
-        ));
-        for v in g.vertices().rev() {
-            let node = protocol.create(&NodeInit {
-                node: v,
-                degree: g.degree(v),
-                id: Some(v as u64),
-                params: &params,
-            });
+        let vertices = setup(&algo, &g, &Mode::deterministic(), &params, &mut heard);
+        assert_eq!(vertices.len(), g.n());
+        for (v, vx) in vertices.iter().enumerate() {
             let want: Vec<u64> = g.neighbors(v).iter().map(|nb| nb.node as u64).collect();
-            assert_eq!(node.0.heard, &want[..], "vertex {v}");
-            assert_eq!(node.0.state, v as u64);
+            assert_eq!(vx.heard, &want[..], "vertex {v}");
+            assert_eq!(vx.state, v as u64);
         }
     }
 
+    /// RandLOCAL, with a state type other than [`MaxWithin`]'s: each round
+    /// every vertex keeps the maximum of a fresh draw and its neighbors'
+    /// states, deciding at `horizon`.
+    struct RandMax {
+        horizon: u32,
+    }
+    impl SyncAlgorithm for RandMax {
+        type State = u32;
+        type Output = u32;
+        fn init(&self, _init: &NodeInit<'_>) -> u32 {
+            0
+        }
+        fn update(
+            &self,
+            round: u32,
+            ctx: &mut SyncCtx<'_>,
+            state: &u32,
+            neighbors: &[u32],
+        ) -> SyncStep<u32, u32> {
+            let draw = ctx.rng().next_u32();
+            let next = neighbors.iter().copied().fold(draw.max(*state), u32::max);
+            if round >= self.horizon {
+                SyncStep::Decide(next, next)
+            } else {
+                SyncStep::Continue(next)
+            }
+        }
+    }
+
+    /// Run `run` here, then again on a fresh thread, whose run arena is
+    /// empty, and require the same result.
+    fn matches_fresh_thread<O>(run: impl Fn() -> SyncRun<O> + Sync)
+    where
+        O: PartialEq + std::fmt::Debug + Send,
+    {
+        let reused = run();
+        let fresh = std::thread::scope(|s| s.spawn(&run).join().unwrap());
+        assert_eq!(reused, fresh);
+    }
+
     #[test]
-    #[should_panic(expected = "created twice")]
-    fn setup_refuses_to_deal_a_vertex_twice() {
-        let g = gen::path(3);
-        let params = GlobalParams::from_graph(&g);
-        let mut heard = Vec::new();
-        let algo = MaxWithin { horizon: 1 };
-        let protocol = FaultySyncProtocol(SyncSetup::new(
-            &algo,
+    fn back_to_back_runs_match_fresh_threads() {
+        // Large enough that `heard` and the engine's buffers clear the run
+        // arena's floor, so each run after the first gets the buffers the
+        // one before gave back (or, for another state type, evicts them).
+        let g = gen::stream::circulant(20_000, 4).unwrap();
+        let plan = FaultPlan::sample(
             &g,
-            &Mode::deterministic(),
-            &params,
-            &mut heard,
-        ));
-        let init = NodeInit {
-            node: 1,
-            degree: 2,
-            id: Some(1),
-            params: &params,
-        };
-        let _first = protocol.create(&init);
-        let _second = protocol.create(&init);
+            &FaultSpec::none()
+                .with_drop(0.1)
+                .with_delay(0.1)
+                .with_crash(0.01, 3),
+            5,
+        );
+        let max = MaxWithin { horizon: 3 };
+        let rand_max = RandMax { horizon: 3 };
+        let fault_free = || ExecSpec::rounds(100);
+        let faulty = || ExecSpec::rounds(100).with_faults(&plan);
+        // Each state type runs fault-free and then faulty: dropped messages
+        // expose the seeded `heard` slots, so the faulty run would see
+        // anything stale the fault-free run left in the reused buffer.
+        matches_fresh_thread(|| run_sync(&g, Mode::randomized(1), &rand_max, &fault_free()));
+        matches_fresh_thread(|| run_sync(&g, Mode::randomized(2), &rand_max, &faulty()));
+        matches_fresh_thread(|| run_sync(&g, Mode::deterministic(), &max, &fault_free()));
+        matches_fresh_thread(|| run_sync(&g, Mode::deterministic(), &max, &faulty()));
+        matches_fresh_thread(|| run_sync(&g, Mode::randomized(3), &rand_max, &faulty()));
+        matches_fresh_thread(|| run_sync(&g, Mode::randomized(1), &rand_max, &fault_free()));
     }
 
     #[test]

@@ -139,8 +139,9 @@ impl<L: Clone> LocalView<L> {
 /// [`violations`]: LclProblem::violations
 pub trait LclProblem {
     /// The label type Σ (finite in the formal definition; any `Clone + Eq`
-    /// type here).
-    type Label: Clone + Eq + Send + Sync;
+    /// type here). `'static` because the distributed verifier sends labels
+    /// as engine messages, which must be.
+    type Label: Clone + Eq + Send + Sync + 'static;
 
     /// The checking radius `r` (1 for every built-in problem except the
     /// ruling set).

@@ -1,8 +1,9 @@
 //! The synchronous round engine.
 
+use crate::arena::BufferSlot;
 use crate::faults::{FaultPlan, FaultyRun, Outcome};
 use crate::ids::IdAssignment;
-use crate::node::{Action, NodeInit, NodeIo, NodeProgram, Protocol};
+use crate::node::{Action, NodeIo, NodeProgram, Protocol};
 use crate::params::GlobalParams;
 use crate::recover::{Breach, Budget};
 use crate::spec::ExecSpec;
@@ -119,16 +120,44 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 ///
 /// Earlier revisions kept one slot struct per vertex with an inline
 /// `Option<ChaCha8Rng>`; in DetLOCAL mode that padded every vertex with a
-/// dead ~136-byte RNG payload the sweep still had to stride over. Columns
-/// keep each access pattern dense — the sweep walks `states`/`done`/`sent`
-/// sequentially, and `rngs` is *empty* (not `None`-filled) when the mode is
-/// deterministic — and they split cleanly into per-shard sub-slices.
+/// dead 120-byte RNG payload (the 112-byte generator plus the `Option` tag)
+/// the sweep still had to stride over. Columns keep each access pattern
+/// dense — the sweep walks `states`/`done`/`sent` sequentially, and `rngs`
+/// is *empty* (not `None`-filled) when the mode is deterministic — and they
+/// split cleanly into per-shard sub-slices.
 struct NodeColumns<N: NodeProgram> {
     states: Vec<N>,
     /// Per-node RNG streams; empty in DetLOCAL mode.
     rngs: Vec<ChaCha8Rng>,
     done: Vec<Option<(u32, N::Output)>>,
     sent: Vec<u64>,
+}
+
+/// The engine's per-thread run arena: one [`BufferSlot`] per large run
+/// buffer, taken when a run starts and given back when it ends (see
+/// [`crate::arena`] for the floor and eviction rules). The node states are
+/// not pooled: they may borrow from the caller, and a protocol that already
+/// holds them hands them over through [`Protocol::create_all`].
+struct Arena {
+    rngs: BufferSlot,
+    sent: BufferSlot,
+    partner: BufferSlot,
+    done: BufferSlot,
+    inbox: BufferSlot,
+    out: BufferSlot,
+}
+
+thread_local! {
+    static ARENA: Arena = const {
+        Arena {
+            rngs: BufferSlot::new(),
+            sent: BufferSlot::new(),
+            partner: BufferSlot::new(),
+            done: BufferSlot::new(),
+            inbox: BufferSlot::new(),
+            out: BufferSlot::new(),
+        }
+    };
 }
 
 /// Vertex boundaries cutting `0..n` into `k` shards balanced by *work*:
@@ -229,6 +258,8 @@ fn step_span<N: NodeProgram>(
 /// and `q` the back port) occupy partner slots, delivery is the fixed
 /// permutation `inbox[i] = out[partner[i]].take()` — the `take` doubles as
 /// the clear of the out buffer, so after setup the plane never allocates.
+/// `partner`, `inbox` and `out` come from the thread's [`Arena`] and go back
+/// to it through [`recycle`](Self::recycle).
 struct MessagePlane<'g, M> {
     /// CSR offsets, borrowed straight from the graph's adjacency: vertex `v`
     /// owns slots `offsets[v] .. offsets[v + 1]`.
@@ -244,24 +275,41 @@ struct MessagePlane<'g, M> {
     delayed: Vec<Option<M>>,
 }
 
-impl<'g, M> MessagePlane<'g, M> {
+impl<'g, M: 'static> MessagePlane<'g, M> {
     fn new(g: &'g Graph) -> Self {
-        let n = g.n();
         let offsets = g.csr_offsets();
-        let total = offsets[n];
-        let mut partner = vec![0usize; total];
-        for v in 0..n {
-            for (p, nb) in g.neighbors(v).iter().enumerate() {
-                partner[offsets[v] + p] = offsets[nb.node] + nb.back_port;
-            }
-        }
+        let total = offsets[g.n()];
+        let (mut partner, mut inbox, mut out) = ARENA.with(|a| {
+            (
+                a.partner.take(total),
+                a.inbox.take(total),
+                a.out.take(total),
+            )
+        });
+        // Slot order is CSR order: vertex by vertex, port by port.
+        partner.extend(g.vertices().flat_map(|v| {
+            g.neighbors(v)
+                .iter()
+                .map(|nb| offsets[nb.node] + nb.back_port)
+        }));
+        inbox.resize_with(total, || None);
+        out.resize_with(total, || None);
         MessagePlane {
             offsets,
             partner,
-            inbox: (0..total).map(|_| None).collect(),
-            out: (0..total).map(|_| None).collect(),
+            inbox,
+            out,
             delayed: Vec::new(),
         }
+    }
+
+    /// Give the pooled buffers back to the thread's arena.
+    fn recycle(self) {
+        ARENA.with(|a| {
+            a.partner.give(self.partner);
+            a.inbox.give(self.inbox);
+            a.out.give(self.out);
+        });
     }
 
     /// Move every message sent this sweep to its receiver's inbox slot (and
@@ -389,7 +437,7 @@ impl<'g> Engine<'g> {
         protocol: &P,
     ) -> FaultyRun<<P::Node as NodeProgram>::Output>
     where
-        P: Protocol + Sync,
+        P: Protocol,
     {
         let no_faults;
         let faults = match spec.faults {
@@ -426,7 +474,7 @@ impl<'g> Engine<'g> {
         spec_shards: Option<std::num::NonZeroUsize>,
     ) -> FaultyRun<<P::Node as NodeProgram>::Output>
     where
-        P: Protocol + Sync,
+        P: Protocol,
     {
         let g = self.graph;
         let n = g.n();
@@ -439,29 +487,26 @@ impl<'g> Engine<'g> {
             Mode::Deterministic { .. } => None,
         };
 
-        let mut states: Vec<P::Node> = Vec::with_capacity(n);
-        let mut rngs: Vec<ChaCha8Rng> = Vec::with_capacity(if seed.is_some() { n } else { 0 });
-        for v in 0..n {
-            let id = ids.as_ref().map(|ids| ids[v]);
-            let init = NodeInit {
-                node: v,
-                degree: g.degree(v),
-                id,
-                params,
-            };
-            states.push(protocol.create(&init));
-            if let Some(s) = seed {
-                rngs.push(ChaCha8Rng::seed_from_u64(splitmix64(
-                    s ^ splitmix64(v as u64 + 1),
-                )));
-            }
-        }
-        let mut cols: NodeColumns<P::Node> = NodeColumns {
+        let states = protocol.create_all(g, ids.as_deref(), params);
+        assert_eq!(
+            states.len(),
+            n,
+            "Protocol::create_all built the wrong node count"
+        );
+        // Every pooled column is refilled exactly as a fresh one would be.
+        let mut cols: NodeColumns<P::Node> = ARENA.with(|a| NodeColumns {
             states,
-            rngs,
-            done: (0..n).map(|_| None).collect(),
-            sent: vec![0u64; n],
-        };
+            rngs: a.rngs.take(if seed.is_some() { n } else { 0 }),
+            done: a.done.take(n),
+            sent: a.sent.take(n),
+        });
+        if let Some(s) = seed {
+            cols.rngs.extend(
+                (0..n as u64).map(|v| ChaCha8Rng::seed_from_u64(splitmix64(s ^ splitmix64(v + 1)))),
+            );
+        }
+        cols.done.resize_with(n, || None);
+        cols.sent.resize(n, 0);
 
         // An explicitly requested shard count forces the sharded path even
         // on tiny graphs — the invariance tests rely on that; otherwise shard
@@ -723,7 +768,7 @@ impl<'g> Engine<'g> {
         let observed = trace.is_some() || metrics.is_some();
         let mut messages_hist = observed.then(PowHistogram::new);
         let mut halt_hist = observed.then(PowHistogram::new);
-        for (v, (done, sent)) in cols.done.into_iter().zip(cols.sent).enumerate() {
+        for (v, (done, &sent)) in cols.done.drain(..).zip(&cols.sent).enumerate() {
             messages_sent += sent;
             if let Some(h) = messages_hist.as_mut() {
                 h.record(sent);
@@ -748,6 +793,12 @@ impl<'g> Engine<'g> {
                 }
             });
         }
+        plane.recycle();
+        ARENA.with(|a| {
+            a.rngs.give(cols.rngs);
+            a.done.give(cols.done);
+            a.sent.give(cols.sent);
+        });
         let fr = FaultyRun {
             outcomes,
             rounds,
@@ -821,6 +872,7 @@ mod tests {
     use super::*;
     use crate::error::SimError;
     use crate::faults::FaultSpec;
+    use crate::node::NodeInit;
     use local_graphs::gen;
 
     /// Chainable test sugar over the single real entry point,
@@ -1639,6 +1691,100 @@ mod tests {
                 weight(shard.clone())
             );
         }
+    }
+
+    /// RandLOCAL gossip: each round a node XORs what it heard into its
+    /// output and sends a fresh draw on a random subset of its ports, then
+    /// halts on one draw in four, or at round 8. The sends of the sweep in
+    /// which the last nodes halt are never delivered. The `victim` vertex
+    /// panics in round 1.
+    struct Gossip {
+        acc: u32,
+        victim: bool,
+    }
+    impl NodeProgram for Gossip {
+        type Msg = u32;
+        type Output = u32;
+        fn step(&mut self, round: u32, io: &mut NodeIo<'_, u32>) -> Action<u32> {
+            assert!(!(self.victim && round == 1), "the victim panics mid-sweep");
+            for (_, &m) in io.received() {
+                self.acc ^= m;
+            }
+            let draw = io.rng().next_u32();
+            for p in (0..io.degree()).filter(|&p| (draw >> p) & 1 == 1) {
+                io.send(p, draw.rotate_left(p as u32));
+            }
+            if (round > 0 && draw.is_multiple_of(4)) || round == 8 {
+                Action::Halt(self.acc)
+            } else {
+                Action::Continue
+            }
+        }
+    }
+    struct GossipProtocol {
+        victim: Option<usize>,
+    }
+    impl Protocol for GossipProtocol {
+        type Node = Gossip;
+        fn create(&self, init: &NodeInit<'_>) -> Gossip {
+            Gossip {
+                acc: 0,
+                victim: self.victim == Some(init.node),
+            }
+        }
+    }
+
+    /// Run `run` here, then again on a fresh thread, whose run arena is
+    /// empty, and require the same result.
+    fn matches_fresh_thread<O>(run: impl Fn() -> FaultyRun<O> + Sync) -> FaultyRun<O>
+    where
+        O: PartialEq + std::fmt::Debug + Send,
+    {
+        let reused = run();
+        let fresh = std::thread::scope(|s| s.spawn(&run).join().unwrap());
+        assert_eq!(reused, fresh);
+        reused
+    }
+
+    #[test]
+    fn reused_arena_buffers_match_fresh_threads() {
+        // Every column and message buffer of these runs clears the arena's
+        // floor, so each run after the first on this thread gets the
+        // buffers the one before gave back, or evicts them for another
+        // element type. A buffer that leaked state into the next run (an
+        // uncleared inbox slot, a stale `done` entry, an RNG column not
+        // reseeded) would make a run differ from its fresh-thread twin.
+        let g = gen::stream::circulant(20_000, 4).unwrap();
+        let spec = FaultSpec::none()
+            .with_drop(0.1)
+            .with_delay(0.1)
+            .with_crash(0.01, 3);
+        let plan = FaultPlan::sample(&g, &spec, 9);
+        let gossip = GossipProtocol { victim: None };
+        let rand = |seed| Engine::new(&g, Mode::randomized(seed));
+        let first = matches_fresh_thread(|| rand(1).execute(&ExecSpec::default(), &gossip));
+        assert!(first.stats.sweeps > 2);
+        let det = Mode::deterministic_with(IdAssignment::Shuffled { seed: 4 });
+        let short = GlobalParams::from_graph(&g).with_claimed_n(6);
+        matches_fresh_thread(|| {
+            Engine::new(&g, det.clone())
+                .execute(&ExecSpec::default().with_params(short), &FloodMinProtocol)
+        });
+        matches_fresh_thread(|| rand(2).execute(&ExecSpec::default(), &gossip));
+        let faulty = matches_fresh_thread(|| {
+            rand(3).execute(&ExecSpec::default().with_faults(&plan), &gossip)
+        });
+        assert!(faulty.dropped > 0 && faulty.delayed > 0 && faulty.crashed() > 0);
+        matches_fresh_thread(|| rand(1).execute(&ExecSpec::default().with_shards(2), &gossip));
+        let victim = GossipProtocol {
+            victim: Some(g.n() / 2),
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rand(1).execute(&ExecSpec::default(), &victim)
+        }));
+        assert!(unwound.is_err());
+        let last = matches_fresh_thread(|| rand(1).execute(&ExecSpec::default(), &gossip));
+        assert_eq!(last, first);
     }
 
     #[test]

@@ -530,7 +530,7 @@ impl<O> Outcome<O> {
 /// The result of a crash-tolerant run: per-node outcomes with partial
 /// outputs, never an error — a run that exhausts its sweep budget degrades
 /// to [`Outcome::Cut`] entries instead of failing wholesale.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultyRun<O> {
     /// Per-vertex fates, indexed by vertex.
     pub outcomes: Vec<Outcome<O>>,

@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod ball;
 mod engine;
 mod error;

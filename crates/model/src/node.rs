@@ -1,7 +1,7 @@
 //! The per-vertex programming interface.
 
 use crate::params::GlobalParams;
-use local_graphs::{NodeId, PortId};
+use local_graphs::{Graph, NodeId, PortId};
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
@@ -22,11 +22,14 @@ pub enum Action<O> {
 /// that halts at step `k` has therefore used exactly `k` communication
 /// rounds — the engine reports the maximum over all nodes as the run's round
 /// complexity.
+///
+/// Both associated types are `'static`: the engine keeps its message and
+/// output buffers between runs, typed by element.
 pub trait NodeProgram {
     /// Message type (unbounded size, per the LOCAL model).
-    type Msg: Clone + Send + Sync;
+    type Msg: Clone + Send + Sync + 'static;
     /// Final output of a node (the label in an LCL solution).
-    type Output: Clone + Send;
+    type Output: Clone + Send + 'static;
 
     /// Execute one round: read the inbox, update state, write the outbox,
     /// decide whether to halt.
@@ -46,6 +49,23 @@ pub trait Protocol {
 
     /// Build the initial state for one vertex.
     fn create(&self, init: &NodeInit<'_>) -> Self::Node;
+
+    /// Build every vertex's initial state, in vertex order — the call the
+    /// engine makes. The default calls [`create`](Self::create) once per
+    /// vertex of `g`; a protocol that already holds its nodes hands them
+    /// over in one move instead.
+    fn create_all(&self, g: &Graph, ids: Option<&[u64]>, params: &GlobalParams) -> Vec<Self::Node> {
+        g.vertices()
+            .map(|v| {
+                self.create(&NodeInit {
+                    node: v,
+                    degree: g.degree(v),
+                    id: ids.map(|ids| ids[v]),
+                    params,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Everything a vertex legitimately knows at time zero.
