@@ -1,116 +1,25 @@
-//! A "public state" programming layer over the round engine.
+//! The sync layer: [`run_sync`], the one entry point every algorithm in the
+//! workspace runs through.
 //!
 //! Most symmetry-breaking algorithms in the literature are phrased as: *every
 //! round, each vertex inspects its neighbors' current states and updates its
-//! own*. [`SyncAlgorithm`] captures exactly that; [`run_sync`] compiles it to
-//! a message-passing [`Protocol`] where each vertex broadcasts its state every
-//! round.
+//! own*. [`SyncAlgorithm`] captures exactly that (it lives in `local-model`
+//! and is re-exported here), and [`run_sync`] runs it on the engine's state
+//! plane ([`Engine::execute_sync`]), where a vertex reads its neighbors'
+//! states in place rather than receiving per-port copies.
 //!
 //! Round accounting: the reported complexity is the largest round in which
-//! any vertex *decided* its output. Vertices keep broadcasting their final
+//! any vertex *decided* its output. Vertices keep announcing their final
 //! state after deciding (processors in the LOCAL model never disappear;
 //! messages are free), and the engine run terminates one bookkeeping sweep
 //! after the last decision — that extra sweep is infrastructure, not
 //! algorithmic cost, and is excluded from the metric.
 
-use local_graphs::{Graph, Neighbor, PortId};
-use local_model::arena::BufferSlot;
+use local_graphs::Graph;
 use local_model::{
-    Action, Breach, Budget, Engine, ExecSpec, GlobalParams, Mode, NodeInit, NodeIo, NodeProgram,
-    Outcome, Protocol, SimError,
+    Breach, Budget, Engine, ExecSpec, FaultyRun, GlobalParams, Mode, Outcome, SimError,
 };
-use rand::RngCore;
-use std::cell::Cell;
-
-/// The result of one [`SyncAlgorithm::update`].
-#[derive(Debug, Clone)]
-pub enum SyncStep<S, O> {
-    /// Adopt a new state and keep running.
-    Continue(S),
-    /// Adopt a final state and fix the output. The state remains visible to
-    /// neighbors in subsequent rounds.
-    Decide(S, O),
-}
-
-/// Capabilities available inside [`SyncAlgorithm::update`].
-pub struct SyncCtx<'a> {
-    id: Option<u64>,
-    params: &'a GlobalParams,
-    rng: Option<&'a mut dyn RngCore>,
-    nbrs: &'a [Neighbor],
-}
-
-impl<'a> SyncCtx<'a> {
-    /// Degree of this vertex.
-    pub fn degree(&self) -> usize {
-        self.nbrs.len()
-    }
-
-    /// Unique ID (DetLOCAL only).
-    pub fn id(&self) -> Option<u64> {
-        self.id
-    }
-
-    /// Global parameters.
-    pub fn params(&self) -> &GlobalParams {
-        self.params
-    }
-
-    /// Private randomness (RandLOCAL only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in a DetLOCAL run (model violation).
-    pub fn rng(&mut self) -> &mut dyn RngCore {
-        self.rng
-            .as_deref_mut()
-            .expect("model violation: SyncCtx::rng() in a DetLOCAL run")
-    }
-
-    /// The neighbor-side port of the edge on our port `p`: if `u` hears `v`
-    /// through port `p`, then `v` hears `u` through `back_port(p)`.
-    ///
-    /// Port-to-port correspondence is learned in the first exchange (each
-    /// node can announce its sending port), so exposing it here is
-    /// model-legitimate; per-port indexing into neighbors' state vectors is
-    /// what the matching and orientation protocols need.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p >= degree`.
-    pub fn back_port(&self, p: PortId) -> PortId {
-        self.nbrs[p].back_port
-    }
-}
-
-/// A round-synchronous algorithm over broadcast public states.
-///
-/// `update` is called with round numbers `1, 2, …`; at round `r` the
-/// `neighbors` slice holds (by port) the states after round `r − 1`
-/// (initial states for `r = 1`).
-///
-/// Both associated types are `'static`, as the engine's message and output
-/// types must be: the engine and this layer keep their run buffers between
-/// runs, typed by element.
-pub trait SyncAlgorithm: Sync {
-    /// Public per-vertex state, broadcast to neighbors every round.
-    type State: Clone + Send + Sync + 'static;
-    /// Final per-vertex output.
-    type Output: Clone + Send + 'static;
-
-    /// The initial state of a vertex.
-    fn init(&self, init: &NodeInit<'_>) -> Self::State;
-
-    /// One round: compute the next state (and possibly the final output)
-    /// from the current state and the neighbors' states.
-    fn update(
-        &self,
-        round: u32,
-        ctx: &mut SyncCtx<'_>,
-        state: &Self::State,
-        neighbors: &[Self::State],
-    ) -> SyncStep<Self::State, Self::Output>;
-}
+pub use local_model::{SyncAlgorithm, SyncCtx, SyncStep};
 
 /// The strict all-decided shape, recovered from a [`SyncRun`] by
 /// [`SyncRun::strict`].
@@ -123,142 +32,6 @@ pub struct SyncOutcome<O> {
     pub rounds: u32,
     /// Total messages sent, including the bookkeeping sweeps.
     pub messages: u64,
-}
-
-/// One vertex of a sync run: the state both node wrappers share.
-struct Vertex<'a, A: SyncAlgorithm> {
-    algo: &'a A,
-    nbrs: &'a [Neighbor],
-    state: A::State,
-    decided: Option<(u32, A::Output)>,
-    /// Last state heard per port: this vertex's slice of the run's flat
-    /// last-heard buffer, seeded with the neighbors' initial states. A
-    /// neighbor that halted stops transmitting, but its state is final —
-    /// the cache stands in for the silent final broadcasts.
-    heard: &'a mut [A::State],
-}
-
-impl<'a, A: SyncAlgorithm> Vertex<'a, A> {
-    /// One [`SyncAlgorithm::update`] against the heard states.
-    fn update<M: Clone>(&mut self, round: u32, io: &mut NodeIo<'_, M>) {
-        let mut ctx = SyncCtx {
-            id: io.id(),
-            params: io.params(),
-            rng: if io.is_randomized() {
-                Some(io.rng())
-            } else {
-                None
-            },
-            nbrs: self.nbrs,
-        };
-        match self.algo.update(round, &mut ctx, &self.state, self.heard) {
-            SyncStep::Continue(s) => self.state = s,
-            SyncStep::Decide(s, o) => {
-                self.state = s;
-                self.decided = Some((round, o));
-            }
-        }
-    }
-}
-
-/// Engine node wrapping a [`SyncAlgorithm`] vertex.
-///
-/// A vertex halts once it has decided and every neighbor has too: every
-/// port is either silent or carries `done = true`. In a fault-free run a
-/// port goes silent only when its neighbor halted, which that neighbor does
-/// only after deciding and broadcasting `done = true` at least once.
-pub struct SyncNode<'a, A: SyncAlgorithm>(Vertex<'a, A>);
-
-impl<'a, A: SyncAlgorithm> NodeProgram for SyncNode<'a, A> {
-    type Msg = (A::State, bool);
-    type Output = (A::Output, u32);
-
-    fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
-        let v = &mut self.0;
-        if round > 0 {
-            let mut all_neighbors_decided = true;
-            for p in 0..io.degree() {
-                if let Some((s, done)) = io.take(p) {
-                    v.heard[p] = s;
-                    all_neighbors_decided &= done;
-                }
-            }
-            if v.decided.is_none() {
-                v.update(round, io);
-            } else if all_neighbors_decided {
-                let (r, o) = v.decided.take().expect("checked above");
-                return Action::Halt((o, r));
-            }
-        }
-        io.broadcast((v.state.clone(), v.decided.is_some()));
-        Action::Continue
-    }
-}
-
-thread_local! {
-    /// The sync layer's slot in the per-thread run arena: the CSR-aligned
-    /// last-heard buffer (see [`local_model::arena`]).
-    static HEARD: BufferSlot = const { BufferSlot::new() };
-}
-
-/// The setup both node wrappers share: every vertex built up front with its
-/// initial state, then `heard` (empty on entry) filled with the neighbor's
-/// initial state per CSR slot, and each vertex given its slice.
-fn setup<'a, A: SyncAlgorithm>(
-    algo: &'a A,
-    g: &'a Graph,
-    mode: &Mode,
-    params: &GlobalParams,
-    heard: &'a mut Vec<A::State>,
-) -> Vec<Vertex<'a, A>> {
-    let ids = match mode {
-        Mode::Deterministic { ids } => Some(ids.assign(g)),
-        Mode::Randomized { .. } => None,
-    };
-    let mut vertices: Vec<Vertex<'a, A>> = g
-        .vertices()
-        .map(|v| Vertex {
-            algo,
-            nbrs: g.neighbors(v),
-            state: algo.init(&NodeInit {
-                node: v,
-                degree: g.degree(v),
-                id: ids.as_ref().map(|ids| ids[v]),
-                params,
-            }),
-            decided: None,
-            heard: &mut [],
-        })
-        .collect();
-    heard.extend(
-        vertices
-            .iter()
-            .flat_map(|vx| vx.nbrs.iter().map(|nb| vertices[nb.node].state.clone())),
-    );
-    let mut rest = heard.as_mut_slice();
-    for vx in &mut vertices {
-        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(vx.nbrs.len());
-        vx.heard = mine;
-        rest = tail;
-    }
-    vertices
-}
-
-/// Protocol adapter handing the engine a sync run's pre-built vertices in
-/// one move, each wrapped as node type `W` — the vector becomes the
-/// engine's node column in place, with no second copy.
-struct Handover<'a, A: SyncAlgorithm, W>(Cell<Vec<Vertex<'a, A>>>, fn(Vertex<'a, A>) -> W);
-
-impl<'a, A: SyncAlgorithm, W: NodeProgram + Send> Protocol for Handover<'a, A, W> {
-    type Node = W;
-
-    fn create(&self, _init: &NodeInit<'_>) -> W {
-        unreachable!("the engine builds sync nodes through create_all")
-    }
-
-    fn create_all(&self, _g: &Graph, _ids: Option<&[u64]>, _params: &GlobalParams) -> Vec<W> {
-        self.0.take().into_iter().map(self.1).collect()
-    }
 }
 
 /// Outcome of [`run_sync`]: per-vertex fates with partial outputs.
@@ -368,39 +141,6 @@ impl<O> SyncRun<O> {
     }
 }
 
-/// Engine node wrapping a [`SyncAlgorithm`] vertex for faulty runs.
-///
-/// Differs from [`SyncNode`] in one fault-model concession: a vertex halts
-/// one round after deciding (one final broadcast), instead of waiting for
-/// all neighbors to decide — a crashed neighbor would otherwise pin the
-/// whole run at the sweep budget. A dropped message means a stale state in
-/// the last-heard cache, and a crash-stop neighbor freezes at its last
-/// delivered state.
-pub struct FaultySyncNode<'a, A: SyncAlgorithm>(Vertex<'a, A>);
-
-impl<'a, A: SyncAlgorithm> NodeProgram for FaultySyncNode<'a, A> {
-    type Msg = A::State;
-    type Output = (A::Output, u32);
-
-    fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
-        let v = &mut self.0;
-        if round > 0 {
-            if let Some((r, o)) = v.decided.take() {
-                // The final state went out last round; nothing left to do.
-                return Action::Halt((o, r));
-            }
-            for p in 0..io.degree() {
-                if let Some(s) = io.take(p) {
-                    v.heard[p] = s;
-                }
-            }
-            v.update(round, io);
-        }
-        io.broadcast(v.state.clone());
-        Action::Continue
-    }
-}
-
 /// Run a [`SyncAlgorithm`] on `g` under `mode`, as described by `spec` —
 /// the single sync-layer entry point.
 ///
@@ -411,13 +151,10 @@ impl<'a, A: SyncAlgorithm> NodeProgram for FaultySyncNode<'a, A> {
 ///   through unchanged). An absent budget allows 100 000 rounds.
 /// * `spec.params` overrides the advertised global parameters (Theorems
 ///   3/6/8 pretend the graph is larger than it is).
-/// * `spec.faults` injects message drops, delays, and crash-stop nodes. The
-///   fault-tolerant node wrapper ([`FaultySyncNode`]) differs observably
-///   from the fault-free one ([`SyncNode`]) — it halts one round after
-///   deciding — so the fault-free case (`None`) runs [`SyncNode`]. Both
-///   share one setup: initial states computed once, and one flat last-heard
-///   buffer aligned with the graph's CSR slots, kept in the thread's run
-///   arena between runs.
+/// * `spec.faults` injects message drops, delays, and crash-stop nodes. A
+///   faulty run differs observably from a fault-free one — a vertex halts
+///   one round after deciding instead of waiting for its neighbors — so any
+///   plan, even a trivial one, selects it, and `None` the fault-free run.
 /// * `spec.trace` receives the engine's per-round events (live counts,
 ///   message volume, crashes, fault-plane drops/delays, budget consumption).
 ///
@@ -431,28 +168,31 @@ pub fn run_sync<A: SyncAlgorithm>(
     algo: &A,
     spec: &ExecSpec<'_>,
 ) -> SyncRun<A::Output> {
-    let params = spec.params.unwrap_or_else(|| GlobalParams::from_graph(g));
+    let (engine_spec, round_limit) = engine_spec(g, spec);
+    let run = Engine::new(g, mode).execute_sync(&engine_spec, algo);
+    into_sync_run(run, round_limit)
+}
+
+/// The engine spec behind a [`run_sync`] spec — the round budget widened by
+/// the two bookkeeping sweeps, the parameters resolved — and that widened
+/// round limit.
+fn engine_spec<'s>(g: &Graph, spec: &ExecSpec<'s>) -> (ExecSpec<'s>, u32) {
     let budget = spec.budget.unwrap_or(Budget::rounds(100_000));
     let engine_budget = Budget {
         max_rounds: budget.max_rounds.saturating_add(2),
         ..budget
     };
     let engine_spec = ExecSpec {
-        params: Some(params),
+        params: Some(spec.params.unwrap_or_else(|| GlobalParams::from_graph(g))),
         budget: Some(engine_budget),
-        faults: spec.faults,
-        trace: spec.trace,
-        metrics: spec.metrics,
-        shards: spec.shards,
+        ..*spec
     };
-    let engine = Engine::new(g, mode.clone());
-    let mut heard = HEARD.with(|h| h.take(g.csr_offsets()[g.n()]));
-    let vertices = Cell::new(setup(algo, g, &mode, &params, &mut heard));
-    let run = match spec.faults {
-        None => engine.execute(&engine_spec, &Handover(vertices, SyncNode)),
-        Some(_) => engine.execute(&engine_spec, &Handover(vertices, FaultySyncNode)),
-    };
-    HEARD.with(|h| h.give(heard));
+    (engine_spec, engine_budget.max_rounds)
+}
+
+/// Map an engine run's outcomes, whose outputs carry their decide round,
+/// into the sync layer's shape, where `Halted.round` is that decide round.
+fn into_sync_run<O>(run: FaultyRun<(O, u32)>, round_limit: u32) -> SyncRun<O> {
     SyncRun {
         outcomes: run
             .outcomes
@@ -474,15 +214,18 @@ pub fn run_sync<A: SyncAlgorithm>(
         dropped: run.dropped,
         delayed: run.delayed,
         breach: run.breach,
-        round_limit: engine_budget.max_rounds,
+        round_limit,
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use local_graphs::gen;
-    use local_model::{FaultPlan, FaultSpec};
+    use local_model::{FaultPlan, FaultSpec, NodeInit};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -638,18 +381,41 @@ mod tests {
         }
     }
 
+    /// Decide at round 1 on the neighbor states seen then, by port.
+    struct SeenAtRoundOne;
+    impl SyncAlgorithm for SeenAtRoundOne {
+        type State = u64;
+        type Output = Vec<u64>;
+        fn init(&self, init: &NodeInit<'_>) -> u64 {
+            init.id.expect("DetLOCAL")
+        }
+        fn update(
+            &self,
+            _round: u32,
+            _ctx: &mut SyncCtx<'_>,
+            state: &u64,
+            neighbors: &[u64],
+        ) -> SyncStep<u64, Vec<u64>> {
+            SyncStep::Decide(*state, neighbors.to_vec())
+        }
+    }
+
     #[test]
-    fn setup_seeds_each_heard_slice() {
+    fn heard_is_seeded_with_neighbor_initial_states() {
+        // Round 1 sees the neighbors' initial states: fault-free because
+        // sweep 0 announced them, and under certain drops because every
+        // last-heard slot starts out holding them.
         let g = gen::gnp(12, 0.4, &mut StdRng::seed_from_u64(3));
-        let params = GlobalParams::from_graph(&g);
-        let mut heard = Vec::new();
-        let algo = MaxWithin { horizon: 1 };
-        let vertices = setup(&algo, &g, &Mode::deterministic(), &params, &mut heard);
-        assert_eq!(vertices.len(), g.n());
-        for (v, vx) in vertices.iter().enumerate() {
-            let want: Vec<u64> = g.neighbors(v).iter().map(|nb| nb.node as u64).collect();
-            assert_eq!(vx.heard, &want[..], "vertex {v}");
-            assert_eq!(vx.state, v as u64);
+        let plan = FaultPlan::sample(&g, &FaultSpec::none().with_drop(1.0), 1);
+        for spec in [
+            ExecSpec::rounds(10),
+            ExecSpec::rounds(10).with_faults(&plan),
+        ] {
+            let run = run_sync(&g, Mode::deterministic(), &SeenAtRoundOne, &spec);
+            for (v, o) in run.outcomes.iter().enumerate() {
+                let want: Vec<u64> = g.neighbors(v).iter().map(|nb| nb.node as u64).collect();
+                assert_eq!(o.output(), Some(&want), "vertex {v}");
+            }
         }
     }
 

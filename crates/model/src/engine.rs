@@ -3,10 +3,11 @@
 use crate::arena::BufferSlot;
 use crate::faults::{FaultPlan, FaultyRun, Outcome};
 use crate::ids::IdAssignment;
-use crate::node::{Action, NodeIo, NodeProgram, Protocol};
+use crate::node::{Action, NodeInit, NodeIo, NodeProgram, Protocol};
 use crate::params::GlobalParams;
 use crate::recover::{Breach, Budget};
 use crate::spec::ExecSpec;
+use crate::sync::{HeardPlane, StatePlane, SyncAlgorithm};
 use local_graphs::Graph;
 use local_obs::{EventData, MetricId, MetricSet, PowHistogram, Trace};
 use rand::{Rng, RngCore, SeedableRng};
@@ -116,39 +117,83 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-vertex engine state, struct-of-arrays.
+/// The engine's own per-vertex columns, struct-of-arrays.
 ///
 /// Earlier revisions kept one slot struct per vertex with an inline
 /// `Option<ChaCha8Rng>`; in DetLOCAL mode that padded every vertex with a
 /// dead 120-byte RNG payload (the 112-byte generator plus the `Option` tag)
 /// the sweep still had to stride over. Columns keep each access pattern
-/// dense — the sweep walks `states`/`done`/`sent` sequentially, and `rngs`
-/// is *empty* (not `None`-filled) when the mode is deterministic — and they
-/// split cleanly into per-shard sub-slices.
-struct NodeColumns<N: NodeProgram> {
-    states: Vec<N>,
+/// dense — the sweep walks `done`/`sent` sequentially, and `rngs` is *empty*
+/// (not `None`-filled) when the mode is deterministic — and they split
+/// cleanly into per-shard sub-slices. What a vertex computes with lives in
+/// its [`Plane`].
+struct Columns<O> {
     /// Per-node RNG streams; empty in DetLOCAL mode.
     rngs: Vec<ChaCha8Rng>,
-    done: Vec<Option<(u32, N::Output)>>,
+    done: Vec<Option<(u32, O)>>,
     sent: Vec<u64>,
 }
 
-/// The engine's per-thread run arena: one [`BufferSlot`] per large run
-/// buffer, taken when a run starts and given back when it ends (see
-/// [`crate::arena`] for the floor and eviction rules). The node states are
-/// not pooled: they may borrow from the caller, and a protocol that already
-/// holds them hands them over through [`Protocol::create_all`].
-struct Arena {
+/// One shard's cut of the [`Columns`].
+struct ColumnCut<'c, O> {
+    rngs: &'c mut [ChaCha8Rng],
+    done: &'c mut [Option<(u32, O)>],
+    sent: &'c mut [u64],
+}
+
+impl<O> Columns<O> {
+    /// The cuts of the vertex ranges `bounds[s]..bounds[s + 1]`.
+    fn cuts(&mut self, bounds: &[usize]) -> Vec<ColumnCut<'_, O>> {
+        let randomized = !self.rngs.is_empty();
+        let mut rngs = self.rngs.as_mut_slice();
+        let mut done = self.done.as_mut_slice();
+        let mut sent = self.sent.as_mut_slice();
+        bounds
+            .windows(2)
+            .map(|w| {
+                let len = w[1] - w[0];
+                ColumnCut {
+                    rngs: cut(&mut rngs, if randomized { len } else { 0 }),
+                    done: cut(&mut done, len),
+                    sent: cut(&mut sent, len),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Split the first `len` elements off `rest`: how a column is dealt out to
+/// shards.
+pub(crate) fn cut<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// The per-thread run arena: one [`BufferSlot`] per large run buffer, taken
+/// when a run starts and given back when it ends (see [`crate::arena`] for
+/// the floor and eviction rules). The message plane's node programs are not
+/// pooled: they may borrow from the caller.
+pub(crate) struct Arena {
     rngs: BufferSlot,
     sent: BufferSlot,
     partner: BufferSlot,
     done: BufferSlot,
     inbox: BufferSlot,
     out: BufferSlot,
+    /// The state planes' state column (the previous sweep's, when there
+    /// are two).
+    pub(crate) states: BufferSlot,
+    pub(crate) next_states: BufferSlot,
+    pub(crate) decided: BufferSlot,
+    pub(crate) next_decided: BufferSlot,
+    pub(crate) decision: BufferSlot,
+    pub(crate) heard: BufferSlot,
+    pub(crate) sent_in: BufferSlot,
 }
 
 thread_local! {
-    static ARENA: Arena = const {
+    pub(crate) static ARENA: Arena = const {
         Arena {
             rngs: BufferSlot::new(),
             sent: BufferSlot::new(),
@@ -156,13 +201,23 @@ thread_local! {
             done: BufferSlot::new(),
             inbox: BufferSlot::new(),
             out: BufferSlot::new(),
+            states: BufferSlot::new(),
+            next_states: BufferSlot::new(),
+            decided: BufferSlot::new(),
+            next_decided: BufferSlot::new(),
+            decision: BufferSlot::new(),
+            heard: BufferSlot::new(),
+            sent_in: BufferSlot::new(),
         }
     };
 }
 
+/// The plan a spec without faults runs under: no drops, delays or crashes.
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+
 /// Vertex boundaries cutting `0..n` into `k` shards balanced by *work*:
-/// each vertex weighs `1 + degree` (its step plus one outbox slot per port),
-/// so neither a hub-heavy prefix nor a long tail of leaves starves the other
+/// each vertex weighs `1 + degree` (its step plus one slot per port), so
+/// neither a hub-heavy prefix nor a long tail of leaves starves the other
 /// shards. Vertex `v`'s weight starts at `v + offsets[v]`, which is strictly
 /// increasing, so each boundary is a binary search. Boundaries are monotone;
 /// empty shards are legal.
@@ -189,64 +244,114 @@ fn shard_bounds(offsets: &[usize], k: usize) -> Vec<usize> {
     bounds
 }
 
-/// Step the vertices of `range` for one sweep. All column and arena slices
-/// are shard-relative: columns start at `range.start`, message arenas at
-/// `offsets[range.start]`. `crashed` is global (and empty when the plan has
-/// no crashes). Returns `(messages sent, nodes halted)` for the chunk.
+/// A run's [`ExecSpec`] with every default filled in, plus the IDs its mode
+/// assigns.
+pub(crate) struct Resolved<'s> {
+    pub(crate) params: GlobalParams,
+    budget: Budget,
+    pub(crate) faults: &'s FaultPlan,
+    trace: Option<&'s Trace>,
+    metrics: Option<&'s MetricSet>,
+    /// The shard count, resolved against the graph's size.
+    shards: usize,
+    /// Unique IDs in DetLOCAL mode.
+    pub(crate) ids: Option<Vec<u64>>,
+}
+
+/// What every vertex step of one sweep reads, shared by all shards.
+pub(crate) struct Sweep<'a> {
+    pub(crate) round: u32,
+    pub(crate) graph: &'a Graph,
+    /// The graph's CSR offsets: vertex `v`'s ports are slots
+    /// `offsets[v] .. offsets[v + 1]`.
+    pub(crate) offsets: &'a [usize],
+    pub(crate) params: &'a GlobalParams,
+    pub(crate) ids: Option<&'a [u64]>,
+    /// Crash flags; empty when the plan schedules no crash.
+    pub(crate) crashed: &'a [bool],
+}
+
+/// How one sweep steps a shard's vertices and how the exchange after it
+/// runs: the part of a run that differs between the message plane and the
+/// state planes. [`Engine`]'s round loop owns everything else — crashes,
+/// liveness, budgets, trace events, metrics, outcomes and shard threads.
+pub(crate) trait Plane {
+    /// What a halted vertex outputs.
+    type Output: Send + 'static;
+    /// One shard's disjoint view of the plane.
+    type Shard<'p>: Send
+    where
+        Self: 'p;
+
+    /// Views of the vertex ranges `bounds[s]..bounds[s + 1]`.
+    fn shards(&mut self, bounds: &[usize]) -> Vec<Self::Shard<'_>>;
+
+    /// Step vertex `v`, the `i`-th of its shard, for one sweep: the
+    /// messages it sent, and its output if it halted.
+    fn step(
+        shard: &mut Self::Shard<'_>,
+        sweep: &Sweep<'_>,
+        v: usize,
+        i: usize,
+        rng: Option<&mut ChaCha8Rng>,
+    ) -> (u64, Option<Self::Output>);
+
+    /// Finish a shard on its own thread once all its vertices stepped.
+    fn settle(_shard: &mut Self::Shard<'_>) {}
+
+    /// The exchange after `sweep`, run on the engine's thread.
+    fn exchange(
+        &mut self,
+        sweep: &Sweep<'_>,
+        faults: &FaultPlan,
+        dropped: &mut u64,
+        delayed: &mut u64,
+    );
+
+    /// Give the pooled buffers back to the thread's arena.
+    fn recycle(self);
+}
+
+/// Step the vertices of `range` for one sweep against one shard's plane
+/// view and column cut, both shard-relative. Returns `(messages sent, nodes
+/// halted)` for the chunk.
 ///
 /// This is the one stepping routine — the serial path calls it over `0..n`
 /// and each shard worker over its own cut, so the two orders are
-/// bit-identical by construction: every node reads (and may take from) only
-/// its own inbox segment and pre-seeded RNG stream, and writes only its own
-/// column cells and outbox segment.
-#[allow(clippy::too_many_arguments)]
-fn step_span<N: NodeProgram>(
-    round: u32,
+/// bit-identical by construction: every vertex reads only what the last
+/// exchange left and its own pre-seeded RNG stream, and writes only its own
+/// cells.
+fn step_span<P: Plane>(
+    sweep: &Sweep<'_>,
     range: std::ops::Range<usize>,
-    offsets: &[usize],
-    params: &GlobalParams,
-    ids: Option<&[u64]>,
-    crashed: &[bool],
-    has_crashes: bool,
-    states: &mut [N],
-    rngs: &mut [ChaCha8Rng],
-    done: &mut [Option<(u32, N::Output)>],
-    sent: &mut [u64],
-    inbox: &mut [Option<N::Msg>],
-    out: &mut [Option<N::Msg>],
+    shard: &mut P::Shard<'_>,
+    cut: ColumnCut<'_, P::Output>,
 ) -> (u64, u64) {
-    let base = offsets[range.start];
-    let randomized = !rngs.is_empty();
+    let randomized = !cut.rngs.is_empty();
     let mut sent_total = 0u64;
     let mut halts = 0u64;
     for (i, v) in range.enumerate() {
-        if done[i].is_some() || (has_crashes && crashed[v]) {
+        if cut.done[i].is_some() || (!sweep.crashed.is_empty() && sweep.crashed[v]) {
             continue;
         }
-        let (o0, o1) = (offsets[v] - base, offsets[v + 1] - base);
-        let action = {
-            let mut io = NodeIo {
-                degree: o1 - o0,
-                id: ids.map(|ids| ids[v]),
-                params,
-                inbox: &mut inbox[o0..o1],
-                outbox: &mut out[o0..o1],
-                rng: if randomized { Some(&mut rngs[i]) } else { None },
-            };
-            states[i].step(round, &mut io)
+        let rng = if randomized {
+            Some(&mut cut.rngs[i])
+        } else {
+            None
         };
-        let sent_now = out[o0..o1].iter().filter(|m| m.is_some()).count() as u64;
-        sent[i] += sent_now;
+        let (sent_now, halt) = P::step(shard, sweep, v, i, rng);
+        cut.sent[i] += sent_now;
         sent_total += sent_now;
-        if let Action::Halt(o) = action {
-            done[i] = Some((round, o));
+        if let Some(o) = halt {
+            cut.done[i] = Some((sweep.round, o));
             halts += 1;
         }
     }
+    P::settle(shard);
     (sent_total, halts)
 }
 
-/// The CSR-indexed double-buffered message plane.
+/// The CSR-indexed double-buffered message plane, for [`NodeProgram`]s.
 ///
 /// One slot per *directed* edge, laid out by the adjacency structure: the
 /// outbox of vertex `v` is the contiguous segment
@@ -259,26 +364,58 @@ fn step_span<N: NodeProgram>(
 /// permutation `inbox[i] = out[partner[i]].take()` — the `take` doubles as
 /// the clear of the out buffer, so after setup the plane never allocates.
 /// `partner`, `inbox` and `out` come from the thread's [`Arena`] and go back
-/// to it through [`recycle`](Self::recycle).
-struct MessagePlane<'g, M> {
+/// to it through [`recycle`](Plane::recycle).
+struct MessagePlane<'g, N: NodeProgram> {
     /// CSR offsets, borrowed straight from the graph's adjacency: vertex `v`
     /// owns slots `offsets[v] .. offsets[v + 1]`.
     offsets: &'g [usize],
+    /// The node programs, by vertex.
+    states: Vec<N>,
     /// `partner[offsets[v] + p] = offsets[u] + q` for the reverse edge.
     partner: Vec<usize>,
     /// Receive buffer: after delivery, `v`'s inbox by port.
-    inbox: Vec<Option<M>>,
+    inbox: Vec<Option<N::Msg>>,
     /// Send buffer: `v`'s outbox by port, all `None` between deliveries.
-    out: Vec<Option<M>>,
+    out: Vec<Option<N::Msg>>,
     /// Messages deferred one round by delay faults (allocated only when the
     /// fault plan can delay).
-    delayed: Vec<Option<M>>,
+    delayed: Vec<Option<N::Msg>>,
+    /// Whether each shard delivers its own inbox as soon as its stepping is
+    /// done: sharded runs without drops or delays.
+    eager: bool,
+    /// Per shard, under eager delivery: the messages whose reader lives in
+    /// another shard, with their inbox slot, waiting for the exchange.
+    xfers: Vec<Vec<(usize, N::Msg)>>,
 }
 
-impl<'g, M: 'static> MessagePlane<'g, M> {
-    fn new(g: &'g Graph) -> Self {
+/// One shard's view of a [`MessagePlane`]: its node programs and its
+/// segments of the two message buffers.
+struct MessageShard<'p, N: NodeProgram> {
+    /// `offsets[start]`, where this shard's slots begin.
+    base: usize,
+    states: &'p mut [N],
+    inbox: &'p mut [Option<N::Msg>],
+    out: &'p mut [Option<N::Msg>],
+    partner: &'p [usize],
+    /// This shard's export list, under eager delivery only.
+    xfer: Option<&'p mut Vec<(usize, N::Msg)>>,
+}
+
+impl<'g, N: NodeProgram> MessagePlane<'g, N> {
+    fn new<P: Protocol<Node = N>>(g: &'g Graph, protocol: &P, run: &Resolved<'_>) -> Self {
         let offsets = g.csr_offsets();
         let total = offsets[g.n()];
+        let states = g
+            .vertices()
+            .map(|v| {
+                protocol.create(&NodeInit {
+                    node: v,
+                    degree: g.degree(v),
+                    id: run.ids.as_ref().map(|ids| ids[v]),
+                    params: &run.params,
+                })
+            })
+            .collect();
         let (mut partner, mut inbox, mut out) = ARENA.with(|a| {
             (
                 a.partner.take(total),
@@ -296,20 +433,14 @@ impl<'g, M: 'static> MessagePlane<'g, M> {
         out.resize_with(total, || None);
         MessagePlane {
             offsets,
+            states,
             partner,
             inbox,
             out,
             delayed: Vec::new(),
+            eager: run.shards > 1 && !run.faults.has_drops() && !run.faults.has_delays(),
+            xfers: Vec::new(),
         }
-    }
-
-    /// Give the pooled buffers back to the thread's arena.
-    fn recycle(self) {
-        ARENA.with(|a| {
-            a.partner.give(self.partner);
-            a.inbox.give(self.inbox);
-            a.out.give(self.out);
-        });
     }
 
     /// Move every message sent this sweep to its receiver's inbox slot (and
@@ -366,15 +497,128 @@ impl<'g, M: 'static> MessagePlane<'g, M> {
     }
 }
 
-/// Runs a [`Protocol`] on a graph under a [`Mode`], counting rounds.
+impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
+    type Output = N::Output;
+    type Shard<'p>
+        = MessageShard<'p, N>
+    where
+        Self: 'p;
+
+    fn shards(&mut self, bounds: &[usize]) -> Vec<MessageShard<'_, N>> {
+        let offsets = self.offsets;
+        if self.eager {
+            self.xfers.resize_with(bounds.len() - 1, Vec::new);
+        }
+        let mut xfers = self.xfers.iter_mut();
+        let mut states = self.states.as_mut_slice();
+        let mut inbox = self.inbox.as_mut_slice();
+        let mut out = self.out.as_mut_slice();
+        let mut views = Vec::with_capacity(bounds.len() - 1);
+        for w in bounds.windows(2) {
+            let slots = offsets[w[1]] - offsets[w[0]];
+            views.push(MessageShard {
+                base: offsets[w[0]],
+                states: cut(&mut states, w[1] - w[0]),
+                inbox: cut(&mut inbox, slots),
+                out: cut(&mut out, slots),
+                partner: &self.partner,
+                xfer: xfers.next(),
+            });
+        }
+        views
+    }
+
+    fn step(
+        sh: &mut MessageShard<'_, N>,
+        sweep: &Sweep<'_>,
+        v: usize,
+        i: usize,
+        rng: Option<&mut ChaCha8Rng>,
+    ) -> (u64, Option<N::Output>) {
+        let (o0, o1) = (sweep.offsets[v] - sh.base, sweep.offsets[v + 1] - sh.base);
+        let action = {
+            let mut io = NodeIo {
+                degree: o1 - o0,
+                id: sweep.ids.map(|ids| ids[v]),
+                params: sweep.params,
+                inbox: &mut sh.inbox[o0..o1],
+                outbox: &mut sh.out[o0..o1],
+                rng,
+            };
+            sh.states[i].step(sweep.round, &mut io)
+        };
+        let sent = sh.out[o0..o1].iter().filter(|m| m.is_some()).count() as u64;
+        match action {
+            Action::Halt(o) => (sent, Some(o)),
+            Action::Continue => (sent, None),
+        }
+    }
+
+    /// Eager delivery: this shard's out segment is final once its stepping
+    /// is done, so it delivers its own inbox without waiting for the other
+    /// shards, taking only from its own out segment. Foreign-partner slots
+    /// get `None` now and their message (if any) in the exchange.
+    fn settle(sh: &mut MessageShard<'_, N>) {
+        let Some(xfer) = sh.xfer.as_deref_mut() else {
+            return;
+        };
+        let (inbox, out, partner) = (&mut *sh.inbox, &mut *sh.out, sh.partner);
+        let (base, end) = (sh.base, sh.base + out.len());
+        for li in 0..inbox.len() {
+            let j = partner[base + li];
+            inbox[li] = if j >= base && j < end {
+                out[j - base].take()
+            } else {
+                None
+            };
+        }
+        // Whatever survives in `out` has a foreign partner (delivery is an
+        // involution): export it with its destination inbox slot.
+        for lj in 0..out.len() {
+            if let Some(m) = out[lj].take() {
+                xfer.push((partner[base + lj], m));
+            }
+        }
+    }
+
+    fn exchange(
+        &mut self,
+        sweep: &Sweep<'_>,
+        faults: &FaultPlan,
+        dropped: &mut u64,
+        delayed: &mut u64,
+    ) {
+        if self.eager {
+            // Serial drain of cross-shard messages: each inbox slot is
+            // written at most once (its unique sender), so order does not
+            // matter and the result is deterministic.
+            for (i, m) in self.xfers.iter_mut().flat_map(|x| x.drain(..)) {
+                self.inbox[i] = Some(m);
+            }
+        } else {
+            self.deliver_faulty(faults, sweep.round, dropped, delayed);
+        }
+    }
+
+    fn recycle(self) {
+        ARENA.with(|a| {
+            a.partner.give(self.partner);
+            a.inbox.give(self.inbox);
+            a.out.give(self.out);
+        });
+    }
+}
+
+/// Runs a [`Protocol`] or a [`SyncAlgorithm`] on a graph under a [`Mode`],
+/// counting rounds.
 ///
-/// Node steps within a sweep are independent (they read only the previous
-/// exchange's messages), so the engine cuts the vertex set into contiguous
-/// shards stepped on scoped threads for large graphs; results are
+/// Vertex steps within a sweep are independent (they read only what the
+/// previous exchange left), so the engine cuts the vertex set into
+/// contiguous shards stepped on scoped threads for large graphs; results are
 /// bit-identical to sequential execution — and invariant across shard
-/// counts — because every node's randomness comes from its own pre-seeded
-/// stream, nodes write only their own column cells and outbox segment, and
-/// each inbox slot has exactly one writer per exchange.
+/// counts — because every vertex's randomness comes from its own pre-seeded
+/// stream, vertices write only their own cells, and every exchange has
+/// exactly one writer per slot.
 #[derive(Debug)]
 pub struct Engine<'g> {
     graph: &'g Graph,
@@ -392,7 +636,8 @@ const DEFAULT_MAX_ROUNDS: u32 = 100_000;
 impl<'g> Engine<'g> {
     /// Engine for `graph` under `mode`. Everything else about a run — fault
     /// plan, budget, advertised parameters, trace, metrics, shard count — is
-    /// stated per run by the [`ExecSpec`] passed to [`execute`](Self::execute).
+    /// stated per run by the [`ExecSpec`] passed to [`execute`](Self::execute)
+    /// or [`execute_sync`](Self::execute_sync).
     pub fn new(graph: &'g Graph, mode: Mode) -> Self {
         Engine {
             graph,
@@ -415,7 +660,12 @@ impl<'g> Engine<'g> {
         self.graph
     }
 
-    /// Run `protocol` as described by `spec` — the single execution path.
+    /// The mode runs execute under.
+    pub(crate) fn mode(&self) -> &Mode {
+        &self.mode
+    }
+
+    /// Run `protocol` on the message plane as described by `spec`.
     ///
     /// Every node gets an [`Outcome`](crate::faults::Outcome) — `Halted`
     /// with its output, `Crashed` at its scheduled round, or `Cut` if it was
@@ -439,63 +689,68 @@ impl<'g> Engine<'g> {
     where
         P: Protocol,
     {
-        let no_faults;
-        let faults = match spec.faults {
-            Some(f) => f,
-            None => {
-                // `FaultPlan::none()` holds empty vectors — constructing it
-                // per run allocates nothing.
-                no_faults = FaultPlan::none();
-                &no_faults
-            }
-        };
-        self.execute_inner(
-            protocol,
-            &spec
-                .params
-                .unwrap_or_else(|| GlobalParams::from_graph(self.graph)),
-            &spec.budget.unwrap_or(Budget::rounds(DEFAULT_MAX_ROUNDS)),
-            faults,
-            spec.trace,
-            spec.metrics,
-            spec.shards,
-        )
+        let run = self.resolve(spec);
+        let plane = MessagePlane::new(self.graph, protocol, &run);
+        self.execute_inner(&run, plane)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn execute_inner<P>(
+    /// Run `algo` on a state plane as described by `spec` (defaults as for
+    /// [`execute`](Self::execute)); see [`crate::SyncAlgorithm`] for the
+    /// two planes and their halting rules.
+    ///
+    /// A halted vertex's [`Outcome::Halted`] carries the sweep it halted in
+    /// and its output paired with the round it *decided* in. Sweep 0 has
+    /// every vertex announce its initial state, so the first
+    /// [`SyncAlgorithm::update`] is round 1.
+    pub fn execute_sync<A: SyncAlgorithm>(
         &self,
-        protocol: &P,
-        params: &GlobalParams,
-        budget: &Budget,
-        faults: &FaultPlan,
-        trace: Option<&Trace>,
-        metrics: Option<&MetricSet>,
-        spec_shards: Option<std::num::NonZeroUsize>,
-    ) -> FaultyRun<<P::Node as NodeProgram>::Output>
-    where
-        P: Protocol,
-    {
+        spec: &ExecSpec<'_>,
+        algo: &A,
+    ) -> FaultyRun<(A::Output, u32)> {
+        let run = self.resolve(spec);
+        match spec.faults {
+            None => self.execute_inner(&run, StatePlane::new(self.graph, algo, &run)),
+            Some(_) => self.execute_inner(&run, HeardPlane::new(self.graph, algo, &run)),
+        }
+    }
+
+    fn resolve<'s>(&self, spec: &ExecSpec<'s>) -> Resolved<'s> {
         let g = self.graph;
         let n = g.n();
-        let ids: Option<Vec<u64>> = match &self.mode {
-            Mode::Deterministic { ids } => Some(ids.assign(g)),
-            Mode::Randomized { .. } => None,
-        };
+        Resolved {
+            params: spec.params.unwrap_or_else(|| GlobalParams::from_graph(g)),
+            budget: spec.budget.unwrap_or(Budget::rounds(DEFAULT_MAX_ROUNDS)),
+            faults: spec.faults.unwrap_or(&NO_FAULTS),
+            trace: spec.trace,
+            metrics: spec.metrics,
+            // An explicitly requested shard count forces the sharded path
+            // even on tiny graphs — the invariance tests rely on that;
+            // otherwise shard only past the parallelism threshold.
+            shards: match spec.shards {
+                Some(k) => k.get().min(n.max(1)),
+                None if n >= self.par_threshold => std::thread::available_parallelism()
+                    .map_or(1, std::num::NonZeroUsize::get)
+                    .min(n),
+                None => 1,
+            },
+            ids: match &self.mode {
+                Mode::Deterministic { ids } => Some(ids.assign(g)),
+                Mode::Randomized { .. } => None,
+            },
+        }
+    }
+
+    /// The round loop, the same for every plane.
+    fn execute_inner<P: Plane>(&self, run: &Resolved<'_>, mut plane: P) -> FaultyRun<P::Output> {
+        let g = self.graph;
+        let n = g.n();
+        let faults = run.faults;
         let seed = match &self.mode {
             Mode::Randomized { seed } => Some(*seed),
             Mode::Deterministic { .. } => None,
         };
-
-        let states = protocol.create_all(g, ids.as_deref(), params);
-        assert_eq!(
-            states.len(),
-            n,
-            "Protocol::create_all built the wrong node count"
-        );
         // Every pooled column is refilled exactly as a fresh one would be.
-        let mut cols: NodeColumns<P::Node> = ARENA.with(|a| NodeColumns {
-            states,
+        let mut cols: Columns<P::Output> = ARENA.with(|a| Columns {
             rngs: a.rngs.take(if seed.is_some() { n } else { 0 }),
             done: a.done.take(n),
             sent: a.sent.take(n),
@@ -508,25 +763,11 @@ impl<'g> Engine<'g> {
         cols.done.resize_with(n, || None);
         cols.sent.resize(n, 0);
 
-        // An explicitly requested shard count forces the sharded path even
-        // on tiny graphs — the invariance tests rely on that; otherwise shard
-        // only past the parallelism threshold.
-        let shards = match spec_shards {
-            Some(k) => k.get().min(n.max(1)),
-            None if n >= self.par_threshold => std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(n),
-            None => 1,
-        };
-        let bounds = if shards > 1 {
-            shard_bounds(g.csr_offsets(), shards)
+        let bounds = if run.shards > 1 {
+            shard_bounds(g.csr_offsets(), run.shards)
         } else {
-            Vec::new()
+            vec![0, n]
         };
-        // Without drops or delays every shard can deliver its own inbox as
-        // soon as its own stepping is done (it only takes from its own out
-        // segment), exporting cross-shard messages for the serial drain.
-        let eager = !faults.has_drops() && !faults.has_delays();
 
         let has_crashes = faults.has_crashes();
         let mut crashed: Vec<bool> = vec![false; if has_crashes { n } else { 0 }];
@@ -545,7 +786,6 @@ impl<'g> Engine<'g> {
         let mut crash_cursor = 0usize;
         let mut halted_total = 0usize;
         let mut crashed_total = 0usize;
-        let mut plane: MessagePlane<'_, <P::Node as NodeProgram>::Msg> = MessagePlane::new(g);
         let mut sweep: u32 = 0;
         let mut breach: Option<Breach> = None;
         let mut dropped = 0u64;
@@ -553,9 +793,10 @@ impl<'g> Engine<'g> {
         let mut live_per_round: Vec<usize> = Vec::new();
         let mut messages_per_round: Vec<u64> = Vec::new();
         let mut messages_total = 0u64;
+        let budget = &run.budget;
         let started = budget.wall_clock.map(|_| std::time::Instant::now());
 
-        if let Some(tr) = trace {
+        if let Some(tr) = run.trace {
             tr.emit(EventData::RunStart {
                 n: n as u64,
                 m: g.m() as u64,
@@ -599,131 +840,43 @@ impl<'g> Engine<'g> {
                 }
             }
             live_per_round.push(live);
-            let round = sweep;
-            let offsets = plane.offsets;
-            let ids_ref = ids.as_deref();
-            let crashed_ref = &crashed[..];
+            let at = Sweep {
+                round: sweep,
+                graph: g,
+                offsets: g.csr_offsets(),
+                params: &run.params,
+                ids: run.ids.as_deref(),
+                crashed: &crashed,
+            };
 
-            let mut delivered_eagerly = false;
-            let (sweep_sent, sweep_halts) = if shards == 1 {
-                step_span(
-                    round,
-                    0..n,
-                    offsets,
-                    params,
-                    ids_ref,
-                    crashed_ref,
-                    has_crashes,
-                    &mut cols.states,
-                    &mut cols.rngs,
-                    &mut cols.done,
-                    &mut cols.sent,
-                    &mut plane.inbox,
-                    &mut plane.out,
-                )
+            // Each shard steps its own vertex cut against its own plane view
+            // and column cut; every cell has exactly one writer per sweep,
+            // so the result is bit-identical to the serial order regardless
+            // of shard count or thread timing.
+            let views = plane
+                .shards(&bounds)
+                .into_iter()
+                .zip(cols.cuts(&bounds))
+                .zip(bounds.windows(2));
+            let (sweep_sent, sweep_halts) = if run.shards == 1 {
+                views
+                    .map(|((mut view, cut), w)| step_span::<P>(&at, w[0]..w[1], &mut view, cut))
+                    .fold((0, 0), |(s, h), (s1, h1)| (s + s1, h + h1))
             } else {
-                // Each shard steps its own vertex cut against its own column
-                // and arena sub-slices; when `eager`, it then delivers its
-                // own inbox (taking only from its own out segment) and
-                // exports cross-shard messages. Every inbox slot has exactly
-                // one writer per phase, so the result is bit-identical to the
-                // serial order regardless of shard count or thread timing.
-                let partner = &plane.partner[..];
-                let randomized = !cols.rngs.is_empty();
-                let (sent, halts, xfers) = std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(shards);
-                    let mut states_rest = cols.states.as_mut_slice();
-                    let mut rngs_rest = cols.rngs.as_mut_slice();
-                    let mut done_rest = cols.done.as_mut_slice();
-                    let mut sent_rest = cols.sent.as_mut_slice();
-                    let mut out_rest = plane.out.as_mut_slice();
-                    let mut inbox_rest = plane.inbox.as_mut_slice();
-                    for s in 0..shards {
-                        let (start, end) = (bounds[s], bounds[s + 1]);
-                        let len = end - start;
-                        let (states_chunk, r) = states_rest.split_at_mut(len);
-                        states_rest = r;
-                        let (rngs_chunk, r) =
-                            rngs_rest.split_at_mut(if randomized { len } else { 0 });
-                        rngs_rest = r;
-                        let (done_chunk, r) = done_rest.split_at_mut(len);
-                        done_rest = r;
-                        let (sent_chunk, r) = sent_rest.split_at_mut(len);
-                        sent_rest = r;
-                        let slots_len = offsets[end] - offsets[start];
-                        let (out_chunk, r) = out_rest.split_at_mut(slots_len);
-                        out_rest = r;
-                        let (inbox_chunk, r) = inbox_rest.split_at_mut(slots_len);
-                        inbox_rest = r;
-                        handles.push(scope.spawn(move || {
-                            let (base, end_off) = (offsets[start], offsets[end]);
-                            let (sent, halts) = step_span(
-                                round,
-                                start..end,
-                                offsets,
-                                params,
-                                ids_ref,
-                                crashed_ref,
-                                has_crashes,
-                                states_chunk,
-                                rngs_chunk,
-                                done_chunk,
-                                sent_chunk,
-                                inbox_chunk,
-                                out_chunk,
-                            );
-                            let mut xfer: Vec<(usize, <P::Node as NodeProgram>::Msg)> = Vec::new();
-                            if eager {
-                                // Intra-shard delivery: this shard's out
-                                // segment is final once its stepping is done,
-                                // so no barrier is needed before taking from
-                                // it. Foreign-partner slots get `None` now
-                                // and their message (if any) in the drain.
-                                for li in 0..inbox_chunk.len() {
-                                    let j = partner[base + li];
-                                    inbox_chunk[li] = if j >= base && j < end_off {
-                                        out_chunk[j - base].take()
-                                    } else {
-                                        None
-                                    };
-                                }
-                                // Whatever survives in `out` has a foreign
-                                // partner (delivery is an involution): export
-                                // it with its destination inbox slot.
-                                for lj in 0..out_chunk.len() {
-                                    if let Some(m) = out_chunk[lj].take() {
-                                        xfer.push((partner[base + lj], m));
-                                    }
-                                }
-                            }
-                            (sent, halts, xfer)
-                        }));
-                    }
-                    let mut sent = 0u64;
-                    let mut halts = 0u64;
-                    let mut xfers = Vec::with_capacity(shards);
-                    for h in handles {
-                        match h.join() {
-                            Ok((s, hl, x)) => {
-                                sent += s;
-                                halts += hl;
-                                xfers.push(x);
-                            }
+                let at = &at;
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = views
+                        .map(|((mut view, cut), w)| {
+                            scope.spawn(move || step_span::<P>(at, w[0]..w[1], &mut view, cut))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .fold((0, 0), |(s, h), handle| match handle.join() {
+                            Ok((s1, h1)) => (s + s1, h + h1),
                             Err(payload) => std::panic::resume_unwind(payload),
-                        }
-                    }
-                    (sent, halts, xfers)
-                });
-                if eager {
-                    // Serial drain of cross-shard messages: each inbox slot
-                    // is written at most once (its unique sender), so order
-                    // does not matter and the result is deterministic.
-                    for (i, m) in xfers.into_iter().flatten() {
-                        plane.inbox[i] = Some(m);
-                    }
-                    delivered_eagerly = true;
-                }
-                (sent, halts)
+                        })
+                })
             };
 
             messages_per_round.push(sweep_sent);
@@ -741,13 +894,13 @@ impl<'g> Engine<'g> {
                         message_breach = true;
                     }
                 }
-                if !message_breach && !delivered_eagerly {
-                    plane.deliver_faulty(faults, round, &mut dropped, &mut delayed);
+                if !message_breach {
+                    plane.exchange(&at, faults, &mut dropped, &mut delayed);
                 }
             }
-            if let Some(tr) = trace {
+            if let Some(tr) = run.trace {
                 tr.emit(EventData::Round {
-                    round,
+                    round: at.round,
                     live: live as u64,
                     messages: sweep_sent,
                     halts: sweep_halts,
@@ -765,7 +918,7 @@ impl<'g> Engine<'g> {
         let mut outcomes = Vec::with_capacity(n);
         let mut rounds = 0;
         let mut messages_sent = 0u64;
-        let observed = trace.is_some() || metrics.is_some();
+        let observed = run.trace.is_some() || run.metrics.is_some();
         let mut messages_hist = observed.then(PowHistogram::new);
         let mut halt_hist = observed.then(PowHistogram::new);
         for (v, (done, &sent)) in cols.done.drain(..).zip(&cols.sent).enumerate() {
@@ -812,7 +965,7 @@ impl<'g> Engine<'g> {
             delayed,
             breach,
         };
-        if let Some(ms) = metrics {
+        if let Some(ms) = run.metrics {
             ms.incr(MetricId::EngineRuns);
             ms.add(MetricId::EngineRounds, u64::from(fr.rounds));
             ms.add(MetricId::EngineSweeps, u64::from(fr.stats.sweeps));
@@ -831,7 +984,7 @@ impl<'g> Engine<'g> {
                 }
             }
         }
-        if let Some(tr) = trace {
+        if let Some(tr) = run.trace {
             tr.emit(EventData::Histogram {
                 name: "messages_per_vertex".into(),
                 hist: Box::new(messages_hist.unwrap_or_default()),

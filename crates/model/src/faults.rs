@@ -23,8 +23,9 @@
 //!   `r` on — it stops stepping, sends nothing, and never halts. Messages it
 //!   sent in earlier rounds still deliver.
 //!
-//! [`Engine::run_faulty`](crate::Engine::run_faulty) consumes a plan and
-//! reports per-node [`Outcome`]s with partial outputs instead of the
+//! [`Engine::execute`](crate::Engine::execute) and
+//! [`Engine::execute_sync`](crate::Engine::execute_sync) consume a plan and
+//! report per-node [`Outcome`]s with partial outputs instead of the
 //! all-or-nothing [`Run`](crate::Run).
 
 use crate::engine::{splitmix64, Run, RunStats};
@@ -133,7 +134,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The trivial plan: no drops, no delays, no crashes.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultPlan {
             drop: Vec::new(),
             delay_p: 0.0,
@@ -472,11 +473,26 @@ impl serde::Serialize for FaultPlan {
     }
 }
 
+/// A parsed probability, or a typed error where the constructors would
+/// panic: outside `[0, 1]` or NaN.
+fn parsed_probability(field: &str, p: f64) -> Result<f64, serde::DeError> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(serde::DeError(format!(
+            "{field}: probability must be in [0, 1], got {p}"
+        )))
+    }
+}
+
 impl serde::Deserialize for FaultPlan {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         Ok(FaultPlan {
-            drop: Vec::<f64>::from_value(v.field("drop")?)?,
-            delay_p: f64::from_value(v.field("delay_p")?)?,
+            drop: Vec::<f64>::from_value(v.field("drop")?)?
+                .into_iter()
+                .map(|p| parsed_probability("drop", p))
+                .collect::<Result<_, _>>()?,
+            delay_p: parsed_probability("delay_p", f64::from_value(v.field("delay_p")?)?)?,
             crash_round: Vec::<Option<u32>>::from_value(v.field("crash_round")?)?,
             seed: u64::from_value(v.field("seed")?)?,
         })
@@ -833,6 +849,34 @@ mod tests {
         // Hard-fault plans must survive a second trip byte-for-byte: the
         // pinned-artifact replay gate depends on this.
         assert_eq!(json, serde_json::to_string(&back).unwrap());
+    }
+
+    #[test]
+    fn fault_plan_parse_rejects_probabilities_outside_the_unit_interval() {
+        let parse = |drop: &str, delay: &str| {
+            serde_json::from_str::<FaultPlan>(&format!(
+                r#"{{"drop":[{drop}],"delay_p":{delay},"crash_round":[],"seed":3}}"#
+            ))
+        };
+        assert!(parse("0,1,0.25", "1").is_ok(), "the boundaries parse");
+        for (drop, delay, field, got) in [
+            ("1.5,-0.25", "0", "drop", "1.5"),
+            ("0,-0.25", "0", "drop", "-0.25"),
+            ("0.5", "7.5", "delay_p", "7.5"),
+            ("0.5", "-1e-9", "delay_p", "-0.000000001"),
+        ] {
+            let err = parse(drop, delay).expect_err("out of range");
+            assert_eq!(
+                err.0,
+                format!("{field}: probability must be in [0, 1], got {got}")
+            );
+        }
+        // NaN cannot be written in JSON, but a value tree can carry it.
+        let mut plan = FaultPlan::none().to_value();
+        if let serde::Value::Object(fields) = &mut plan {
+            fields[1].1 = serde::Value::F64(f64::NAN);
+        }
+        assert!(FaultPlan::from_value(&plan).is_err());
     }
 
     #[test]

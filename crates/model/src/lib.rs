@@ -21,6 +21,12 @@
 //! counts exactly: a protocol where every node halts after consuming messages
 //! from `t` exchanges has complexity `t`.
 //!
+//! The engine runs two kinds of program. A [`NodeProgram`] sends messages
+//! port by port and runs on the message plane ([`Engine::execute`]). A
+//! [`SyncAlgorithm`] reads its neighbors' states every round and runs on a
+//! state plane ([`Engine::execute_sync`]), where that read is a read of the
+//! neighbors' state cells rather than a delivery of per-port copies.
+//!
 //! # Example: every node learns its neighbors' degrees in 1 round
 //!
 //! ```
@@ -70,6 +76,7 @@ mod params;
 pub mod recover;
 pub mod reference;
 mod spec;
+mod sync;
 
 pub use engine::{derived_rng, derived_u64, Engine, Mode, Run, RunStats};
 pub use error::SimError;
@@ -79,3 +86,4 @@ pub use node::{Action, NodeInit, NodeIo, NodeProgram, Protocol};
 pub use params::{GlobalParams, HorizonOverflow};
 pub use recover::{faulty_core, AttemptRecord, Breach, Budget, RecoveryError, Residue};
 pub use spec::ExecSpec;
+pub use sync::{SyncAlgorithm, SyncCtx, SyncStep};

@@ -1,7 +1,7 @@
 //! The per-vertex programming interface.
 
 use crate::params::GlobalParams;
-use local_graphs::{Graph, NodeId, PortId};
+use local_graphs::{NodeId, PortId};
 use rand::RngCore;
 use rand_chacha::ChaCha8Rng;
 
@@ -49,23 +49,6 @@ pub trait Protocol {
 
     /// Build the initial state for one vertex.
     fn create(&self, init: &NodeInit<'_>) -> Self::Node;
-
-    /// Build every vertex's initial state, in vertex order — the call the
-    /// engine makes. The default calls [`create`](Self::create) once per
-    /// vertex of `g`; a protocol that already holds its nodes hands them
-    /// over in one move instead.
-    fn create_all(&self, g: &Graph, ids: Option<&[u64]>, params: &GlobalParams) -> Vec<Self::Node> {
-        g.vertices()
-            .map(|v| {
-                self.create(&NodeInit {
-                    node: v,
-                    degree: g.degree(v),
-                    id: ids.map(|ids| ids[v]),
-                    params,
-                })
-            })
-            .collect()
-    }
 }
 
 /// Everything a vertex legitimately knows at time zero.

@@ -1,4 +1,4 @@
-//! A deliberately simple baseline engine for differential testing.
+//! Deliberately simple baselines for differential testing.
 //!
 //! [`run_reference`] executes a protocol with per-node `Vec` inboxes and
 //! outboxes allocated every sweep and messages *cloned* on delivery — the
@@ -7,12 +7,22 @@
 //! tests and benchmarks can check that the optimized message plane is
 //! observably equivalent: same outputs, same halt rounds, same
 //! `messages_sent`, same sweep count, for any protocol and seed.
+//!
+//! [`execute_sync_on_messages`] runs a [`SyncAlgorithm`] the way the engine
+//! did before it had state planes: compiled to a broadcast protocol on the
+//! message plane ([`SyncNode`], [`FaultySyncNode`]), every vertex cloning its
+//! state into every port each round and caching what it last heard. It is
+//! the oracle for [`Engine::execute_sync`](crate::Engine::execute_sync),
+//! which must match it in every outcome, counter, trace event and metric.
 
-use crate::engine::{splitmix64, Mode, Run, RunStats};
+use crate::engine::{splitmix64, Engine, Mode, Run, RunStats};
 use crate::error::SimError;
+use crate::faults::FaultyRun;
 use crate::node::{Action, NodeInit, NodeIo, NodeProgram, Protocol};
 use crate::params::GlobalParams;
-use local_graphs::Graph;
+use crate::spec::ExecSpec;
+use crate::sync::{SyncAlgorithm, SyncCtx, SyncStep};
+use local_graphs::{Graph, Neighbor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -176,4 +186,171 @@ where
             messages_per_round,
         },
     })
+}
+
+/// A [`SyncAlgorithm`] vertex as a message-passing node, for fault-free runs.
+///
+/// It broadcasts `(state, decided)` every round and halts once it has
+/// decided and every port is either silent or carries `decided = true`. In a
+/// fault-free run a port goes silent only when its neighbor halted, which
+/// that neighbor does only after deciding and broadcasting `decided = true`
+/// at least once.
+pub struct SyncNode<'a, A: SyncAlgorithm> {
+    algo: &'a A,
+    nbrs: &'a [Neighbor],
+    state: A::State,
+    decided: Option<(u32, A::Output)>,
+    /// Last state heard per port, seeded with the neighbors' initial states:
+    /// a neighbor that halted stops transmitting, but its state is final.
+    heard: Vec<A::State>,
+}
+
+impl<'a, A: SyncAlgorithm> SyncNode<'a, A> {
+    /// One [`SyncAlgorithm::update`] against the heard states.
+    fn update<M: Clone>(&mut self, round: u32, io: &mut NodeIo<'_, M>) {
+        let mut ctx = SyncCtx {
+            id: io.id(),
+            params: io.params(),
+            rng: if io.is_randomized() {
+                Some(io.rng())
+            } else {
+                None
+            },
+            nbrs: self.nbrs,
+        };
+        match self.algo.update(round, &mut ctx, &self.state, &self.heard) {
+            SyncStep::Continue(s) => self.state = s,
+            SyncStep::Decide(s, o) => {
+                self.state = s;
+                self.decided = Some((round, o));
+            }
+        }
+    }
+}
+
+impl<'a, A: SyncAlgorithm> NodeProgram for SyncNode<'a, A> {
+    type Msg = (A::State, bool);
+    type Output = (A::Output, u32);
+
+    fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
+        if round > 0 {
+            let mut all_neighbors_decided = true;
+            for p in 0..io.degree() {
+                if let Some((s, done)) = io.take(p) {
+                    self.heard[p] = s;
+                    all_neighbors_decided &= done;
+                }
+            }
+            if self.decided.is_none() {
+                self.update(round, io);
+            } else if all_neighbors_decided {
+                let (r, o) = self.decided.take().expect("checked above");
+                return Action::Halt((o, r));
+            }
+        }
+        io.broadcast((self.state.clone(), self.decided.is_some()));
+        Action::Continue
+    }
+}
+
+/// A [`SyncAlgorithm`] vertex as a message-passing node, for faulty runs.
+///
+/// Differs from [`SyncNode`] in one fault-model concession: a vertex halts
+/// one round after deciding (one final broadcast), instead of waiting for
+/// all neighbors to decide — a crashed neighbor would otherwise pin the
+/// whole run at the sweep budget. A dropped message means a stale state in
+/// the last-heard cache, and a crash-stop neighbor freezes at its last
+/// delivered state.
+pub struct FaultySyncNode<'a, A: SyncAlgorithm>(SyncNode<'a, A>);
+
+impl<'a, A: SyncAlgorithm> NodeProgram for FaultySyncNode<'a, A> {
+    type Msg = A::State;
+    type Output = (A::Output, u32);
+
+    fn step(&mut self, round: u32, io: &mut NodeIo<'_, Self::Msg>) -> Action<Self::Output> {
+        let v = &mut self.0;
+        if round > 0 {
+            if let Some((r, o)) = v.decided.take() {
+                // The final state went out last round; nothing left to do.
+                return Action::Halt((o, r));
+            }
+            for p in 0..io.degree() {
+                if let Some(s) = io.take(p) {
+                    v.heard[p] = s;
+                }
+            }
+            v.update(round, io);
+        }
+        io.broadcast(v.state.clone());
+        Action::Continue
+    }
+}
+
+/// Builds [`SyncNode`]s, and wraps them as [`FaultySyncNode`]s when `W`
+/// says so.
+struct SyncProtocol<'a, A: SyncAlgorithm, W> {
+    algo: &'a A,
+    graph: &'a Graph,
+    ids: Option<Vec<u64>>,
+    wrap: fn(SyncNode<'a, A>) -> W,
+}
+
+impl<'a, A: SyncAlgorithm, W: NodeProgram + Send> Protocol for SyncProtocol<'a, A, W> {
+    type Node = W;
+
+    fn create(&self, init: &NodeInit<'_>) -> W {
+        let g = self.graph;
+        let nbrs = g.neighbors(init.node);
+        let initial = |v: usize| {
+            self.algo.init(&NodeInit {
+                node: v,
+                degree: g.degree(v),
+                id: self.ids.as_ref().map(|ids| ids[v]),
+                params: init.params,
+            })
+        };
+        (self.wrap)(SyncNode {
+            algo: self.algo,
+            nbrs,
+            state: self.algo.init(init),
+            decided: None,
+            heard: nbrs.iter().map(|nb| initial(nb.node)).collect(),
+        })
+    }
+}
+
+/// Run `algo` on `engine`'s message plane as described by `spec`: the
+/// oracle [`Engine::execute_sync`] must match in everything it reports.
+/// Fault-free specs run [`SyncNode`], specs with a plan (trivial ones
+/// included) [`FaultySyncNode`].
+pub fn execute_sync_on_messages<A: SyncAlgorithm>(
+    engine: &Engine<'_>,
+    spec: &ExecSpec<'_>,
+    algo: &A,
+) -> FaultyRun<(A::Output, u32)> {
+    let graph = engine.graph();
+    let ids = match engine.mode() {
+        Mode::Deterministic { ids } => Some(ids.assign(graph)),
+        Mode::Randomized { .. } => None,
+    };
+    match spec.faults {
+        None => engine.execute(
+            spec,
+            &SyncProtocol {
+                algo,
+                graph,
+                ids,
+                wrap: |v| v,
+            },
+        ),
+        Some(_) => engine.execute(
+            spec,
+            &SyncProtocol {
+                algo,
+                graph,
+                ids,
+                wrap: FaultySyncNode,
+            },
+        ),
+    }
 }
