@@ -143,7 +143,6 @@ fn summarize(path: &str) {
     spans(&events);
     recoveries(&events);
     search_iters(&events);
-    fabric_lifecycle(&events);
 }
 
 fn run_summary(events: &[TraceEvent]) {
@@ -321,67 +320,6 @@ fn search_iters(events: &[TraceEvent]) {
         "search iterations: {iterations} ({accepted} moves committed, best objective {best}); moves: {}",
         by_kind.join(", ")
     );
-}
-
-/// Per-slot census of a fabric run: spawns and respawns, how each death was
-/// classified, and the lease traffic (grants vs completions vs reclaims).
-fn fabric_lifecycle(events: &[TraceEvent]) {
-    #[derive(Default)]
-    struct Slot {
-        spawns: u64,
-        deaths: BTreeMap<String, u64>,
-    }
-    let mut slots: BTreeMap<u64, Slot> = BTreeMap::new();
-    let mut grants = 0u64;
-    let mut done = 0u64;
-    let mut reclaimed = 0u64;
-    let mut units_reclaimed = 0u64;
-    for e in events {
-        match &e.data {
-            EventData::WorkerSpawn { worker, .. } => {
-                slots.entry(*worker).or_default().spawns += 1;
-            }
-            EventData::WorkerDown { worker, cause, .. } => {
-                *slots
-                    .entry(*worker)
-                    .or_default()
-                    .deaths
-                    .entry(cause.clone())
-                    .or_default() += 1;
-            }
-            EventData::LeaseGrant { .. } => grants += 1,
-            EventData::LeaseDone { .. } => done += 1,
-            EventData::LeaseReclaim { len, .. } => {
-                reclaimed += 1;
-                units_reclaimed += len;
-            }
-            _ => {}
-        }
-    }
-    if slots.is_empty() {
-        return;
-    }
-    println!(
-        "fabric: {} worker slot(s); leases granted {grants}, completed {done}, \
-         reclaimed {reclaimed} ({units_reclaimed} unit(s) requeued)",
-        slots.len()
-    );
-    for (worker, slot) in &slots {
-        let fate = if slot.deaths.is_empty() {
-            "clean".to_string()
-        } else {
-            slot.deaths
-                .iter()
-                .map(|(c, n)| format!("{c} × {n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        println!(
-            "  worker {worker}: {} spawn(s) ({} respawn(s)); deaths: {fate}",
-            slot.spawns,
-            slot.spawns.saturating_sub(1)
-        );
-    }
 }
 
 /// `profile`: fold span events into per-call-path self-times.

@@ -4,11 +4,11 @@
 //! [`Experiment`] trait: id and claim for the banner, capabilities for the
 //! uniform flag check, the resolved configuration, and a `run` that maps
 //! the CLI onto the module's single `run` entry point (with the trace sink,
-//! and for the E12–E14 grid sweeps the checkpoint too). Those three sweeps
-//! also hand their grid to the fabric as a [`FabricJob`]. The binaries in
-//! `src/bin/` are one-line shims over this table.
+//! and for the E12–E14 grid sweeps the checkpoint too, whose scopes those
+//! three sweeps also name from their grid). The binaries in `src/bin/` are
+//! one-line shims over this table.
 
-use crate::registry::{Caps, Experiment, ExperimentOutput, FabricJob};
+use crate::registry::{Caps, Experiment, ExperimentOutput};
 use crate::Cli;
 use local_obs::{MetricsRegistry, TraceSink};
 use local_separation::experiments::{
@@ -17,8 +17,7 @@ use local_separation::experiments::{
     e2_shattering as e2, e3_theorem11 as e3, e4_zero_round as e4, e5_truncation as e5,
     e6_derand as e6, e7_speedup as e7, e8_linial as e8, e9_mis as e9,
 };
-use local_separation::fabric::Sweep;
-use local_separation::grid::{fold_merged, Grid, GridOutcome};
+use local_separation::grid::Grid;
 use serde::Serialize;
 
 /// Every registered experiment, in EXPERIMENTS.md order.
@@ -519,16 +518,6 @@ impl E12Resilience {
     }
 }
 
-impl E12Resilience {
-    fn output(out: e12::Outcome12) -> ExperimentOutput {
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e12::table(&out)),
-            metrics: out.metrics,
-        }
-    }
-}
-
 impl Experiment for E12Resilience {
     fn id(&self) -> &'static str {
         "E12"
@@ -544,13 +533,15 @@ impl Experiment for E12Resilience {
     }
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput {
         let checkpoint = cli.open_checkpoint();
-        Self::output(e12::run(&Self::config(cli), checkpoint.as_ref(), sink))
+        let out = e12::run(&Self::config(cli), checkpoint.as_ref(), sink);
+        ExperimentOutput {
+            rows: out.rows.to_value(),
+            human: format!("{}\n", e12::table(&out)),
+            metrics: out.metrics,
+        }
     }
-    fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
-        Some(Box::new(GridJob {
-            grid: e12::Grid12::new(&Self::config(cli)),
-            output: Box::new(Self::output),
-        }))
+    fn checkpoint_scopes(&self, cli: &Cli) -> Option<Vec<String>> {
+        Some(scopes(&e12::Grid12::new(&Self::config(cli))))
     }
 }
 
@@ -574,16 +565,6 @@ impl E13Recovery {
     }
 }
 
-impl E13Recovery {
-    fn output(out: e13::Outcome13) -> ExperimentOutput {
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e13::table(&out)),
-            metrics: out.metrics,
-        }
-    }
-}
-
 impl Experiment for E13Recovery {
     fn id(&self) -> &'static str {
         "E13"
@@ -599,13 +580,15 @@ impl Experiment for E13Recovery {
     }
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput {
         let checkpoint = cli.open_checkpoint();
-        Self::output(e13::run(&Self::config(cli), checkpoint.as_ref(), sink))
+        let out = e13::run(&Self::config(cli), checkpoint.as_ref(), sink);
+        ExperimentOutput {
+            rows: out.rows.to_value(),
+            human: format!("{}\n", e13::table(&out)),
+            metrics: out.metrics,
+        }
     }
-    fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
-        Some(Box::new(GridJob {
-            grid: e13::Grid13::new(&Self::config(cli)),
-            output: Box::new(Self::output),
-        }))
+    fn checkpoint_scopes(&self, cli: &Cli) -> Option<Vec<String>> {
+        Some(scopes(&e13::Grid13::new(&Self::config(cli))))
     }
 }
 
@@ -659,18 +642,6 @@ impl E14Adversary {
     }
 }
 
-impl E14Adversary {
-    /// Render the output, pinning best-found plans like every E14 run does.
-    fn output(cli: &Cli, cfg: &e14::Config, out: e14::Outcome14) -> ExperimentOutput {
-        Self::pin_artifacts(cli, cfg, &out);
-        ExperimentOutput {
-            rows: out.rows.to_value(),
-            human: format!("{}\n", e14::table(&out)),
-            metrics: out.metrics,
-        }
-    }
-}
-
 impl Experiment for E14Adversary {
     fn id(&self) -> &'static str {
         "E14"
@@ -687,32 +658,22 @@ impl Experiment for E14Adversary {
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput {
         let cfg = Self::config(cli);
         let checkpoint = cli.open_checkpoint();
-        Self::output(cli, &cfg, e14::run(&cfg, checkpoint.as_ref(), sink))
+        let out = e14::run(&cfg, checkpoint.as_ref(), sink);
+        Self::pin_artifacts(cli, &cfg, &out);
+        ExperimentOutput {
+            rows: out.rows.to_value(),
+            human: format!("{}\n", e14::table(&out)),
+            metrics: out.metrics,
+        }
     }
-    fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
-        let cfg = Self::config(cli);
-        let cli = cli.clone();
-        Some(Box::new(GridJob {
-            grid: e14::Grid14::new(&cfg),
-            output: Box::new(move |out| Self::output(&cli, &cfg, out)),
-        }))
+    fn checkpoint_scopes(&self, cli: &Cli) -> Option<Vec<String>> {
+        Some(scopes(&e14::Grid14::new(&Self::config(cli))))
     }
 }
 
-/// A sweep experiment's fabric decomposition: its grid, and how a folded
-/// outcome becomes the experiment's output.
-struct GridJob<G: Grid> {
-    grid: G,
-    output: Box<dyn Fn(GridOutcome<G::Row>) -> ExperimentOutput>,
-}
-
-impl<G: Grid> FabricJob for GridJob<G> {
-    fn sweep(&self) -> &dyn Sweep {
-        &self.grid
-    }
-    fn fold(&self, per_point: Vec<Vec<serde::Value>>) -> ExperimentOutput {
-        (self.output)(fold_merged(&self.grid, per_point))
-    }
+/// Every checkpoint scope a sweep grid records under.
+fn scopes(grid: &impl Grid) -> Vec<String> {
+    grid.points().iter().map(|p| p.scope.clone()).collect()
 }
 
 /// A1: ablation of Theorem 10's schedule constants.

@@ -45,24 +45,12 @@ pub struct Cli {
     pub trace: Option<String>,
     /// Path of the canonical metrics document (`--metrics`). The run's
     /// merged [`local_obs::MetricsRegistry`] is written there as a
-    /// `metrics/v1` JSON document, with per-run telemetry (resource sample,
-    /// fabric worker census) in a `.telemetry.json` sibling so the
-    /// canonical document stays byte-identical across thread counts.
+    /// `metrics/v1` JSON document, with per-run telemetry (the resource
+    /// sample) in a `.telemetry.json` sibling so the canonical document
+    /// stays byte-identical across thread counts.
     pub metrics: Option<String>,
     /// Suppress progress lines on stderr (`--quiet`).
     pub quiet: bool,
-    /// Run the sweep through the crash-tolerant fabric with this many
-    /// worker processes (`--workers`).
-    pub workers: Option<u64>,
-    /// Directory holding the fabric's per-worker journals (`--fabric-dir`).
-    /// Optional for the coordinator (a temporary directory is used when
-    /// absent); required for workers.
-    pub fabric_dir: Option<String>,
-    /// Serve as fabric worker for this slot instead of running the sweep
-    /// (`--fabric-worker`; internal, appended by the coordinator).
-    pub fabric_worker: Option<u64>,
-    /// This worker's spawn attempt (`--fabric-attempt`; internal).
-    pub fabric_attempt: u32,
 }
 
 /// Why parsing failed (or stopped): carried by [`Cli::try_parse`].
@@ -77,8 +65,7 @@ pub enum CliError {
 fn usage(program: &str) -> String {
     format!(
         "usage: {program} [--full] [--json] [--quiet] [--trials N] [--seed N] \
-         [--checkpoint PATH] [--trace PATH] [--metrics PATH] [--workers N] \
-         [--fabric-dir DIR]"
+         [--checkpoint PATH] [--trace PATH] [--metrics PATH]"
     )
 }
 
@@ -127,18 +114,6 @@ impl Cli {
                 "--trace" => cli.trace = Some(parse_path("--trace", args.next())?),
                 "--metrics" => cli.metrics = Some(parse_path("--metrics", args.next())?),
                 "--quiet" => cli.quiet = true,
-                "--workers" => cli.workers = Some(parse_count("--workers", args.next())?),
-                "--fabric-dir" => {
-                    cli.fabric_dir = Some(parse_path("--fabric-dir", args.next())?);
-                }
-                "--fabric-worker" => {
-                    cli.fabric_worker = Some(parse_count("--fabric-worker", args.next())?);
-                }
-                "--fabric-attempt" => {
-                    cli.fabric_attempt =
-                        u32::try_from(parse_count("--fabric-attempt", args.next())?)
-                            .map_err(|_| CliError::Bad("--fabric-attempt too large".into()))?;
-                }
                 other => {
                     if let Some(v) = other.strip_prefix("--trials=") {
                         cli.trials = Some(parse_count("--trials", Some(v.to_string()))?);
@@ -150,17 +125,6 @@ impl Cli {
                         cli.trace = Some(parse_path("--trace", Some(v.to_string()))?);
                     } else if let Some(v) = other.strip_prefix("--metrics=") {
                         cli.metrics = Some(parse_path("--metrics", Some(v.to_string()))?);
-                    } else if let Some(v) = other.strip_prefix("--workers=") {
-                        cli.workers = Some(parse_count("--workers", Some(v.to_string()))?);
-                    } else if let Some(v) = other.strip_prefix("--fabric-dir=") {
-                        cli.fabric_dir = Some(parse_path("--fabric-dir", Some(v.to_string()))?);
-                    } else if let Some(v) = other.strip_prefix("--fabric-worker=") {
-                        cli.fabric_worker =
-                            Some(parse_count("--fabric-worker", Some(v.to_string()))?);
-                    } else if let Some(v) = other.strip_prefix("--fabric-attempt=") {
-                        cli.fabric_attempt =
-                            u32::try_from(parse_count("--fabric-attempt", Some(v.to_string()))?)
-                                .map_err(|_| CliError::Bad("--fabric-attempt too large".into()))?;
                     } else {
                         return Err(CliError::Bad(format!("unknown argument `{other}`")));
                     }
@@ -238,9 +202,9 @@ impl Cli {
     /// Write the canonical metrics document to the path named by
     /// `--metrics` (no-op without the flag), plus a `.telemetry.json`
     /// sibling carrying the run's non-deterministic extras (`telemetry`
-    /// key/value pairs — resource sample, fabric worker census). Keeping
-    /// telemetry out of the canonical document is what lets CI compare the
-    /// documents of serial, multi-threaded, and fabric runs byte-for-byte.
+    /// key/value pairs — the resource sample). Keeping telemetry out of the
+    /// canonical document is what lets CI compare the documents of serial
+    /// and multi-threaded runs byte-for-byte.
     ///
     /// Exits with status 2 if either file cannot be written — a run asked
     /// to record metrics must not silently drop them.
@@ -301,25 +265,6 @@ impl Cli {
             }
             .to_json()
         );
-    }
-
-    /// The argument list a fabric coordinator forwards to its workers so
-    /// they rebuild the identical experiment configuration. Orchestration
-    /// flags (`--json`, `--workers`, `--checkpoint`, `--trace`,
-    /// `--metrics`) deliberately stay behind — workers journal raw units,
-    /// they do not report.
-    pub fn worker_args(&self) -> Vec<String> {
-        let mut args = vec!["--quiet".to_string()];
-        if self.full {
-            args.push("--full".to_string());
-        }
-        if let Some(t) = self.trials {
-            args.push(format!("--trials={t}"));
-        }
-        if let Some(s) = self.seed {
-            args.push(format!("--seed={s}"));
-        }
-        args
     }
 
     /// Report a typed runtime error and exit with status 2. Under `--json`
@@ -408,6 +353,7 @@ mod tests {
     fn unknown_flag_is_an_error() {
         assert!(matches!(parse(&["--fulll"]), Err(CliError::Bad(_))));
         assert!(matches!(parse(&["extra"]), Err(CliError::Bad(_))));
+        assert!(matches!(parse(&["--workers", "2"]), Err(CliError::Bad(_))));
     }
 
     #[test]
@@ -495,58 +441,5 @@ mod tests {
     fn help_is_distinguished_from_errors() {
         assert_eq!(parse(&["--help"]), Err(CliError::Help));
         assert_eq!(parse(&["-h"]), Err(CliError::Help));
-    }
-
-    #[test]
-    fn fabric_flags_parse_in_both_spellings() {
-        let cli = parse(&["--workers", "4", "--fabric-dir", "out/fab"]).unwrap();
-        assert_eq!(cli.workers, Some(4));
-        assert_eq!(cli.fabric_dir.as_deref(), Some("out/fab"));
-        let cli = parse(&["--workers=2", "--fabric-dir=fab"]).unwrap();
-        assert_eq!(cli.workers, Some(2));
-        assert_eq!(cli.fabric_dir.as_deref(), Some("fab"));
-        let cli = parse(&["--fabric-worker", "1", "--fabric-attempt", "3"]).unwrap();
-        assert_eq!(cli.fabric_worker, Some(1));
-        assert_eq!(cli.fabric_attempt, 3);
-        let cli = parse(&["--fabric-worker=0", "--fabric-attempt=0"]).unwrap();
-        assert_eq!(cli.fabric_worker, Some(0));
-        assert_eq!(cli.fabric_attempt, 0);
-        let cli = parse(&[]).unwrap();
-        assert_eq!(cli.workers, None);
-        assert_eq!(cli.fabric_worker, None);
-        assert_eq!(cli.fabric_attempt, 0);
-    }
-
-    #[test]
-    fn fabric_flags_reject_malformed_values() {
-        assert!(matches!(parse(&["--workers"]), Err(CliError::Bad(_))));
-        assert!(matches!(parse(&["--workers", "x"]), Err(CliError::Bad(_))));
-        assert!(matches!(parse(&["--fabric-dir"]), Err(CliError::Bad(_))));
-        assert!(matches!(parse(&["--fabric-dir="]), Err(CliError::Bad(_))));
-        assert!(matches!(
-            parse(&["--fabric-worker", "-1"]),
-            Err(CliError::Bad(_))
-        ));
-        assert!(matches!(
-            parse(&["--fabric-attempt", "5000000000"]),
-            Err(CliError::Bad(_))
-        ));
-    }
-
-    #[test]
-    fn worker_args_forward_config_not_orchestration() {
-        let cli = parse(&[
-            "--full",
-            "--json",
-            "--trials=9",
-            "--seed=3",
-            "--workers=4",
-            "--trace=t.jsonl",
-            "--metrics=m.json",
-        ])
-        .unwrap();
-        let args = cli.worker_args();
-        assert_eq!(args, vec!["--quiet", "--full", "--trials=9", "--seed=3"]);
-        assert_eq!(Cli::default().worker_args(), vec!["--quiet"]);
     }
 }

@@ -7,36 +7,22 @@
 //! and the choice between the human tables and the JSON envelope. An
 //! [`Experiment`] implementation only declares what it *is* — id, claim,
 //! capabilities, resolved configuration — and how to produce rows.
-//!
-//! Experiments with `caps().fabric` additionally expose a [`FabricJob`]:
-//! the sweep decomposition the crash-tolerant fabric shards across worker
-//! processes (`--workers N`; see [`local_separation::fabric`]). The driver
-//! then runs one of three paths: the serial sweep (no fabric flags), the
-//! fabric coordinator (`--workers`), or a fabric worker (`--fabric-worker`,
-//! appended by the coordinator when spawning).
 
 use crate::Cli;
 use local_obs::{MetricsRegistry, ResourceSample, TraceSink};
 use local_separation::checkpoint::Checkpoint;
-use local_separation::fabric::{
-    journal_scope, run_fabric, worker_serve, FabricConfig, Sweep, UnitMap, WorkerCommand, WorkerEnv,
-};
 use serde::{Serialize, Value};
-use std::path::PathBuf;
 
 /// Which optional planes an experiment's run path supports.
 ///
 /// Declared once on the [`Experiment`] impl; the driver turns an
-/// unsupported `--trace`/`--checkpoint`/`--workers` into the uniform
-/// exit-2 rejection.
+/// unsupported `--trace`/`--checkpoint` into the uniform exit-2 rejection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Caps {
     /// `--trace PATH` streams JSON-lines trace events.
     pub trace: bool,
     /// `--checkpoint PATH` makes the sweep resumable.
     pub checkpoint: bool,
-    /// `--workers N` runs the sweep through the crash-tolerant fabric.
-    pub fabric: bool,
 }
 
 impl Caps {
@@ -44,13 +30,11 @@ impl Caps {
     pub const TRACE_ONLY: Caps = Caps {
         trace: true,
         checkpoint: false,
-        fabric: false,
     };
-    /// Traced, resumable, and fabric-shardable (E12/E13/E14).
+    /// Traced and resumable (E12/E13/E14).
     pub const TRACE_AND_CHECKPOINT: Caps = Caps {
         trace: true,
         checkpoint: true,
-        fabric: true,
     };
 }
 
@@ -66,20 +50,6 @@ pub struct ExperimentOutput {
     /// canonical `metrics/v1` document. Experiments without metering leave
     /// it empty (the document then carries an empty `metrics` object).
     pub metrics: MetricsRegistry,
-}
-
-/// An experiment's fabric decomposition: the sweep the workers execute
-/// unit-by-unit and the fold that turns the merged unit values back into
-/// the experiment's output. The fold must reproduce the serial run's rows
-/// byte-for-byte — that is the fabric's whole contract.
-pub trait FabricJob {
-    /// The sweep: grid points (scopes + trial counts) and the unit
-    /// executor.
-    fn sweep(&self) -> &dyn Sweep;
-
-    /// Fold merged per-point unit values (see
-    /// [`local_separation::fabric::UnitMap::group`]) into the final output.
-    fn fold(&self, per_point: Vec<Vec<serde::Value>>) -> ExperimentOutput;
 }
 
 /// One registered experiment.
@@ -103,10 +73,10 @@ pub trait Experiment: Sync {
     /// (the driver has already opened the file and checked capabilities).
     fn run(&self, cli: &Cli, sink: Option<&mut dyn TraceSink>) -> ExperimentOutput;
 
-    /// The experiment's fabric decomposition, present exactly when
-    /// `caps().fabric`. The driver uses it for both the coordinator and
-    /// worker paths.
-    fn fabric(&self, cli: &Cli) -> Option<Box<dyn FabricJob>> {
+    /// Every checkpoint scope this command line's sweep can record, present
+    /// exactly when `caps().checkpoint`. The driver refuses a `--checkpoint`
+    /// file that holds any other scope.
+    fn checkpoint_scopes(&self, cli: &Cli) -> Option<Vec<String>> {
         let _ = cli;
         None
     }
@@ -119,9 +89,8 @@ pub trait Experiment: Sync {
 /// # Errors
 ///
 /// A human-readable message when the command line asks for a plane the
-/// experiment does not support, combines planes that exclude each other
-/// (`--trace`/`--checkpoint`, `--workers`/`--checkpoint`), or misuses the
-/// fabric flags (`--workers 0`, worker flags without their prerequisites).
+/// experiment does not support or combines planes that exclude each other
+/// (`--trace`/`--checkpoint`).
 pub fn check_flags(cli: &Cli, id: &str, caps: Caps) -> Result<(), String> {
     if cli.trace.is_some() && !caps.trace {
         return Err(format!(
@@ -138,78 +107,25 @@ pub fn check_flags(cli: &Cli, id: &str, caps: Caps) -> Result<(), String> {
             "--trace and --checkpoint are mutually exclusive on {id}"
         ));
     }
-    if (cli.workers.is_some() || cli.fabric_worker.is_some()) && !caps.fabric {
-        return Err(format!(
-            "{id} does not support --workers (no fabric sweep decomposition)"
-        ));
-    }
-    if cli.workers == Some(0) {
-        return Err("--workers needs at least one worker".to_string());
-    }
-    if cli.workers.is_some() && cli.checkpoint.is_some() {
-        return Err(format!(
-            "--workers and --checkpoint are mutually exclusive on {id} \
-             (the fabric journals per worker)"
-        ));
-    }
-    if cli.workers.is_some() && cli.fabric_worker.is_some() {
-        return Err("--workers and --fabric-worker are mutually exclusive".to_string());
-    }
-    if cli.fabric_worker.is_some() {
-        if cli.fabric_dir.is_none() {
-            return Err("--fabric-worker requires --fabric-dir".to_string());
-        }
-        if cli.json || cli.trace.is_some() || cli.checkpoint.is_some() || cli.metrics.is_some() {
-            return Err(
-                "--fabric-worker is a fabric-internal mode and takes no output flags".to_string(),
-            );
-        }
-    }
-    if cli.fabric_dir.is_some() && cli.workers.is_none() && cli.fabric_worker.is_none() {
-        return Err("--fabric-dir requires --workers or --fabric-worker".to_string());
-    }
-    if cli.fabric_attempt != 0 && cli.fabric_worker.is_none() {
-        return Err("--fabric-attempt requires --fabric-worker".to_string());
-    }
     Ok(())
 }
 
 /// Run `experiment` under `cli`: capability check, banner, trace plumbing,
 /// then either the JSON envelope (stdout) or the human report.
 pub fn run_with(experiment: &dyn Experiment, cli: &Cli) {
-    run_with_prefix(experiment, cli, &[]);
-}
-
-/// [`run_with`], with the extra argv prefix fabric workers need when the
-/// binary is a multiplexer (e.g. `sweep_fabric E13 …` re-spawns itself with
-/// the experiment id in front of the flags). Single-experiment shims pass
-/// an empty prefix.
-pub fn run_with_prefix(experiment: &dyn Experiment, cli: &Cli, spawn_prefix: &[String]) {
     if let Err(msg) = check_flags(cli, experiment.id(), experiment.caps()) {
         eprintln!("error: {msg}");
         std::process::exit(2);
-    }
-    if let Some(slot) = cli.fabric_worker {
-        worker_main(experiment, cli, slot);
-        return;
-    }
-    if let Some(workers) = cli.workers {
-        coordinator_main(experiment, cli, workers, spawn_prefix);
-        return;
     }
     cli.banner(experiment.id(), experiment.claim());
     // A resumable sweep must fail loudly — not silently recompute — when
     // the checkpoint on disk was written by a different configuration or
     // seed: validate its scopes against the experiment's own before the
     // run opens it for real.
-    if let (Some(path), Some(job)) = (cli.checkpoint.as_deref(), experiment.fabric(cli)) {
+    if let (Some(path), Some(expected)) =
+        (cli.checkpoint.as_deref(), experiment.checkpoint_scopes(cli))
+    {
         if std::path::Path::new(path).exists() {
-            let expected: Vec<String> = job
-                .sweep()
-                .points()
-                .iter()
-                .map(|p| p.scope.clone())
-                .collect();
             let checked = Checkpoint::open(path).and_then(|ckpt| ckpt.check_scope(&expected));
             if let Err(err) = checked {
                 cli.fail(experiment.id(), err.kind(), &err.to_string());
@@ -218,121 +134,15 @@ pub fn run_with_prefix(experiment: &dyn Experiment, cli: &Cli, spawn_prefix: &[S
     }
     let mut sink = cli.open_trace();
     let out = experiment.run(cli, sink.as_mut().map(|s| s as &mut dyn TraceSink));
-    cli.emit_metrics(experiment.id(), &out.metrics, resource_telemetry());
+    // The process resource sample (peak/current RSS) rides in the telemetry
+    // sibling, or `null` where `/proc/self/status` is unavailable.
+    let resource = ResourceSample::capture().map_or(Value::Null, |r| r.to_value());
+    let telemetry = vec![("resource".to_string(), resource)];
+    cli.emit_metrics(experiment.id(), &out.metrics, telemetry);
     if cli.json {
         cli.emit_json(experiment.id(), &out.rows);
     } else {
         print!("{}", out.human);
-    }
-}
-
-/// The telemetry fields every run records alongside its metrics document:
-/// the process resource sample (peak/current RSS), or `null` where
-/// `/proc/self/status` is unavailable.
-fn resource_telemetry() -> Vec<(String, Value)> {
-    let resource = ResourceSample::capture().map_or(Value::Null, |r| r.to_value());
-    vec![("resource".to_string(), resource)]
-}
-
-/// The fabric coordinator path: shard the sweep into leases, drive the
-/// worker pool, merge the journals, fold, report.
-fn coordinator_main(experiment: &dyn Experiment, cli: &Cli, workers: u64, spawn_prefix: &[String]) {
-    let job = experiment
-        .fabric(cli)
-        .expect("caps().fabric implies a FabricJob");
-    cli.banner(experiment.id(), experiment.claim());
-    let points = job.sweep().points();
-    let map = UnitMap::new(points);
-    let scope = journal_scope(points);
-
-    let (dir, ephemeral) = match &cli.fabric_dir {
-        Some(d) => (PathBuf::from(d), false),
-        None => {
-            let mut d = std::env::temp_dir();
-            d.push(format!(
-                "local-fabric-{}-{}",
-                experiment.id().to_lowercase(),
-                std::process::id()
-            ));
-            (d, true)
-        }
-    };
-
-    let mut cfg = FabricConfig::from_env(workers);
-    cfg.verbose = !cli.quiet;
-    let program = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(err) => {
-            cli.fail(
-                experiment.id(),
-                "io",
-                &format!("cannot locate own executable: {err}"),
-            );
-        }
-    };
-    let mut args: Vec<String> = spawn_prefix.to_vec();
-    args.extend(cli.worker_args());
-    args.push(format!("--fabric-dir={}", dir.display()));
-    let cmd = WorkerCommand { program, args };
-
-    let mut sink = cli.open_trace();
-    let result = run_fabric(
-        map.total(),
-        &cmd,
-        &dir,
-        &scope,
-        &cfg,
-        sink.as_mut().map(|s| s as &mut dyn TraceSink),
-    );
-    match result {
-        Ok(report) => {
-            cli.progress(&report.summary(workers));
-            let census = Value::Array(report.workers.iter().map(Serialize::to_value).collect());
-            let out = job.fold(map.group(report.values));
-            let mut telemetry = resource_telemetry();
-            telemetry.push(("workers".to_string(), census));
-            cli.emit_metrics(experiment.id(), &out.metrics, telemetry);
-            if cli.json {
-                cli.emit_json(experiment.id(), &out.rows);
-            } else {
-                print!("{}", out.human);
-            }
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
-        Err(err) => {
-            cli.fail(experiment.id(), err.kind(), &err.to_string());
-        }
-    }
-}
-
-/// The fabric worker path: serve leases from stdin, journal every unit,
-/// exit when told to. Exit status 3 (not the flag-rejection 2) on runtime
-/// failure, so the coordinator's exit census distinguishes the two.
-fn worker_main(experiment: &dyn Experiment, cli: &Cli, slot: u64) {
-    let job = experiment
-        .fabric(cli)
-        .expect("caps().fabric implies a FabricJob");
-    let dir = cli
-        .fabric_dir
-        .as_deref()
-        .expect("check_flags: --fabric-worker requires --fabric-dir");
-    let points = job.sweep().points();
-    let map = UnitMap::new(points);
-    let scope = journal_scope(points);
-    let env = WorkerEnv {
-        dir: PathBuf::from(dir),
-        worker: slot,
-        attempt: cli.fabric_attempt,
-    };
-    let sweep = job.sweep();
-    if let Err(err) = worker_serve(&env, &scope, |unit| {
-        let (point, index) = map.locate(unit);
-        sweep.run_unit(point, index)
-    }) {
-        eprintln!("error: fabric worker {slot}: {err}");
-        std::process::exit(3);
     }
 }
 

@@ -1,14 +1,34 @@
 //! Process-level contracts of the shim binaries: `--json` stdout is a clean
-//! machine-readable envelope (the banner moves to stderr), and bad or
-//! unsupported flags exit with status 2 through the shared driver.
+//! machine-readable envelope (the banner moves to stderr), bad or
+//! unsupported flags exit with status 2 through the shared driver, and
+//! malformed input files end in a typed error, never an abort.
 //!
 //! E6 is the probe binary — its quick sweep is an exhaustive toy-scale
-//! enumeration that finishes in milliseconds even unoptimized.
+//! enumeration that finishes in milliseconds even unoptimized. E13's quick
+//! config at `--trials 1` probes the checkpointed sweeps: 18 grid points, a
+//! couple of seconds even unoptimized, and every workload exercised.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn e6() -> Command {
     Command::new(env!("CARGO_BIN_EXE_exp_e6_derand"))
+}
+
+fn e13() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_exp_e13_recovery"))
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bench-envelope-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
+}
+
+/// One JSON line nested `depth` arrays deep.
+fn nested_line(depth: usize) -> String {
+    format!("{}{}\n", "[".repeat(depth), "]".repeat(depth))
 }
 
 /// Pipe `--json` stdout straight into the parser: the envelope must be the
@@ -92,4 +112,94 @@ fn trace_flag_writes_a_jsonl_file() {
         serde_json::from_str::<serde::Value>(line).expect("each trace line is JSON");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint written by a different config/seed must die loudly: exit 2
+/// and a typed `scope_mismatch` error in the `--json` envelope, never a
+/// silent recompute.
+#[test]
+fn scope_mismatched_checkpoint_fails_with_typed_json_error() {
+    let dir = temp_dir("scope");
+    let ckpt = dir.join("e13.ckpt");
+    let ckpt_str = ckpt.to_str().expect("utf-8 path");
+    let first = e13()
+        .args(["--quiet", "--trials", "1", "--checkpoint", ckpt_str])
+        .output()
+        .expect("spawn first");
+    assert!(first.status.success(), "first status: {:?}", first.status);
+
+    let drifted = e13()
+        .args([
+            "--quiet",
+            "--json",
+            "--trials",
+            "1",
+            "--seed",
+            "999",
+            "--checkpoint",
+            ckpt_str,
+        ])
+        .output()
+        .expect("spawn drifted");
+    assert_eq!(drifted.status.code(), Some(2), "drift must exit 2");
+    let stdout = String::from_utf8(drifted.stdout).expect("utf-8 stdout");
+    let envelope: serde::Value = serde_json::from_str(&stdout).expect("stdout is one JSON value");
+    let error = envelope.field("error").expect("error field");
+    assert_eq!(
+        error.field("kind").unwrap().as_str().unwrap(),
+        "scope_mismatch"
+    );
+    assert!(
+        error
+            .field("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("config or seed drift"),
+        "message must explain the drift"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint line nested far deeper than any record is malformed like
+/// any other: the store skips it and the sweep completes with the envelope
+/// of an uninterrupted run.
+#[test]
+fn deeply_nested_checkpoint_line_is_skipped() {
+    let dir = temp_dir("deep-ckpt");
+    let ckpt = dir.join("e13.ckpt");
+    std::fs::write(&ckpt, nested_line(50_000)).expect("write checkpoint");
+    let args = ["--quiet", "--json", "--trials", "1"];
+    let plain = e13().args(args).output().expect("spawn plain");
+    assert!(plain.status.success(), "plain status: {:?}", plain.status);
+    let resumed = e13()
+        .args(args)
+        .args(["--checkpoint", ckpt.to_str().expect("utf-8 path")])
+        .output()
+        .expect("spawn resumed");
+    assert!(
+        resumed.status.success(),
+        "status: {:?}, stderr: {}",
+        resumed.status,
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(resumed.stdout, plain.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `obs_report` on a trace with a deeply nested line reports the bad line
+/// and exits 2 instead of overflowing its stack.
+#[test]
+fn obs_report_rejects_a_deeply_nested_trace_line() {
+    let dir = temp_dir("deep-trace");
+    let trace = dir.join("trace.jsonl");
+    std::fs::write(&trace, nested_line(200_000)).expect("write trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_obs_report"))
+        .arg(&trace)
+        .output()
+        .expect("spawn obs_report");
+    assert_eq!(out.status.code(), Some(2), "status: {:?}", out.status);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.starts_with("error:"), "{stderr:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -48,25 +48,22 @@ fn only_the_resumable_sweeps_support_checkpoint() {
     }
 }
 
-/// `caps().fabric` and `fabric()` must agree: the driver unwraps the job
-/// whenever the capability is declared, so a mismatch is a panic at run
-/// time — pin it here instead.
+/// `caps().checkpoint` and `checkpoint_scopes()` must agree: a resumable
+/// sweep without scopes would skip the driver's drift check, so a mismatch
+/// would silently reuse a stale journal — pin it here instead.
 #[test]
-fn the_fabric_capability_matches_the_decomposition() {
+fn the_checkpoint_capability_matches_the_scopes() {
     for exp in local_bench::experiments::all() {
-        let expected = matches!(exp.id(), "E12" | "E13" | "E14");
+        let scopes = exp.checkpoint_scopes(&cli(&[]));
         assert_eq!(
-            exp.caps().fabric,
-            expected,
-            "{} fabric capability",
+            scopes.is_some(),
+            exp.caps().checkpoint,
+            "{} checkpoint_scopes() presence",
             exp.id()
         );
-        assert_eq!(
-            exp.fabric(&cli(&[])).is_some(),
-            expected,
-            "{} fabric() presence",
-            exp.id()
-        );
+        if let Some(scopes) = scopes {
+            assert!(!scopes.is_empty(), "{} names its scopes", exp.id());
+        }
     }
 }
 
@@ -107,102 +104,6 @@ fn rejection_messages_name_the_experiment_and_the_gap() {
     );
 }
 
-/// The fabric-flag rejection messages, pinned like the rest.
-#[test]
-fn fabric_flag_misuse_is_rejected_with_pinned_messages() {
-    let fab = Caps::TRACE_AND_CHECKPOINT;
-    assert_eq!(
-        check_flags(&cli(&["--workers", "2"]), "E6", Caps::TRACE_ONLY),
-        Err("E6 does not support --workers (no fabric sweep decomposition)".to_string())
-    );
-    assert_eq!(
-        check_flags(&cli(&["--workers", "0"]), "E13", fab),
-        Err("--workers needs at least one worker".to_string())
-    );
-    assert_eq!(
-        check_flags(
-            &cli(&["--workers", "2", "--checkpoint", "c.ckpt"]),
-            "E13",
-            fab
-        ),
-        Err("--workers and --checkpoint are mutually exclusive on E13 \
-             (the fabric journals per worker)"
-            .to_string())
-    );
-    assert_eq!(
-        check_flags(
-            &cli(&[
-                "--workers",
-                "2",
-                "--fabric-worker",
-                "0",
-                "--fabric-dir",
-                "d"
-            ]),
-            "E13",
-            fab,
-        ),
-        Err("--workers and --fabric-worker are mutually exclusive".to_string())
-    );
-    assert_eq!(
-        check_flags(&cli(&["--fabric-worker", "0"]), "E13", fab),
-        Err("--fabric-worker requires --fabric-dir".to_string())
-    );
-    assert_eq!(
-        check_flags(
-            &cli(&["--fabric-worker", "0", "--fabric-dir", "d", "--json"]),
-            "E13",
-            fab,
-        ),
-        Err("--fabric-worker is a fabric-internal mode and takes no output flags".to_string())
-    );
-    assert_eq!(
-        check_flags(&cli(&["--fabric-dir", "d"]), "E13", fab),
-        Err("--fabric-dir requires --workers or --fabric-worker".to_string())
-    );
-    assert_eq!(
-        check_flags(&cli(&["--fabric-attempt", "1"]), "E13", fab),
-        Err("--fabric-attempt requires --fabric-worker".to_string())
-    );
-}
-
-#[test]
-fn fabric_flags_pass_when_used_correctly() {
-    let fab = Caps::TRACE_AND_CHECKPOINT;
-    assert_eq!(check_flags(&cli(&["--workers", "4"]), "E13", fab), Ok(()));
-    assert_eq!(
-        check_flags(&cli(&["--workers", "4", "--trace", "t.jsonl"]), "E13", fab),
-        Ok(())
-    );
-    assert_eq!(
-        check_flags(&cli(&["--workers", "4", "--fabric-dir", "d"]), "E13", fab),
-        Ok(())
-    );
-    assert_eq!(
-        check_flags(
-            &cli(&["--fabric-worker", "0", "--fabric-dir", "d", "--quiet"]),
-            "E13",
-            fab,
-        ),
-        Ok(())
-    );
-    assert_eq!(
-        check_flags(
-            &cli(&[
-                "--fabric-worker",
-                "1",
-                "--fabric-attempt",
-                "2",
-                "--fabric-dir",
-                "d"
-            ]),
-            "E13",
-            fab,
-        ),
-        Ok(())
-    );
-}
-
 #[test]
 fn supported_flags_pass_the_capability_check() {
     assert_eq!(check_flags(&cli(&[]), "E1", Caps::default()), Ok(()));
@@ -231,14 +132,12 @@ fn flag_pool() -> Vec<(Vec<String>, &'static str)> {
         (vec!["--seed".into(), "42".into()], "--seed"),
         (vec!["--checkpoint".into(), "c.ckpt".into()], "--checkpoint"),
         (vec!["--trace".into(), "t.jsonl".into()], "--trace"),
-        (vec!["--workers".into(), "3".into()], "--workers"),
-        (vec!["--fabric-dir".into(), "d".into()], "--fabric-dir"),
     ]
 }
 
 /// The flag-pool size ([`flag_pool`] entries; the permutation and the
 /// subset mask both range over it).
-const POOL: usize = 9;
+const POOL: usize = 7;
 
 /// A seed-driven permutation of `0..POOL` (Fisher–Yates with a tiny LCG).
 fn permutation(seed: u64) -> [usize; POOL] {

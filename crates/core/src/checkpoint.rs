@@ -20,7 +20,7 @@
 //! advisory lock on the file and a second concurrent `open` fails with
 //! [`CheckpointError::Locked`] instead of interleaving half-lines into the
 //! journal. The lock is released when the `Checkpoint` drops (or the
-//! process dies — a SIGKILLed worker never wedges the file).
+//! process dies — a SIGKILLed run never wedges the file).
 //!
 //! The `scope` string namespaces trial indices: experiments embed the
 //! workload and grid coordinates (and the master seed) so that resuming with
@@ -397,14 +397,36 @@ mod tests {
     #[test]
     fn garbage_lines_are_skipped() {
         let path = temp_path("garbage");
+        // Nested far past the JSON reader's depth cap: skipped, not a
+        // stack overflow.
+        let deep = format!("{}{}", "[".repeat(50_000), "]".repeat(50_000));
         std::fs::write(
             &path,
-            "not json\n{\"scope\": \"s\", \"index\": 1, \"value\": 4}\n{\"scope\": 3}\n\n",
+            format!(
+                "not json\n{{\"scope\": \"s\", \"index\": 1, \"value\": 4}}\n{{\"scope\": 3}}\n\n{deep}\n"
+            ),
         )
         .expect("write");
         let ckpt = Checkpoint::open(&path).expect("open");
         assert_eq!(ckpt.len(), 1);
         assert_eq!(ckpt.lookup("s", 1), Some(Value::U64(4)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn long_string_record_loads_in_linear_time() {
+        // A 1 MB string value: re-validating the rest of the line for every
+        // character (quadratic) would take minutes; one pass takes
+        // milliseconds.
+        let path = temp_path("long");
+        let body: String = "añ€𝄞".chars().cycle().take(440_000).collect();
+        assert!(body.len() > 1 << 20);
+        let line = format!("{{\"scope\": \"s\", \"index\": 0, \"value\": \"{body}\"}}\n");
+        std::fs::write(&path, line).expect("write");
+        let start = std::time::Instant::now();
+        let ckpt = Checkpoint::open(&path).expect("open");
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(ckpt.lookup("s", 0), Some(Value::String(body)));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -21,14 +21,13 @@
 //! panicking configuration is recorded as `panicked` (with its panic
 //! messages carried into the JSON report) instead of taking the sweep down,
 //! and every aggregate folds in trial order — the emitted JSON is
-//! byte-identical regardless of worker-thread count, checkpoint resumes, or
-//! fabric workers. A workload whose graph generator fails (infeasible
-//! parameters, exhausted retries) contributes grid-shaped rows carrying the
-//! typed error instead of panicking the sweep.
+//! byte-identical regardless of worker-thread count or checkpoint resumes.
+//! A workload whose graph generator fails (infeasible parameters, exhausted
+//! retries) contributes grid-shaped rows carrying the typed error instead
+//! of panicking the sweep.
 
 use crate::checkpoint::Checkpoint;
-use crate::fabric::SweepPoint;
-use crate::grid::{self, Grid, GridOutcome};
+use crate::grid::{self, Grid, GridOutcome, SweepPoint};
 use crate::report::Table;
 use crate::trials::TrialOutcome;
 use crate::workloads::{workloads, MeasureRecord, Sizes, WorkloadSlot};

@@ -24,8 +24,7 @@
 
 use super::e12_resilience::{fault_coords, fault_points};
 use crate::checkpoint::Checkpoint;
-use crate::fabric::SweepPoint;
-use crate::grid::{self, Grid, GridOutcome};
+use crate::grid::{self, Grid, GridOutcome, SweepPoint};
 use crate::report::Table;
 use crate::trials::TrialOutcome;
 use crate::workloads::{workloads, HealRecord, Sizes, WorkloadSlot};

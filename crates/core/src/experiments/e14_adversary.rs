@@ -25,8 +25,7 @@
 
 use crate::adversary::{search, Evaluation, Objective, SearchConfig};
 use crate::checkpoint::Checkpoint;
-use crate::fabric::SweepPoint;
-use crate::grid::{self, Grid, GridOutcome};
+use crate::grid::{self, Grid, GridOutcome, SweepPoint};
 use crate::report::Table;
 use crate::trials::TrialOutcome;
 use crate::workloads::{workloads, Sizes, Workload, WorkloadSlot};

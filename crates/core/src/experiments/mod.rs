@@ -25,12 +25,9 @@
 //!
 //! The trial-grid sweeps (E12/E13/E14) each state their grid once as a
 //! [`Grid`](crate::grid::Grid) — points, a per-trial body, a per-point fold
-//! — and one generic driver ([`crate::grid::run`]) executes it in-process.
-//! The same grid object is a flat [`Sweep`](crate::fabric::Sweep) unit
-//! space, which is what `--workers N` shards across the crash-tolerant
-//! process fabric ([`crate::fabric`]); [`crate::grid::fold_merged`] folds
-//! the merged units through the same per-point fold, and a parametric test
-//! pins every path byte-identical.
+//! — and one generic driver ([`crate::grid::run`]) executes it in-process,
+//! plain, traced or resumed from a checkpoint; a parametric test pins every
+//! path byte-identical.
 
 pub mod a1_ablation;
 pub mod e10_indistinguishability;

@@ -4,27 +4,34 @@
 //! per-point fold. [`Grid`] states exactly that, once per experiment, and
 //! everything else is generic:
 //!
-//! * [`run`] executes a grid in-process, one [`TrialPlan`] per point, with
-//!   panic isolation, optional checkpoint/resume, and optional tracing
-//!   (trace trial numbers are the running sum of the points' trial counts,
-//!   so they are unique across the whole grid);
-//! * every grid is a fabric [`Sweep`], so `--workers N` shards the same
-//!   object across worker processes, and [`fold_merged`] folds the merged
-//!   journal values back through the same per-point fold.
-//!
-//! Both paths fold the same typed trial outcomes in the same order, so the
-//! rows and metrics they produce are byte-identical once serialized.
+//! [`run`] executes a grid in-process, one [`TrialPlan`] per point, with
+//! panic isolation, optional checkpoint/resume, and optional tracing (trace
+//! trial numbers are the running sum of the points' trial counts, so they
+//! are unique across the whole grid). Plain, traced and resumed runs fold
+//! the same typed trial outcomes in the same order, so the rows and metrics
+//! they produce are byte-identical once serialized.
 
 use crate::checkpoint::Checkpoint;
-use crate::fabric::{decode_unit, run_unit_isolated, Sweep, SweepPoint};
 use crate::trials::{TrialOutcome, TrialPlan, TrialSpec};
 use local_obs::{MetricsRegistry, Trace, TraceSink};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+
+/// One grid point of a sweep: its checkpoint scope and how many trials it
+/// contributes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepPoint {
+    /// The scope string its trials are checkpointed under (embeds workload,
+    /// grid coordinates, and master seed).
+    pub scope: String,
+    /// Number of trials at this point (0 for error placeholders that fold
+    /// to a fixed row without running anything).
+    pub trials: u64,
+}
 
 /// A sweep experiment's grid: points, per-trial body, per-point fold.
 pub trait Grid: Sync {
-    /// What one trial produces. Checkpoints and fabric journals record it,
-    /// so it must round-trip through JSON unchanged.
+    /// What one trial produces. Checkpoints record it, so it must
+    /// round-trip through JSON unchanged.
     type Record: Serialize + Deserialize + Send;
     /// One folded grid point.
     type Row;
@@ -58,8 +65,7 @@ pub struct GridOutcome<R> {
     pub rows: Vec<R>,
     /// Run-wide metrics merged over completed trials in grid/trial order.
     /// Deterministic: the same config produces byte-identical serialized
-    /// metrics regardless of thread count, resumes, or fabric
-    /// decomposition.
+    /// metrics regardless of thread count or resumes.
     pub metrics: MetricsRegistry,
 }
 
@@ -76,57 +82,21 @@ pub fn run<G: Grid>(
     mut sink: Option<&mut dyn TraceSink>,
 ) -> GridOutcome<G::Row> {
     let mut trace_base = 0;
-    let per_point = Grid::points(grid).iter().enumerate().map(|(point, p)| {
-        let spec = TrialSpec::new()
-            .isolated()
-            .checkpointed(checkpoint.map(|c| (c, p.scope.as_str())))
-            .traced(sink.as_deref_mut())
-            .trace_base(trace_base);
-        trace_base += p.trials;
-        TrialPlan::new(p.trials, grid.master_seed())
-            .execute(spec, |t, trace| grid.trial(point, t.seed, trace))
-    });
-    fold_points(grid, per_point)
-}
-
-/// Fold merged fabric unit values, grouped per point (see
-/// [`crate::fabric::UnitMap::group`]), into the same outcome [`run`]
-/// produces.
-///
-/// # Panics
-///
-/// If a value is not an encoded trial outcome of `G::Record` (a corrupt or
-/// foreign journal).
-pub fn fold_merged<G: Grid>(grid: &G, per_point: Vec<Vec<Value>>) -> GridOutcome<G::Row> {
-    let per_point = per_point.into_iter().map(|values| {
-        values
-            .iter()
-            .map(|v| decode_unit(v).expect("fabric journal record shape"))
-            .collect()
-    });
-    fold_points(grid, per_point)
-}
-
-/// Fold each point's outcomes, in grid order, through the grid's fold.
-fn fold_points<G: Grid>(
-    grid: &G,
-    per_point: impl Iterator<Item = Vec<TrialOutcome<G::Record>>>,
-) -> GridOutcome<G::Row> {
     let mut metrics = MetricsRegistry::new();
-    let rows = per_point
+    let rows = Grid::points(grid)
+        .iter()
         .enumerate()
-        .map(|(point, outcomes)| grid.fold(point, outcomes, &mut metrics))
+        .map(|(point, p)| {
+            let spec = TrialSpec::new()
+                .isolated()
+                .checkpointed(checkpoint.map(|c| (c, p.scope.as_str())))
+                .traced(sink.as_deref_mut())
+                .trace_base(trace_base);
+            trace_base += p.trials;
+            let outcomes = TrialPlan::new(p.trials, grid.master_seed())
+                .execute(spec, |t, trace| grid.trial(point, t.seed, trace));
+            grid.fold(point, outcomes, &mut metrics)
+        })
         .collect();
     GridOutcome { rows, metrics }
-}
-
-impl<G: Grid> Sweep for G {
-    fn points(&self) -> &[SweepPoint] {
-        Grid::points(self)
-    }
-
-    fn run_unit(&self, point: usize, index: u64) -> Value {
-        let seed = TrialPlan::new(0, self.master_seed()).seed(index);
-        run_unit_isolated(|| self.trial(point, seed, None))
-    }
 }

@@ -17,13 +17,10 @@
 //! * [`experiments`] — the E1–E9 experiment drivers behind EXPERIMENTS.md.
 //! * [`trials`] — the shared seeded parallel trial harness those drivers
 //!   run their randomized batches through.
+//! * [`grid`] — the trial-grid shape behind the E12/E13/E14 sweeps and
+//!   its one in-process driver.
 //! * [`checkpoint`] — the JSON-lines checkpoint store behind the binaries'
 //!   `--checkpoint` flag (kill-and-resume sweeps).
-//! * [`fabric`] — the crash-tolerant sweep fabric: a coordinator/worker
-//!   process pool with lease-based work stealing, heartbeat deadlines,
-//!   supervised respawn, and a bit-identical journal merge.
-//! * [`retry`] — jittered exponential backoff with a cap and budget (paces
-//!   the fabric's worker respawns; injectable clock for tests).
 //! * [`fit`] — model-function fitting used to classify measured round
 //!   complexities (`log n` vs `log log n` vs `log* n` …).
 //! * [`report`] — aligned text tables for experiment output.
@@ -35,12 +32,10 @@ pub mod adversary;
 pub mod checkpoint;
 pub mod derand;
 pub mod experiments;
-pub mod fabric;
 pub mod fit;
 pub mod grid;
 pub mod invariance;
 pub mod report;
-pub mod retry;
 pub mod shatter;
 pub mod speedup;
 pub mod trials;

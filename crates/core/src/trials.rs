@@ -272,8 +272,7 @@ impl TrialPlan {
 
 /// Encode a trial outcome as a checkpoint value: `{"ok": R}` or
 /// `{"panicked": "message"}`. (Hand-written — the derive macro does not
-/// cover data-carrying enums.) Shared with the fabric worker, which journals
-/// outcomes in exactly this shape so merged sweeps decode identically.
+/// cover data-carrying enums.)
 pub(crate) fn encode_outcome<R: Serialize>(outcome: &TrialOutcome<R>) -> serde::Value {
     match outcome {
         TrialOutcome::Ok(value) => serde::Value::Object(vec![("ok".to_string(), value.to_value())]),
@@ -853,6 +852,21 @@ mod tests {
             .collect();
         assert_eq!(outcomes, expected);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn outcome_encoding_is_ok_or_panicked() {
+        let ok = encode_outcome(&TrialOutcome::Ok(42u64));
+        assert_eq!(serde_json::to_string(&ok).unwrap(), r#"{"ok":42}"#);
+        assert_eq!(decode_outcome::<u64>(&ok), Some(TrialOutcome::Ok(42)));
+        let boom = run_isolated(&TrialPlan::new(1, 9), |_| -> u64 { panic!("kaput") });
+        let encoded = encode_outcome(&boom[0]);
+        assert_eq!(
+            serde_json::to_string(&encoded).unwrap(),
+            r#"{"panicked":"kaput"}"#
+        );
+        assert_eq!(decode_outcome::<u64>(&encoded), Some(boom[0].clone()));
+        assert_eq!(decode_outcome::<u64>(&serde::Value::U64(42)), None);
     }
 
     #[test]

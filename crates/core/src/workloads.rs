@@ -6,8 +6,8 @@
 //! recovery finisher. E12 (resilience), E13 (recovery), and E14 (adversary
 //! search) all consume the same quadruples through the object-safe
 //! [`Workload`] trait; [`workloads`] is the **single** construction point,
-//! so adding an entry here automatically enrolls it in all three sweeps,
-//! the fabric decomposition, and the CI replay gates.
+//! so adding an entry here automatically enrolls it in all three sweeps
+//! and the CI replay gates.
 //!
 //! The catalog carries six entries, in this fixed order (legacy first, so
 //! the legacy rows of every report keep their exact position and bytes):
@@ -201,8 +201,8 @@ pub struct HealRecord {
 /// One catalog entry, erased behind an object-safe interface: the graph,
 /// the fault-plane windows, and the three per-experiment trial semantics.
 ///
-/// Implementations are `Send + Sync` so the parallel trial harness and the
-/// sweep fabric can share one boxed entry across worker threads.
+/// Implementations are `Send + Sync` so the parallel trial harness can
+/// share one boxed entry across worker threads.
 pub trait Workload: Send + Sync {
     /// The catalog name (one of [`NAMES`]).
     fn name(&self) -> &'static str;

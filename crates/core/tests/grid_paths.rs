@@ -1,11 +1,11 @@
 //! Every execution path of a grid sweep folds to the same bytes.
 //!
 //! E12, E13 and E14 each state their grid once and reach it four ways: the
-//! plain in-process run, the traced run, a checkpointed run resumed from a
-//! half-filled store, and the fabric decomposition (every unit through
-//! `Sweep::run_unit`, then `grid::fold_merged`). This suite runs all four on
-//! tiny configurations, including one with failed workload slots, and pins
-//! the rows JSON and the `metrics/v1` document byte-identical across them.
+//! plain in-process run, the traced run, a run that records every trial to
+//! a fresh checkpoint, and a run resumed from a store holding only some of
+//! those records. This suite runs all four on tiny configurations,
+//! including one with failed workload slots, and pins the rows JSON and the
+//! `metrics/v1` document byte-identical across them.
 
 use local_algorithms::RecoveryPolicy;
 use local_obs::{MemorySink, MetricsDoc, TraceSink};
@@ -13,8 +13,7 @@ use local_separation::checkpoint::Checkpoint;
 use local_separation::experiments::{
     e12_resilience as e12, e13_recovery as e13, e14_adversary as e14,
 };
-use local_separation::fabric::{Sweep, UnitMap};
-use local_separation::grid::{fold_merged, Grid, GridOutcome};
+use local_separation::grid::GridOutcome;
 use serde::{Serialize, Value};
 
 /// One path's output as the bytes the binaries emit: rows JSON and the
@@ -31,15 +30,12 @@ fn bytes<R: Serialize>(experiment: &str, out: &GridOutcome<R>) -> (String, Strin
     )
 }
 
-/// Run `grid` down all four paths and assert they agree byte-for-byte.
-/// `run` is the experiment's public entry point for the same config.
-fn assert_paths_agree<G: Grid>(
+/// Run one config down all four paths and assert they agree byte-for-byte.
+/// `run` is the experiment's public entry point for that config.
+fn assert_paths_agree<R: Serialize>(
     label: &str,
-    grid: &G,
-    run: impl Fn(Option<&Checkpoint>, Option<&mut dyn TraceSink>) -> GridOutcome<G::Row>,
-) where
-    G::Row: Serialize,
-{
+    run: impl Fn(Option<&Checkpoint>, Option<&mut dyn TraceSink>) -> GridOutcome<R>,
+) {
     let plain = bytes(label, &run(None, None));
 
     let mut sink = MemorySink::new();
@@ -47,39 +43,37 @@ fn assert_paths_agree<G: Grid>(
     assert!(!sink.into_events().is_empty(), "{label}: traced run emits");
     assert_eq!(plain, traced, "{label}: tracing changed the output");
 
-    // Half-fill a store with the first half of every point's trials, then
-    // resume: replayed and fresh trials must fold like an uninterrupted run.
+    // Record every trial into a fresh store, keep only the even-indexed
+    // records, then resume: replayed and fresh trials must fold like an
+    // uninterrupted run.
     let path = std::env::temp_dir().join(format!(
         "lcl-grid-paths-{label}-{}.jsonl",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&path);
-    {
+    let recorded = {
         let store = Checkpoint::open(&path).expect("open checkpoint");
-        for (point, p) in Grid::points(grid).iter().enumerate() {
-            for index in 0..p.trials / 2 {
-                let value = Sweep::run_unit(grid, point, index);
-                store.record(&p.scope, index, value).expect("record");
-            }
-        }
-    }
+        bytes(label, &run(Some(&store), None))
+    };
+    assert_eq!(plain, recorded, "{label}: checkpointing changed the output");
+    let journal = std::fs::read_to_string(&path).expect("read checkpoint");
+    let kept: String = journal
+        .lines()
+        .filter(|line| {
+            let record: Value = serde_json::from_str(line).expect("checkpoint line parses");
+            matches!(record.get("index"), Some(Value::U64(i)) if i % 2 == 0)
+        })
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert!(kept.len() < journal.len(), "{label}: some records dropped");
+    std::fs::write(&path, kept).expect("rewrite checkpoint");
     let resumed = {
         let store = Checkpoint::open(&path).expect("reopen checkpoint");
-        assert!(!store.is_empty(), "{label}: the store is half-filled");
+        assert!(!store.is_empty(), "{label}: the store is partly filled");
         bytes(label, &run(Some(&store), None))
     };
     let _ = std::fs::remove_file(&path);
     assert_eq!(plain, resumed, "{label}: resuming changed the output");
-
-    // The fabric view, units executed in reverse order.
-    let map = UnitMap::new(Sweep::points(grid));
-    let mut values = vec![Value::Null; map.total() as usize];
-    for unit in (0..map.total()).rev() {
-        let (point, index) = map.locate(unit);
-        values[unit as usize] = Sweep::run_unit(grid, point, index);
-    }
-    let fabric = bytes(label, &fold_merged(grid, map.group(values)));
-    assert_eq!(plain, fabric, "{label}: the fabric fold changed the output");
 }
 
 fn e12_tiny() -> e12::Config {
@@ -123,7 +117,7 @@ fn e14_tiny() -> e14::Config {
 #[test]
 fn e12_paths_agree() {
     let cfg = e12_tiny();
-    assert_paths_agree("e12", &e12::Grid12::new(&cfg), |c, s| e12::run(&cfg, c, s));
+    assert_paths_agree("e12", |c, s| e12::run(&cfg, c, s));
 }
 
 #[test]
@@ -133,15 +127,13 @@ fn e12_paths_agree_with_error_slots() {
         sinkless_n: 61,
         ..e12_tiny()
     };
-    assert_paths_agree("e12-err", &e12::Grid12::new(&cfg), |c, s| {
-        e12::run(&cfg, c, s)
-    });
+    assert_paths_agree("e12-err", |c, s| e12::run(&cfg, c, s));
 }
 
 #[test]
 fn e13_paths_agree() {
     let cfg = e13_tiny();
-    assert_paths_agree("e13", &e13::Grid13::new(&cfg), |c, s| e13::run(&cfg, c, s));
+    assert_paths_agree("e13", |c, s| e13::run(&cfg, c, s));
 }
 
 #[test]
@@ -150,13 +142,11 @@ fn e13_paths_agree_with_error_slots() {
         sinkless_n: 61,
         ..e13_tiny()
     };
-    assert_paths_agree("e13-err", &e13::Grid13::new(&cfg), |c, s| {
-        e13::run(&cfg, c, s)
-    });
+    assert_paths_agree("e13-err", |c, s| e13::run(&cfg, c, s));
 }
 
 #[test]
 fn e14_paths_agree() {
     let cfg = e14_tiny();
-    assert_paths_agree("e14", &e14::Grid14::new(&cfg), |c, s| e14::run(&cfg, c, s));
+    assert_paths_agree("e14", |c, s| e14::run(&cfg, c, s));
 }

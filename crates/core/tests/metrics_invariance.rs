@@ -4,8 +4,8 @@
 //! a `--metrics` document is a pure function of the experiment's seeds.
 //! Producers record into per-trial [`MetricSet`]s, the harness absorbs each
 //! set in trial order, and registries merge associatively and commutatively
-//! — so any grouping of the trials (rayon threads, fabric workers,
-//! checkpoint resumes) folds to the same registry and the same bytes.
+//! — so any grouping of the trials (rayon threads, checkpoint resumes)
+//! folds to the same registry and the same bytes.
 //! These tests pin each link of that argument: merge algebra on random
 //! registries, grouping invariance over random partitions, the parallel
 //! harness against a plain sequential loop, and the span-profile identity
@@ -77,9 +77,9 @@ proptest! {
     }
 
     /// Grouping invariance: absorbing every trial serially equals splitting
-    /// the trials into arbitrary contiguous chunks (what a thread pool or a
-    /// fabric lease schedule does), folding each chunk privately, and
-    /// merging the chunk registries in order.
+    /// the trials into arbitrary contiguous chunks (what a thread pool
+    /// does), folding each chunk privately, and merging the chunk
+    /// registries in order.
     #[test]
     fn chunked_fold_matches_serial_fold(
         trials in (1usize..=16, proptest::collection::vec(ops(), 16))
@@ -158,8 +158,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The parallel harness folds to the same bytes as a plain sequential
-    /// loop — exactly what a one-thread pool (or `RAYON_NUM_THREADS=8`, or
-    /// the fabric) would produce for the same plan.
+    /// loop — exactly what a one-thread pool (or `RAYON_NUM_THREADS=8`)
+    /// would produce for the same plan.
     #[test]
     fn parallel_metrics_fold_is_bit_identical_to_serial(
         trials in 1u64..12,

@@ -121,52 +121,6 @@ pub enum EventData {
         /// banned).
         tenure: u32,
     },
-    /// The sweep fabric spawned (or respawned) a worker process.
-    WorkerSpawn {
-        /// Worker slot (stable across respawns).
-        worker: u64,
-        /// Spawn attempt for this slot (0 = first launch).
-        attempt: u32,
-    },
-    /// A fabric worker died or was declared dead.
-    WorkerDown {
-        /// Worker slot.
-        worker: u64,
-        /// The attempt that died.
-        attempt: u32,
-        /// Why: `exit(code)`, `signal`, or `heartbeat_lost`.
-        cause: String,
-        /// Whether the worker held a lease when it died (which the
-        /// coordinator then reclaimed).
-        lease_lost: bool,
-    },
-    /// The fabric coordinator granted a trial-range lease to a worker.
-    LeaseGrant {
-        /// Worker slot receiving the lease.
-        worker: u64,
-        /// First global unit index of the lease.
-        start: u64,
-        /// Number of units in the lease.
-        len: u64,
-    },
-    /// A worker reported a lease fully journaled.
-    LeaseDone {
-        /// Worker slot completing the lease.
-        worker: u64,
-        /// First global unit index of the lease.
-        start: u64,
-        /// Number of units in the lease.
-        len: u64,
-    },
-    /// The coordinator took a lease back from a dead worker and requeued it.
-    LeaseReclaim {
-        /// The slot that lost the lease.
-        worker: u64,
-        /// First global unit index of the lease.
-        start: u64,
-        /// Number of units in the lease.
-        len: u64,
-    },
     /// A named distribution snapshot.
     Histogram {
         /// What was measured (`messages_per_vertex`, `halt_round`,
@@ -189,11 +143,6 @@ impl EventData {
             EventData::SpanEnd { .. } => "span_end",
             EventData::Recovery { .. } => "recovery",
             EventData::SearchIter { .. } => "search_iter",
-            EventData::WorkerSpawn { .. } => "worker_spawn",
-            EventData::WorkerDown { .. } => "worker_down",
-            EventData::LeaseGrant { .. } => "lease_grant",
-            EventData::LeaseDone { .. } => "lease_done",
-            EventData::LeaseReclaim { .. } => "lease_reclaim",
             EventData::Histogram { .. } => "histogram",
         }
     }
@@ -317,28 +266,6 @@ impl Serialize for TraceEvent {
                 fields.push(("accepted".into(), accepted.to_value()));
                 fields.push(("tenure".into(), tenure.to_value()));
             }
-            EventData::WorkerSpawn { worker, attempt } => {
-                fields.push(("worker".into(), worker.to_value()));
-                fields.push(("attempt".into(), attempt.to_value()));
-            }
-            EventData::WorkerDown {
-                worker,
-                attempt,
-                cause,
-                lease_lost,
-            } => {
-                fields.push(("worker".into(), worker.to_value()));
-                fields.push(("attempt".into(), attempt.to_value()));
-                fields.push(("cause".into(), cause.to_value()));
-                fields.push(("lease_lost".into(), lease_lost.to_value()));
-            }
-            EventData::LeaseGrant { worker, start, len }
-            | EventData::LeaseDone { worker, start, len }
-            | EventData::LeaseReclaim { worker, start, len } => {
-                fields.push(("worker".into(), worker.to_value()));
-                fields.push(("start".into(), start.to_value()));
-                fields.push(("len".into(), len.to_value()));
-            }
             EventData::Histogram { name, hist } => {
                 fields.push(("name".into(), name.to_value()));
                 // Splice the histogram's fields flat into the event object.
@@ -403,31 +330,6 @@ impl Deserialize for TraceEvent {
                 mv: field_string(v, "move")?,
                 accepted: bool::from_value(v.field("accepted")?)?,
                 tenure: field_u32(v, "tenure")?,
-            },
-            "worker_spawn" => EventData::WorkerSpawn {
-                worker: field_u64(v, "worker")?,
-                attempt: field_u32(v, "attempt")?,
-            },
-            "worker_down" => EventData::WorkerDown {
-                worker: field_u64(v, "worker")?,
-                attempt: field_u32(v, "attempt")?,
-                cause: field_string(v, "cause")?,
-                lease_lost: bool::from_value(v.field("lease_lost")?)?,
-            },
-            "lease_grant" => EventData::LeaseGrant {
-                worker: field_u64(v, "worker")?,
-                start: field_u64(v, "start")?,
-                len: field_u64(v, "len")?,
-            },
-            "lease_done" => EventData::LeaseDone {
-                worker: field_u64(v, "worker")?,
-                start: field_u64(v, "start")?,
-                len: field_u64(v, "len")?,
-            },
-            "lease_reclaim" => EventData::LeaseReclaim {
-                worker: field_u64(v, "worker")?,
-                start: field_u64(v, "start")?,
-                len: field_u64(v, "len")?,
             },
             "histogram" => EventData::Histogram {
                 name: field_string(v, "name")?,
@@ -523,51 +425,6 @@ mod tests {
                 data: EventData::Histogram {
                     name: "halt_round".into(),
                     hist: Box::new(hist),
-                },
-            },
-            TraceEvent {
-                trial: 0,
-                seq: 4,
-                data: EventData::WorkerSpawn {
-                    worker: 2,
-                    attempt: 1,
-                },
-            },
-            TraceEvent {
-                trial: 0,
-                seq: 5,
-                data: EventData::WorkerDown {
-                    worker: 2,
-                    attempt: 1,
-                    cause: "heartbeat_lost".into(),
-                    lease_lost: true,
-                },
-            },
-            TraceEvent {
-                trial: 0,
-                seq: 6,
-                data: EventData::LeaseGrant {
-                    worker: 2,
-                    start: 16,
-                    len: 8,
-                },
-            },
-            TraceEvent {
-                trial: 0,
-                seq: 7,
-                data: EventData::LeaseDone {
-                    worker: 2,
-                    start: 16,
-                    len: 8,
-                },
-            },
-            TraceEvent {
-                trial: 0,
-                seq: 8,
-                data: EventData::LeaseReclaim {
-                    worker: 2,
-                    start: 24,
-                    len: 8,
                 },
             },
             TraceEvent {

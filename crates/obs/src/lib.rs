@@ -7,9 +7,8 @@
 //!
 //! * [`TraceEvent`] / [`EventData`]: structured events (run lifecycle,
 //!   per-round progress, phase spans, recovery attempts, adversary-search
-//!   iterations, histograms, and the sweep fabric's worker lifecycle —
-//!   spawns, deaths, lease grants/completions/reclaims) with a flat
-//!   JSON-lines encoding, ordered by `(trial, seq)`.
+//!   iterations, histograms) with a flat JSON-lines encoding, ordered by
+//!   `(trial, seq)`.
 //! * [`Trace`]: a per-trial event buffer with a monotonically increasing
 //!   sequence number and RAII [`Span`](trace::Span)s carrying monotonic
 //!   wall-clock timings. Producers hold an `Option<&Trace>`, so the disabled
@@ -22,13 +21,11 @@
 //! * [`MetricSet`] / [`MetricsRegistry`]: the metrics plane — typed
 //!   counters, gauges, and histograms keyed by the static [`MetricId`]
 //!   table, recorded per trial and folded in trial order into one mergeable
-//!   [`MetricsDoc`] whose bytes are thread-count- and
-//!   process-count-invariant.
+//!   [`MetricsDoc`] whose bytes are thread-count-invariant.
 //! * [`SpanProfile`] / [`ResourceSample`]: profiling — span events folded
 //!   into per-phase self-time/total-time call-path profiles with a
 //!   flamegraph-compatible folded export, plus peak-RSS samples.
-//! * [`progress`] / [`ProgressMeter`]: stderr progress behind `--quiet`,
-//!   from one-shot notes to a rate-limited meter with throughput and ETA.
+//! * [`progress`]: stderr progress notes behind `--quiet`.
 //!
 //! Everything except span timings (`micros` on `span_end` events) and
 //! resource samples is deterministic: two runs with the same seeds produce
@@ -52,6 +49,6 @@ pub use metrics::{
     MetricDef, MetricId, MetricKind, MetricSet, MetricsDoc, MetricsRegistry, METRICS_SCHEMA,
 };
 pub use profile::{ProfileEntry, ResourceSample, SpanProfile};
-pub use progress::{progress, render_progress, ProgressMeter};
+pub use progress::progress;
 pub use sink::{read_trace, FileSink, MemorySink, NullSink, TraceReadError, TraceSink};
 pub use trace::{Span, Trace};

@@ -8,7 +8,7 @@
 //! single-threaded, `Cell`-based), the harness absorbs each set into an
 //! owned [`MetricsRegistry`] **in trial order**, and registries merge
 //! associatively, so the aggregate is bit-identical regardless of how many
-//! threads or worker processes executed the trials.
+//! threads executed the trials.
 //!
 //! Every metric is declared once in [`MetricId::ALL`] with its kind, unit,
 //! and the paper quantity it measures; the serialized form is a sparse
@@ -212,7 +212,7 @@ impl MetricSet {
 ///
 /// Merging is associative and commutative metric-by-metric (counters add,
 /// gauges take the maximum, histograms merge bin-by-bin), so any grouping of
-/// per-trial sets — rayon threads, fabric workers, checkpoint resumes —
+/// per-trial sets — rayon threads, checkpoint resumes —
 /// folds to the same registry as a serial pass, and the serialized document
 /// is byte-identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -358,8 +358,8 @@ pub const METRICS_SCHEMA: &str = "metrics/v1";
 /// The canonical metrics document written next to the `--json` envelope.
 ///
 /// Contains only deterministic content: the same sweep produces the same
-/// bytes whether it ran serially, under rayon, or across fabric workers.
-/// Nondeterministic observations (wall-clock, RSS, per-worker census) go to
+/// bytes whether it ran serially or under rayon, resumed or not.
+/// Nondeterministic observations (wall-clock, RSS) go to
 /// a sibling telemetry file instead — see `crates/bench`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsDoc {

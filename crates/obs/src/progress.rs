@@ -1,6 +1,4 @@
-//! Progress reporting on stderr, from one-shot notes to rate-limited meters.
-
-use std::time::{Duration, Instant};
+//! Progress notes on stderr, behind `--quiet`.
 
 /// Print a progress/note line to stderr unless `quiet`.
 ///
@@ -10,178 +8,5 @@ use std::time::{Duration, Instant};
 pub fn progress(quiet: bool, message: &str) {
     if !quiet {
         eprintln!("{message}");
-    }
-}
-
-/// Render one progress line: label, completion, throughput, and ETA.
-///
-/// Pure — the meter's clock reads are passed in — so formatting is testable
-/// without waiting on wall time. `extra` is appended verbatim when
-/// non-empty (per-worker lag, current grid point, …).
-pub fn render_progress(
-    label: &str,
-    done: u64,
-    total: u64,
-    elapsed: Duration,
-    extra: &str,
-) -> String {
-    let mut line = if total > 0 {
-        format!(
-            "{label}: {done}/{total} units ({:.1}%)",
-            done as f64 * 100.0 / total as f64
-        )
-    } else {
-        format!("{label}: {done} units")
-    };
-    let secs = elapsed.as_secs_f64();
-    if done > 0 && secs > 0.0 {
-        let rate = done as f64 / secs;
-        line.push_str(&format!(" {rate:.1} units/s"));
-        if total > done && rate > 0.0 {
-            let eta = (total - done) as f64 / rate;
-            line.push_str(&format!(" eta {}", format_eta(eta)));
-        }
-    }
-    if !extra.is_empty() {
-        line.push(' ');
-        line.push_str(extra);
-    }
-    line
-}
-
-fn format_eta(eta_secs: f64) -> String {
-    let s = eta_secs.ceil() as u64;
-    if s >= 3600 {
-        format!("{}h{:02}m", s / 3600, (s % 3600) / 60)
-    } else if s >= 60 {
-        format!("{}m{:02}s", s / 60, s % 60)
-    } else {
-        format!("{s}s")
-    }
-}
-
-/// A rate-limited stderr progress meter with throughput and ETA.
-///
-/// Call [`update`](ProgressMeter::update) as often as work completes; at most
-/// one line per [`interval`](ProgressMeter::with_interval) reaches stderr, so
-/// a tight coordinator loop cannot flood the terminal.
-/// [`finish`](ProgressMeter::finish) always emits a final line. Both honor
-/// the same `quiet` flag as [`progress`].
-#[derive(Debug)]
-pub struct ProgressMeter {
-    quiet: bool,
-    label: String,
-    total: u64,
-    started: Instant,
-    last_emit: Option<Instant>,
-    interval: Duration,
-}
-
-impl ProgressMeter {
-    /// A meter for `total` units of work (0 when the total is unknown),
-    /// emitting at most every 200 ms.
-    pub fn new(quiet: bool, label: &str, total: u64) -> ProgressMeter {
-        ProgressMeter {
-            quiet,
-            label: label.to_string(),
-            total,
-            started: Instant::now(),
-            last_emit: None,
-            interval: Duration::from_millis(200),
-        }
-    }
-
-    /// Override the minimum interval between emitted lines.
-    #[must_use]
-    pub fn with_interval(mut self, interval: Duration) -> ProgressMeter {
-        self.interval = interval;
-        self
-    }
-
-    /// Report progress; emits a line only when the rate limit allows.
-    /// Returns whether a line was printed (for tests and callers that piggy-
-    /// back extra output on emitted lines).
-    pub fn update(&mut self, done: u64, extra: &str) -> bool {
-        if self.quiet {
-            return false;
-        }
-        let now = Instant::now();
-        if self
-            .last_emit
-            .is_some_and(|t| now.duration_since(t) < self.interval)
-        {
-            return false;
-        }
-        self.last_emit = Some(now);
-        eprintln!(
-            "{}",
-            render_progress(
-                &self.label,
-                done,
-                self.total,
-                now.duration_since(self.started),
-                extra
-            )
-        );
-        true
-    }
-
-    /// Report final progress, bypassing the rate limit.
-    pub fn finish(&mut self, done: u64, extra: &str) {
-        if self.quiet {
-            return;
-        }
-        let now = Instant::now();
-        self.last_emit = Some(now);
-        eprintln!(
-            "{}",
-            render_progress(
-                &self.label,
-                done,
-                self.total,
-                now.duration_since(self.started),
-                extra
-            )
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn render_covers_percentage_rate_and_eta() {
-        let line = render_progress("e13", 20, 80, Duration::from_secs(10), "");
-        assert_eq!(line, "e13: 20/80 units (25.0%) 2.0 units/s eta 30s");
-        let line = render_progress("e13", 0, 80, Duration::from_secs(1), "");
-        assert_eq!(line, "e13: 0/80 units (0.0%)");
-        let line = render_progress("e13", 80, 80, Duration::from_secs(40), "");
-        assert_eq!(line, "e13: 80/80 units (100.0%) 2.0 units/s");
-    }
-
-    #[test]
-    fn render_handles_unknown_totals_and_extras() {
-        let line = render_progress("scan", 5, 0, Duration::from_secs(2), "lag=[0,1]");
-        assert_eq!(line, "scan: 5 units 2.5 units/s lag=[0,1]");
-    }
-
-    #[test]
-    fn eta_formats_scale() {
-        assert_eq!(format_eta(1.2), "2s");
-        assert_eq!(format_eta(59.0), "59s");
-        assert_eq!(format_eta(61.0), "1m01s");
-        assert_eq!(format_eta(3700.0), "1h01m");
-    }
-
-    #[test]
-    fn meter_rate_limits_and_finish_always_emits() {
-        let mut m = ProgressMeter::new(false, "t", 10).with_interval(Duration::from_secs(3600));
-        assert!(m.update(1, ""));
-        assert!(!m.update(2, ""), "second update inside the interval");
-        m.finish(10, "");
-        let mut quiet = ProgressMeter::new(true, "t", 10);
-        assert!(!quiet.update(1, ""));
-        quiet.finish(10, "");
     }
 }
