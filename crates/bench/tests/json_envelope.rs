@@ -203,3 +203,29 @@ fn obs_report_rejects_a_deeply_nested_trace_line() {
     assert!(stderr.starts_with("error:"), "{stderr:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `obs_report` refuses a trace line that is not JSON — here a number with
+/// a leading zero — instead of summarising it; the same line with `0`
+/// passes.
+#[test]
+fn obs_report_rejects_a_number_with_a_leading_zero() {
+    let dir = temp_dir("leading-zero");
+    let report = |trial: &str| {
+        let trace = dir.join(format!("trace-{trial}.jsonl"));
+        let line = format!(
+            "{{\"trial\": {trial}, \"seq\": 0, \"event\": \"span_start\", \"name\": \"x\"}}\n"
+        );
+        std::fs::write(&trace, line).expect("write trace");
+        Command::new(env!("CARGO_BIN_EXE_obs_report"))
+            .arg(&trace)
+            .output()
+            .expect("spawn obs_report")
+    };
+    let good = report("0");
+    assert!(good.status.success(), "status: {:?}", good.status);
+    let out = report("00");
+    assert_eq!(out.status.code(), Some(2), "status: {:?}", out.status);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(stderr.starts_with("error:"), "{stderr:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -10,11 +10,11 @@
 //!
 //! The store tolerates a torn final line: a process killed mid-append leaves
 //! a truncated record, which [`Checkpoint::open`] silently drops (that trial
-//! is simply recomputed). Every complete line is flushed before
-//! [`Checkpoint::record`] returns, so at most one in-flight record can ever
-//! be lost. [`Checkpoint::with_fsync_every`] additionally `fdatasync`s the
-//! file on a configurable cadence for durability against power loss, not
-//! just process death.
+//! is simply recomputed). Every record is flushed to the OS before
+//! [`Checkpoint::record`] returns, so a killed process loses at most the one
+//! record in flight. The journal is never `fsync`ed: a power loss may drop
+//! the tail the OS had not yet written, and a resume recomputes those trials
+//! — deterministically, so the final report is the same.
 //!
 //! Single-writer discipline is enforced, not assumed: `open` takes an OS
 //! advisory lock on the file and a second concurrent `open` fails with
@@ -123,10 +123,6 @@ pub struct Checkpoint {
 struct Inner {
     entries: HashMap<(String, u64), Value>,
     writer: BufWriter<File>,
-    /// `sync_data` after every `fsync_every` appends; 0 disables fsync
-    /// (flush-only, the historical behavior).
-    fsync_every: u64,
-    appends_since_sync: u64,
 }
 
 impl Checkpoint {
@@ -186,22 +182,8 @@ impl Checkpoint {
         }
         Ok(Checkpoint {
             path,
-            inner: Mutex::new(Inner {
-                entries,
-                writer,
-                fsync_every: 0,
-                appends_since_sync: 0,
-            }),
+            inner: Mutex::new(Inner { entries, writer }),
         })
-    }
-
-    /// Enable `fdatasync` on a cadence: every `every`-th append additionally
-    /// syncs file data to disk. `0` disables fsync (the default): records
-    /// are still flushed to the OS, which survives process death but not
-    /// power loss.
-    pub fn with_fsync_every(self, every: u64) -> Checkpoint {
-        self.inner.lock().expect("checkpoint lock").fsync_every = every;
-        self
     }
 
     /// The path this store appends to.
@@ -266,14 +248,13 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Append one record and flush it to disk before returning, so a kill
-    /// after `record` never loses the trial. When a fsync cadence is set
-    /// (see [`Checkpoint::with_fsync_every`]), every `every`-th append also
-    /// syncs file data.
+    /// Append one record and flush it to the OS before returning, so a kill
+    /// after `record` never loses the trial (see the module docs for power
+    /// loss).
     ///
     /// # Errors
     ///
-    /// [`std::io::Error`] if the append, flush, or sync fails.
+    /// [`std::io::Error`] if the append or flush fails.
     pub fn record(&self, scope: &str, index: u64, value: Value) -> std::io::Result<()> {
         let line = serde_json::to_string(&Value::Object(vec![
             ("scope".to_string(), Value::String(scope.to_string())),
@@ -285,13 +266,6 @@ impl Checkpoint {
         inner.writer.write_all(line.as_bytes())?;
         inner.writer.write_all(b"\n")?;
         inner.writer.flush()?;
-        if inner.fsync_every > 0 {
-            inner.appends_since_sync += 1;
-            if inner.appends_since_sync >= inner.fsync_every {
-                inner.writer.get_ref().sync_data()?;
-                inner.appends_since_sync = 0;
-            }
-        }
         inner.entries.insert((scope.to_string(), index), value);
         Ok(())
     }
@@ -443,24 +417,6 @@ mod tests {
         drop(first);
         let again = Checkpoint::open(&path).expect("open after release");
         again.record("s", 0, Value::U64(1)).expect("rec");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fsync_cadence_preserves_records_and_behavior() {
-        let path = temp_path("fsync");
-        let _ = std::fs::remove_file(&path);
-        {
-            let ckpt = Checkpoint::open(&path).expect("open").with_fsync_every(2);
-            for i in 0..5 {
-                ckpt.record("s", i, Value::U64(i * 10)).expect("rec");
-            }
-            assert_eq!(ckpt.len(), 5);
-        }
-        let again = Checkpoint::open(&path).expect("reopen");
-        for i in 0..5 {
-            assert_eq!(again.lookup("s", i), Some(Value::U64(i * 10)));
-        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -9,7 +9,7 @@
 //! can speak of a validity rate instead of an all-or-nothing verdict.
 
 use crate::labeling::Labeling;
-use crate::problem::{LclProblem, LocalView, NeighborView, Violation};
+use crate::problem::{fill_view, LclProblem, Violation};
 use local_graphs::Graph;
 use std::collections::VecDeque;
 
@@ -75,34 +75,14 @@ pub fn check_partial<P: LclProblem>(
         skipped: 0,
         violations: Vec::new(),
     };
+    let mut slot = None;
     for v in g.vertices() {
-        let Some(label) = labels[v].as_ref() else {
+        let Some(view) = fill_view(problem, g, |u| labels[u].as_ref(), v, &mut slot) else {
             out.skipped += 1;
             continue;
-        };
-        let neighbors: Option<Vec<NeighborView<P::Label>>> = g
-            .neighbors(v)
-            .iter()
-            .map(|nb| {
-                labels[nb.node].as_ref().map(|l| NeighborView {
-                    label: l.clone(),
-                    degree: g.degree(nb.node),
-                    back_port: nb.back_port,
-                    edge_input: problem.edge_input(nb.edge),
-                })
-            })
-            .collect();
-        let Some(neighbors) = neighbors else {
-            out.skipped += 1;
-            continue;
-        };
-        let view = LocalView {
-            label: label.clone(),
-            degree: g.degree(v),
-            neighbors,
         };
         out.checked += 1;
-        match problem.check_view(&view) {
+        match problem.check_view(view) {
             Ok(()) => out.valid += 1,
             Err(reason) => out.violations.push(Violation { vertex: v, reason }),
         }

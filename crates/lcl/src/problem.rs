@@ -103,22 +103,58 @@ impl<L: Clone> LocalView<L> {
     where
         P: LclProblem<Label = L> + ?Sized,
     {
-        let neighbors = g
-            .neighbors(v)
-            .iter()
-            .map(|nb| NeighborView {
-                label: labels.get(nb.node).clone(),
-                degree: g.degree(nb.node),
+        let mut slot = None;
+        fill_view(problem, g, |u| Some(labels.get(u)), v, &mut slot);
+        slot.expect("a complete labeling labels every vertex")
+    }
+}
+
+/// Refill `slot` with the radius-1 view of `v`, reading labels through
+/// `label`, and return it; `None` (leaving the slot half refilled) when `v`
+/// or one of its neighbours has no label. The slot keeps its neighbour
+/// buffer and its labels' allocations, so a checking loop that keeps one
+/// slot allocates nothing per vertex.
+pub(crate) fn fill_view<'s, 'l, P>(
+    problem: &P,
+    g: &Graph,
+    label: impl Fn(NodeId) -> Option<&'l P::Label>,
+    v: NodeId,
+    slot: &'s mut Option<LocalView<P::Label>>,
+) -> Option<&'s LocalView<P::Label>>
+where
+    P: LclProblem + ?Sized,
+    P::Label: 'l,
+{
+    let own = label(v)?;
+    let nbrs = g.neighbors(v);
+    let view = slot.get_or_insert_with(|| LocalView {
+        label: own.clone(),
+        degree: 0,
+        neighbors: Vec::new(),
+    });
+    view.label.clone_from(own);
+    view.degree = nbrs.len();
+    view.neighbors.truncate(nbrs.len());
+    for (p, nb) in nbrs.iter().enumerate() {
+        let l = label(nb.node)?;
+        let degree = g.degree(nb.node);
+        let edge_input = problem.edge_input(nb.edge);
+        match view.neighbors.get_mut(p) {
+            Some(old) => {
+                old.label.clone_from(l);
+                old.degree = degree;
+                old.back_port = nb.back_port;
+                old.edge_input = edge_input;
+            }
+            None => view.neighbors.push(NeighborView {
+                label: l.clone(),
+                degree,
                 back_port: nb.back_port,
-                edge_input: problem.edge_input(nb.edge),
-            })
-            .collect();
-        LocalView {
-            label: labels.get(v).clone(),
-            degree: g.degree(v),
-            neighbors,
+                edge_input,
+            }),
         }
     }
+    Some(view)
 }
 
 /// A locally checkable labeling problem with labels of type `L` and checking
@@ -188,32 +224,15 @@ pub trait LclProblem {
         labels: &[Option<Self::Label>],
         v: NodeId,
     ) -> Result<(), Reason> {
-        let expect = |u: NodeId| -> Self::Label {
-            labels[u]
-                .clone()
-                .expect("check_ball caller guarantees the ball is fully labeled")
-        };
-        let neighbors = g
-            .neighbors(v)
-            .iter()
-            .map(|nb| NeighborView {
-                label: expect(nb.node),
-                degree: g.degree(nb.node),
-                back_port: nb.back_port,
-                edge_input: self.edge_input(nb.edge),
-            })
-            .collect();
-        let view = LocalView {
-            label: expect(v),
-            degree: g.degree(v),
-            neighbors,
-        };
-        self.check_view(&view)
+        let mut slot = None;
+        let view = fill_view(self, g, |u| labels[u].as_ref(), v, &mut slot)
+            .expect("check_ball caller guarantees the ball is fully labeled");
+        self.check_view(view)
     }
 
     /// Check the radius-1 condition at a single vertex of a concrete graph
-    /// (the radius-1 fast path; problems with a larger radius are checked
-    /// via [`check_ball`](LclProblem::check_ball)).
+    /// (problems with a larger radius are checked via
+    /// [`check_ball`](LclProblem::check_ball)).
     ///
     /// # Errors
     ///
@@ -230,7 +249,9 @@ pub trait LclProblem {
             .map_err(|reason| Violation { vertex: v, reason })
     }
 
-    /// Check the whole labeling by checking every vertex.
+    /// Check the whole labeling by checking every vertex. A radius-1
+    /// problem's views are refilled into one buffer and judged by
+    /// [`check_view`](LclProblem::check_view) directly.
     ///
     /// # Errors
     ///
@@ -242,8 +263,12 @@ pub trait LclProblem {
     fn validate(&self, g: &Graph, labels: &Labeling<Self::Label>) -> Result<(), Violation> {
         assert_eq!(labels.len(), g.n(), "labeling must cover every vertex");
         if self.radius() == 1 {
+            let mut slot = None;
             for v in g.vertices() {
-                self.check_vertex(g, labels, v)?;
+                let view = fill_view(self, g, |u| Some(labels.get(u)), v, &mut slot)
+                    .expect("a complete labeling labels every vertex");
+                self.check_view(view)
+                    .map_err(|reason| Violation { vertex: v, reason })?;
             }
             return Ok(());
         }
@@ -255,12 +280,20 @@ pub trait LclProblem {
         Ok(())
     }
 
-    /// All violations (for diagnostics), not just the first.
+    /// All violations (for diagnostics), not just the first; radius-1
+    /// views are checked as in [`validate`](LclProblem::validate).
     fn violations(&self, g: &Graph, labels: &Labeling<Self::Label>) -> Vec<Violation> {
         if self.radius() == 1 {
+            let mut slot = None;
             return g
                 .vertices()
-                .filter_map(|v| self.check_vertex(g, labels, v).err())
+                .filter_map(|v| {
+                    let view = fill_view(self, g, |u| Some(labels.get(u)), v, &mut slot)
+                        .expect("a complete labeling labels every vertex");
+                    self.check_view(view)
+                        .err()
+                        .map(|reason| Violation { vertex: v, reason })
+                })
                 .collect();
         }
         let opts: Vec<Option<Self::Label>> = labels.as_slice().iter().cloned().map(Some).collect();
@@ -277,6 +310,27 @@ pub trait LclProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_reused_view_slot_matches_a_fresh_one() {
+        // A broom mixes degrees 1, 2 and a hub, so the reused neighbour
+        // buffer both grows and shrinks; the holes stop refills midway.
+        let g = local_graphs::gen::broom(6, 5);
+        let problem = crate::problems::VertexColoring::new(3);
+        let labels: Vec<Option<usize>> = g
+            .vertices()
+            .map(|v| (v % 4 != 3).then_some(v % 3))
+            .collect();
+        let mut reused = None;
+        for round in 0..2 {
+            for v in g.vertices() {
+                let mut fresh = None;
+                let want = fill_view(&problem, &g, |u| labels[u].as_ref(), v, &mut fresh).cloned();
+                let got = fill_view(&problem, &g, |u| labels[u].as_ref(), v, &mut reused).cloned();
+                assert_eq!(got, want, "vertex {v}, pass {round}");
+            }
+        }
+    }
 
     #[test]
     fn violation_display() {

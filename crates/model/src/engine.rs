@@ -13,6 +13,7 @@ use local_obs::{EventData, MetricId, MetricSet, PowHistogram, Trace};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::Mutex;
 
 /// Which of the paper's two models a run executes under.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,12 +216,16 @@ thread_local! {
 /// The plan a spec without faults runs under: no drops, delays or crashes.
 static NO_FAULTS: FaultPlan = FaultPlan::none();
 
-/// Vertex boundaries cutting `0..n` into `k` shards balanced by *work*:
-/// each vertex weighs `1 + degree` (its step plus one slot per port), so
-/// neither a hub-heavy prefix nor a long tail of leaves starves the other
-/// shards. Vertex `v`'s weight starts at `v + offsets[v]`, which is strictly
-/// increasing, so each boundary is a binary search. Boundaries are monotone;
-/// empty shards are legal.
+/// Vertex boundaries cutting `0..n` into `k` chunks of equal static weight:
+/// each vertex weighs `1 + degree` (its step plus one slot per port). Vertex
+/// `v`'s weight starts at `v + offsets[v]`, which is strictly increasing, so
+/// each boundary is a binary search. Boundaries are monotone; empty chunks
+/// are legal.
+///
+/// The weight only approximates the cost: a randomized algorithm's cost per
+/// vertex follows its RNG, not its degree. A sharded sweep therefore cuts
+/// many more chunks than it has threads ([`CHUNKS_PER_THREAD`]) and lets the
+/// threads claim them, so an unlucky chunk delays one claim, not the sweep.
 fn shard_bounds(offsets: &[usize], k: usize) -> Vec<usize> {
     let n = offsets.len() - 1;
     let total = n + offsets[n];
@@ -252,7 +257,7 @@ pub(crate) struct Resolved<'s> {
     pub(crate) faults: &'s FaultPlan,
     trace: Option<&'s Trace>,
     metrics: Option<&'s MetricSet>,
-    /// The shard count, resolved against the graph's size.
+    /// How many threads step each sweep, resolved against the graph's size.
     shards: usize,
     /// Unique IDs in DetLOCAL mode.
     pub(crate) ids: Option<Vec<u64>>,
@@ -271,14 +276,16 @@ pub(crate) struct Sweep<'a> {
     pub(crate) crashed: &'a [bool],
 }
 
-/// How one sweep steps a shard's vertices and how the exchange after it
+/// How one sweep steps a chunk's vertices and how the exchange after it
 /// runs: the part of a run that differs between the message plane and the
 /// state planes. [`Engine`]'s round loop owns everything else — crashes,
-/// liveness, budgets, trace events, metrics, outcomes and shard threads.
+/// liveness, budgets, trace events, metrics, outcomes and the threads that
+/// claim chunks. A "shard" here is one chunk's view: a sweep cuts as many
+/// as [`shard_bounds`] gives it.
 pub(crate) trait Plane {
     /// What a halted vertex outputs.
     type Output: Send + 'static;
-    /// One shard's disjoint view of the plane.
+    /// One chunk's disjoint view of the plane.
     type Shard<'p>: Send
     where
         Self: 'p;
@@ -286,7 +293,7 @@ pub(crate) trait Plane {
     /// Views of the vertex ranges `bounds[s]..bounds[s + 1]`.
     fn shards(&mut self, bounds: &[usize]) -> Vec<Self::Shard<'_>>;
 
-    /// Step vertex `v`, the `i`-th of its shard, for one sweep: the
+    /// Step vertex `v`, the `i`-th of its chunk, for one sweep: the
     /// messages it sent, and its output if it halted.
     fn step(
         shard: &mut Self::Shard<'_>,
@@ -296,7 +303,8 @@ pub(crate) trait Plane {
         rng: Option<&mut ChaCha8Rng>,
     ) -> (u64, Option<Self::Output>);
 
-    /// Finish a shard on its own thread once all its vertices stepped.
+    /// Finish a chunk on the thread that stepped it, once all its vertices
+    /// stepped.
     fn settle(_shard: &mut Self::Shard<'_>) {}
 
     /// The exchange after `sweep`, run on the engine's thread.
@@ -312,12 +320,12 @@ pub(crate) trait Plane {
     fn recycle(self);
 }
 
-/// Step the vertices of `range` for one sweep against one shard's plane
-/// view and column cut, both shard-relative. Returns `(messages sent, nodes
+/// Step the vertices of `range` for one sweep against one chunk's plane
+/// view and column cut, both chunk-relative. Returns `(messages sent, nodes
 /// halted)` for the chunk.
 ///
 /// This is the one stepping routine — the serial path calls it over `0..n`
-/// and each shard worker over its own cut, so the two orders are
+/// and a sharded sweep once per claimed chunk, so the two orders are
 /// bit-identical by construction: every vertex reads only what the last
 /// exchange left and its own pre-seeded RNG stream, and writes only its own
 /// cells.
@@ -613,12 +621,14 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
 /// counting rounds.
 ///
 /// Vertex steps within a sweep are independent (they read only what the
-/// previous exchange left), so the engine cuts the vertex set into
-/// contiguous shards stepped on scoped threads for large graphs; results are
-/// bit-identical to sequential execution — and invariant across shard
-/// counts — because every vertex's randomness comes from its own pre-seeded
-/// stream, vertices write only their own cells, and every exchange has
-/// exactly one writer per slot.
+/// previous exchange left), so on large graphs the engine cuts each sweep
+/// into contiguous chunks, [`CHUNKS_PER_THREAD`] per stepping thread, and
+/// the calling thread and `shards − 1` scoped helpers claim chunks from a
+/// shared queue until none is left. Results are bit-identical to sequential
+/// execution — and invariant across shard counts and claim orders — because
+/// every vertex's randomness comes from its own pre-seeded stream, vertices
+/// write only their own cells, and every exchange has exactly one writer per
+/// slot.
 #[derive(Debug)]
 pub struct Engine<'g> {
     graph: &'g Graph,
@@ -626,9 +636,20 @@ pub struct Engine<'g> {
     par_threshold: usize,
 }
 
-/// Below this many vertices the engine steps nodes sequentially (thread
-/// spawn overhead dominates otherwise).
-const PAR_THRESHOLD: usize = 2048;
+/// Below this many vertices the engine steps nodes sequentially: spawning
+/// and joining the helpers of a sharded sweep costs tens of microseconds,
+/// more than it saves on a smaller graph. Measured on a 2-vCPU VM, two
+/// threads against one pinned core (median of ten min-of-200 runs): Luby
+/// on a 4-regular circulant took 667/521 µs at n = 2048, 1034/896 µs at
+/// 4096 and 1633/1799 µs at 8192, the first size where two threads won
+/// (7 of 10 pairs).
+const PAR_THRESHOLD: usize = 8192;
+
+/// How many chunks a sharded sweep cuts per stepping thread. More chunks
+/// even out vertices whose cost the static weight misjudges, at the price
+/// of one queue pop, one plane view and (on the message plane's eager path)
+/// more cross-chunk transfers each.
+const CHUNKS_PER_THREAD: usize = 8;
 
 /// The round limit of a spec that states no [`Budget`].
 const DEFAULT_MAX_ROUNDS: u32 = 100_000;
@@ -764,7 +785,7 @@ impl<'g> Engine<'g> {
         cols.sent.resize(n, 0);
 
         let bounds = if run.shards > 1 {
-            shard_bounds(g.csr_offsets(), run.shards)
+            shard_bounds(g.csr_offsets(), run.shards * CHUNKS_PER_THREAD)
         } else {
             vec![0, n]
         };
@@ -849,10 +870,11 @@ impl<'g> Engine<'g> {
                 crashed: &crashed,
             };
 
-            // Each shard steps its own vertex cut against its own plane view
+            // Each chunk steps its own vertex range against its own plane view
             // and column cut; every cell has exactly one writer per sweep,
-            // so the result is bit-identical to the serial order regardless
-            // of shard count or thread timing.
+            // so the result is bit-identical to the serial order whatever
+            // the chunk count, the thread count or which thread claims which
+            // chunk.
             let views = plane
                 .shards(&bounds)
                 .into_iter()
@@ -863,16 +885,33 @@ impl<'g> Engine<'g> {
                     .map(|((mut view, cut), w)| step_span::<P>(&at, w[0]..w[1], &mut view, cut))
                     .fold((0, 0), |(s, h), (s1, h1)| (s + s1, h + h1))
             } else {
+                let queue = Mutex::new(views.collect::<Vec<_>>());
                 let at = &at;
+                // Pop chunks until the queue is empty. The lock guard drops
+                // at the end of the `let`, before the chunk is stepped.
+                let claim = || {
+                    let mut total = (0, 0);
+                    loop {
+                        let job = queue
+                            .lock()
+                            .expect("no thread panics while holding the chunk queue")
+                            .pop();
+                        let Some(((mut view, cut), w)) = job else {
+                            return total;
+                        };
+                        let (s, h) = step_span::<P>(at, w[0]..w[1], &mut view, cut);
+                        total = (total.0 + s, total.1 + h);
+                    }
+                };
+                // The calling thread claims chunks too, beside `shards - 1`
+                // scoped helpers; a helper's panic resumes here with its
+                // payload.
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = views
-                        .map(|((mut view, cut), w)| {
-                            scope.spawn(move || step_span::<P>(at, w[0]..w[1], &mut view, cut))
-                        })
-                        .collect();
-                    handles
+                    let helpers: Vec<_> = (1..run.shards).map(|_| scope.spawn(claim)).collect();
+                    let mine = claim();
+                    helpers
                         .into_iter()
-                        .fold((0, 0), |(s, h), handle| match handle.join() {
+                        .fold(mine, |(s, h), helper| match helper.join() {
                             Ok((s1, h1)) => (s + s1, h + h1),
                             Err(payload) => std::panic::resume_unwind(payload),
                         })
@@ -1823,6 +1862,24 @@ mod tests {
             for w in b.windows(2) {
                 assert!(w[0] <= w[1]);
             }
+        }
+    }
+
+    #[test]
+    fn chunk_bounds_cover_every_vertex_once_with_empty_chunks() {
+        // More chunks than vertices, as a forced shard count on a tiny
+        // graph gives: the surplus chunks are empty, the rest still tile
+        // `0..n` in order.
+        for (g, threads) in [(gen::star(5), 3), (gen::path(2), 2), (gen::cycle(40), 3)] {
+            let k = threads * CHUNKS_PER_THREAD;
+            let b = shard_bounds(g.csr_offsets(), k);
+            assert_eq!(b.len(), k + 1);
+            assert_eq!((b[0], b[k]), (0, g.n()));
+            assert!(b.windows(2).all(|w| w[0] <= w[1]), "{b:?}");
+            let empty = b.windows(2).filter(|w| w[0] == w[1]).count();
+            assert!(empty >= k.saturating_sub(g.n()), "{b:?}");
+            let covered: Vec<usize> = b.windows(2).flat_map(|w| w[0]..w[1]).collect();
+            assert_eq!(covered, (0..g.n()).collect::<Vec<_>>());
         }
     }
 

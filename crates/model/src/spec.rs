@@ -45,8 +45,8 @@ pub struct ExecSpec<'a> {
     /// halt/crash/cut counts, the two engine histograms); `None` records
     /// nothing — like tracing, the disabled path is a single branch.
     pub metrics: Option<&'a MetricSet>,
-    /// Number of vertex shards the engine sweeps in parallel; `None` lets the
-    /// engine choose automatically by graph size.
+    /// Number of threads that step each sweep, the caller included; `None`
+    /// lets the engine choose automatically by graph size.
     /// Output is bit-identical across shard counts, so this is purely a
     /// performance/test knob.
     pub shards: Option<NonZeroUsize>,
@@ -118,7 +118,7 @@ impl<'a> ExecSpec<'a> {
         self
     }
 
-    /// Sweep with exactly `shards` vertex shards (clamped to `n` by the
+    /// Step each sweep on exactly `shards` threads (clamped to `n` by the
     /// engine). Forces the sharded path even below the engine's automatic
     /// parallelism threshold, which the shard-invariance tests rely on.
     ///
