@@ -38,7 +38,7 @@ use local_lcl::{check_complete, check_partial, Labeling, LclProblem};
 use local_model::{
     derived_u64, AttemptRecord, Breach, Budget, ExecSpec, FaultPlan, Mode, RecoveryError, Residue,
 };
-use local_obs::{EventData, MetricId, MetricSet, Trace};
+use local_obs::{EventData, Obs};
 use std::collections::VecDeque;
 
 /// How hard [`recover`] tries: the escalation ladder and the per-attempt
@@ -131,12 +131,11 @@ pub trait Finisher<P: LclProblem> {
 /// Recover a complete valid labeling from a partial one by escalating
 /// residue repair (see the module docs for the drive cycle).
 ///
-/// With a `trace`, the run is wrapped in a `recover` span and every
-/// escalation attempt emits a `recovery` event carrying the core/residue
-/// sizes, the finisher used, and whether the spliced labeling verified.
-/// With `metrics`, every attempt adds to the `recovery_*` counters
-/// (attempts, core and residue sizes, ok/failed verdicts, extra rounds) and
-/// raises the `recovery_radius_max` gauge.
+/// Every escalation attempt emits one `recovery` event through `obs`,
+/// carrying the core/residue sizes, the finisher used, whether the spliced
+/// labeling verified and the extra rounds: the trace records it, and the
+/// metrics fold it into the `recovery_*` counters and the
+/// `recovery_radius_max` gauge. A traced run is wrapped in a `recover` span.
 ///
 /// # Errors
 ///
@@ -157,15 +156,14 @@ pub fn recover<P, F>(
     partial: &[Option<P::Label>],
     finisher: &F,
     policy: &RecoveryPolicy,
-    trace: Option<&Trace>,
-    metrics: Option<&MetricSet>,
+    obs: Obs<'_>,
 ) -> Result<Recovery<P::Label>, Box<DegradedRun>>
 where
     P: LclProblem,
     F: Finisher<P>,
 {
     assert_eq!(partial.len(), g.n(), "labeling must cover every vertex");
-    let _span = trace.map(|t| t.span("recover"));
+    let _span = obs.span("recover");
     let verdict = check_partial(problem, g, partial);
     let mut core = vec![false; g.n()];
     let mut core_size = 0usize;
@@ -212,29 +210,15 @@ where
     };
 
     let emit = |attempt: u32, core_size: usize, residue_size: usize, ok: bool, extra: u32| {
-        if let Some(ms) = metrics {
-            ms.incr(MetricId::RecoveryAttempts);
-            ms.incr(if ok {
-                MetricId::RecoveryOk
-            } else {
-                MetricId::RecoveryFailed
-            });
-            ms.add(MetricId::RecoveryCore, core_size as u64);
-            ms.add(MetricId::RecoveryResidue, residue_size as u64);
-            ms.add(MetricId::RecoveryExtraRounds, u64::from(extra));
-            ms.gauge_max(MetricId::RecoveryRadiusMax, u64::from(attempt));
-        }
-        if let Some(tr) = trace {
-            tr.emit(EventData::Recovery {
-                attempt,
-                radius: attempt,
-                core: core_size as u64,
-                residue: residue_size as u64,
-                finisher: finisher.name().to_string(),
-                ok,
-                extra_rounds: extra,
-            });
-        }
+        obs.emit(|| EventData::Recovery {
+            attempt,
+            radius: attempt,
+            core: core_size as u64,
+            residue: residue_size as u64,
+            finisher: finisher.name().to_string(),
+            ok,
+            extra_rounds: extra,
+        });
     };
 
     let mut last_violations = verdict.violations.len();
@@ -1208,8 +1192,7 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 3 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.attempts, 0);
@@ -1228,8 +1211,7 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.attempts, 1);
@@ -1252,8 +1234,7 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 3 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.core_size, 2);
@@ -1278,8 +1259,7 @@ mod tests {
                 max_radius: 1,
                 ..RecoveryPolicy::default()
             },
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -1293,8 +1273,7 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.attempts, 2);
@@ -1324,8 +1303,7 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.core_size, 2);
@@ -1344,8 +1322,7 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.core_size, 9);
@@ -1366,8 +1343,7 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert!(matches!(err.error, RecoveryError::Infeasible { .. }));
@@ -1392,8 +1368,7 @@ mod tests {
             &partial,
             &LubyRestartFinisher { seed: 77 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_fully_valid(&Mis::new(), &g, &rec.labels);
@@ -1414,8 +1389,7 @@ mod tests {
                 max_radius: 3,
                 budget: Budget::rounds(0),
             },
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -1445,8 +1419,7 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert!(rec.attempts <= 3);
@@ -1480,8 +1453,7 @@ mod tests {
             &partial,
             &Hopeless,
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -1529,8 +1501,7 @@ mod tests {
             &partial,
             &GreedyColoringFinisher { palette: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.attempts, 1);
@@ -1554,8 +1525,7 @@ mod tests {
             &partial,
             &SinklessFinisher,
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert_eq!(report.n, 6);
@@ -1591,8 +1561,7 @@ mod tests {
                 max_radius: 3,
                 budget: Budget::rounds(0),
             },
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert_eq!(report.trail.len(), 1);
@@ -1619,8 +1588,7 @@ mod tests {
             &partial,
             &LubyRestartFinisher { seed: 8 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_fully_valid(&Mis::new(), &g, &rec.labels);
@@ -1642,8 +1610,7 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 3 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.core_size, 1);
@@ -1665,8 +1632,7 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap_err();
         assert!(matches!(err.error, RecoveryError::Infeasible { .. }));
@@ -1677,8 +1643,7 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 3 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_fully_valid(&EdgeKColoring::new(3), &g, &rec.labels);
@@ -1697,8 +1662,7 @@ mod tests {
             &partial,
             &RulingSetFinisher { k: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_fully_valid(&RulingSet::new(2), &g, &rec.labels);
@@ -1714,8 +1678,7 @@ mod tests {
             &partial,
             &RulingSetFinisher { k: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.core_size, 11);
@@ -1739,8 +1702,7 @@ mod tests {
                 defect: 1,
             },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_eq!(rec.attempts, 1);
@@ -1765,8 +1727,7 @@ mod tests {
                 defect: 1,
             },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert_fully_valid(&DefectiveColoring::new(2, 1), &g, &rec.labels);
@@ -1815,8 +1776,7 @@ mod tests {
             &partial,
             &EdgeGreedyFinisher { palette: 5 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert!(rec.radius <= 3);
@@ -1842,8 +1802,7 @@ mod tests {
             &partial,
             &RulingSetFinisher { k: 2 },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert!(rec.radius <= 3);
@@ -1873,8 +1832,7 @@ mod tests {
                 defect: 1,
             },
             &RecoveryPolicy::default(),
-            None,
-            None,
+            Obs::default(),
         )
         .unwrap();
         assert!(rec.radius <= 3);

@@ -155,8 +155,9 @@ impl<O> SyncRun<O> {
 ///   faulty run differs observably from a fault-free one — a vertex halts
 ///   one round after deciding instead of waiting for its neighbors — so any
 ///   plan, even a trivial one, selects it, and `None` the fault-free run.
-/// * `spec.trace` receives the engine's per-round events (live counts,
-///   message volume, crashes, fault-plane drops/delays, budget consumption).
+/// * `spec.obs` receives the engine's per-round events (live counts,
+///   message volume, crashes, fault-plane drops/delays, budget consumption):
+///   its trace records them and its metrics fold them.
 ///
 /// Never errors: a vertex that cannot decide within the budget is reported
 /// as [`Outcome::Cut`] (and a crashed one as [`Outcome::Crashed`]) with

@@ -12,7 +12,7 @@ use crate::orientation::sinkless::SinklessRepair;
 use local_graphs::{gen, Graph};
 use local_model::reference::execute_sync_on_messages;
 use local_model::{Budget, Engine, ExecSpec, FaultPlan, FaultSpec, IdAssignment, Mode};
-use local_obs::{MetricSet, MetricsRegistry, Trace, TraceEvent};
+use local_obs::{MetricSet, MetricsRegistry, Obs, Trace, TraceEvent};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,7 +68,7 @@ where
     let observe = |f: &dyn Fn(&ExecSpec<'_>) -> SyncRun<A::Output>| {
         let trace = Trace::new(0);
         let metrics = MetricSet::new();
-        let run = f(&spec.with_trace(&trace).with_metrics(&metrics));
+        let run = f(&spec.with_obs(Obs::new(Some(&trace), Some(&metrics))));
         let events: Vec<TraceEvent> = trace.into_events().iter().map(|e| e.scrubbed()).collect();
         let mut registry = MetricsRegistry::new();
         registry.absorb(&metrics);

@@ -30,7 +30,7 @@ use crate::sync::{run_sync, SyncAlgorithm, SyncCtx, SyncRun, SyncStep};
 use local_graphs::Graph;
 use local_lcl::Labeling;
 use local_model::{derived_rng, Budget, ExecSpec, Mode, NodeInit, SimError};
-use local_obs::Trace;
+use local_obs::{Obs, Trace};
 use rand::Rng;
 
 /// Tunable constants of the Phase-1 schedule.
@@ -255,8 +255,8 @@ pub struct Theorem10Outcome {
 /// when `spec` is traced.
 ///
 /// The round budget always comes from the schedule (`2t + 4` rounds), so
-/// `spec.budget` is ignored; every other spec field (faults, trace, metrics,
-/// shards, params) applies as given. Without faults the run decides every
+/// `spec.budget` is ignored; every other spec field (faults, observation
+/// handle, shards, params) applies as given. Without faults the run decides every
 /// vertex; call [`SyncRun::strict`] for the all-decided `(colors, rounds)`
 /// shape (experiment E2 reads it).
 ///
@@ -295,7 +295,7 @@ pub fn theorem10_phase1(
         schedule,
         margin: config.palette_margin,
     };
-    let _span = spec.trace.map(|t| t.span("t10_color_bidding"));
+    let _span = spec.obs.span("t10_color_bidding");
     run_sync(
         g,
         Mode::randomized(seed),
@@ -345,8 +345,8 @@ pub fn theorem10_color_traced(
 ) -> Result<Theorem10Outcome, SimError> {
     let main_palette = main_palette(delta);
     let reserved = delta - main_palette;
-    let phase1 =
-        theorem10_phase1(g, delta, seed, config, &ExecSpec::new().traced(trace)).strict()?;
+    let spec = ExecSpec::new().with_obs(Obs::traced(trace));
+    let phase1 = theorem10_phase1(g, delta, seed, config, &spec).strict()?;
     let (phase1_colors, phase1_rounds) = (phase1.outputs, phase1.rounds);
 
     let bad: Vec<bool> = phase1_colors.iter().map(Option::is_none).collect();

@@ -6,7 +6,7 @@ use local_graphs::gen;
 use local_model::{
     Action, Engine, ExecSpec, FaultPlan, Mode, NodeInit, NodeIo, NodeProgram, Protocol,
 };
-use local_obs::Trace;
+use local_obs::{Obs, Trace};
 
 /// Floods for a fixed number of rounds, then halts — pure engine overhead.
 struct Flood {
@@ -61,8 +61,9 @@ fn bench_engine(c: &mut Criterion) {
 
 /// The same flood with a [`Trace`] attached: measures what per-round event
 /// buffering costs when observability is *on*. The `engine_flood_20_rounds`
-/// group above is the tracing-disabled baseline (its `Option<&Trace>` is
-/// `None`), so the pair bounds the overhead from both sides.
+/// group above is the tracing-disabled baseline (its spec's default
+/// [`Obs`] handle observes nothing), so the pair bounds the overhead from
+/// both sides.
 fn bench_engine_traced(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_flood_20_rounds_traced");
     group.sample_size(10);
@@ -72,7 +73,9 @@ fn bench_engine_traced(c: &mut Criterion) {
             b.iter(|| {
                 let trace = Trace::new(0);
                 let plan = FaultPlan::none();
-                let spec = ExecSpec::default().with_faults(&plan).with_trace(&trace);
+                let spec = ExecSpec::default()
+                    .with_faults(&plan)
+                    .with_obs(Obs::traced(Some(&trace)));
                 let run = Engine::new(g, Mode::deterministic())
                     .execute(&spec, &FloodProtocol { horizon: 20 });
                 (run.stats.messages_sent, trace.into_events().len())

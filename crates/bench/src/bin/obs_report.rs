@@ -21,7 +21,8 @@
 //!   "within 3× of the best recorded run" CI rule.
 
 use local_obs::{
-    read_trace, EventData, MetricId, MetricKind, MetricsDoc, PowHistogram, SpanProfile, TraceEvent,
+    read_trace, EventData, MetricId, MetricKind, MetricsDoc, MetricsRegistry, PowHistogram,
+    SpanProfile, TraceEvent,
 };
 use serde::{Deserialize, Value};
 use std::collections::BTreeMap;
@@ -137,54 +138,46 @@ fn summarize(path: &str) {
     let tag_list: Vec<String> = tags.iter().map(|(t, c)| format!("{t}: {c}")).collect();
     println!("events by type: {}", tag_list.join(", "));
 
-    run_summary(&events);
+    // The totals the trace carries are exactly its metrics: fold them the
+    // way a metered run records them.
+    let mut metrics = MetricsRegistry::new();
+    for e in &events {
+        metrics.fold(&e.data);
+    }
+    run_summary(&events, &metrics);
     round_curves(&events);
     histograms(&events);
     spans(&events);
-    recoveries(&events);
-    search_iters(&events);
+    recoveries(&events, &metrics);
+    search_iters(&events, &metrics);
 }
 
-fn run_summary(events: &[TraceEvent]) {
-    let mut runs = 0u64;
-    let mut messages = 0u64;
-    let mut rounds_total = 0u64;
+fn run_summary(events: &[TraceEvent], metrics: &MetricsRegistry) {
+    let runs = metrics.counter(MetricId::EngineRuns);
+    if runs == 0 {
+        return;
+    }
     let mut rounds_max = 0u32;
-    let mut halted = 0u64;
-    let mut crashed = 0u64;
-    let mut cut = 0u64;
     let mut breaches: BTreeMap<String, u64> = BTreeMap::new();
     for e in events {
-        if let EventData::RunEnd {
-            rounds,
-            messages: m,
-            halted: h,
-            crashed: c,
-            cut: q,
-            breach,
-            ..
-        } = &e.data
-        {
-            runs += 1;
-            messages += m;
-            rounds_total += u64::from(*rounds);
+        if let EventData::RunEnd { rounds, breach, .. } = &e.data {
             rounds_max = rounds_max.max(*rounds);
-            halted += h;
-            crashed += c;
-            cut += q;
             if let Some(b) = breach {
                 *breaches.entry(b.clone()).or_default() += 1;
             }
         }
     }
-    if runs == 0 {
-        return;
-    }
     println!(
-        "runs: {runs}; rounds mean {:.1} max {rounds_max}; messages total {messages}",
-        rounds_total as f64 / runs as f64
+        "runs: {runs}; rounds mean {:.1} max {rounds_max}; messages total {}",
+        metrics.counter(MetricId::EngineRounds) as f64 / runs as f64,
+        metrics.counter(MetricId::EngineMessages)
     );
-    println!("vertex fates: halted {halted}, crashed {crashed}, cut {cut}");
+    println!(
+        "vertex fates: halted {}, crashed {}, cut {}",
+        metrics.counter(MetricId::EngineHalted),
+        metrics.counter(MetricId::EngineCrashed),
+        metrics.counter(MetricId::EngineCut)
+    );
     for (b, c) in &breaches {
         println!("budget breaches: {b} × {c}");
     }
@@ -260,31 +253,22 @@ fn spans(events: &[TraceEvent]) {
     }
 }
 
-fn recoveries(events: &[TraceEvent]) {
-    let mut attempts = 0u64;
-    let mut ok = 0u64;
-    let mut max_radius = 0u32;
-    let mut finishers: BTreeMap<String, u64> = BTreeMap::new();
-    for e in events {
-        if let EventData::Recovery {
-            radius,
-            finisher,
-            ok: success,
-            ..
-        } = &e.data
-        {
-            attempts += 1;
-            ok += u64::from(*success);
-            max_radius = max_radius.max(*radius);
-            *finishers.entry(finisher.clone()).or_default() += 1;
-        }
-    }
+fn recoveries(events: &[TraceEvent], metrics: &MetricsRegistry) {
+    let attempts = metrics.counter(MetricId::RecoveryAttempts);
     if attempts == 0 {
         return;
     }
+    let mut finishers: BTreeMap<String, u64> = BTreeMap::new();
+    for e in events {
+        if let EventData::Recovery { finisher, .. } = &e.data {
+            *finishers.entry(finisher.clone()).or_default() += 1;
+        }
+    }
     let by_finisher: Vec<String> = finishers.iter().map(|(f, c)| format!("{f}: {c}")).collect();
     println!(
-        "recovery attempts: {attempts} ({ok} verified ok, max radius {max_radius}); {}",
+        "recovery attempts: {attempts} ({} verified ok, max radius {}); {}",
+        metrics.counter(MetricId::RecoveryOk),
+        metrics.gauge(MetricId::RecoveryRadiusMax),
         by_finisher.join(", ")
     );
 }
@@ -292,32 +276,23 @@ fn recoveries(events: &[TraceEvent]) {
 /// Adversary-search trajectory: how many tabu iterations ran, how often a
 /// move was committed, how far the objective climbed, and which move kinds
 /// the search leaned on.
-fn search_iters(events: &[TraceEvent]) {
-    let mut iterations = 0u64;
-    let mut accepted = 0u64;
-    let mut best = 0u64;
+fn search_iters(events: &[TraceEvent], metrics: &MetricsRegistry) {
+    let iterations = metrics.counter(MetricId::SearchIterations);
+    if iterations == 0 {
+        return;
+    }
     let mut kinds: BTreeMap<String, u64> = BTreeMap::new();
     for e in events {
-        if let EventData::SearchIter {
-            best: b,
-            mv,
-            accepted: took,
-            ..
-        } = &e.data
-        {
-            iterations += 1;
-            accepted += u64::from(*took);
-            best = best.max(*b);
+        if let EventData::SearchIter { mv, .. } = &e.data {
             let kind = mv.split('(').next().unwrap_or(mv).to_string();
             *kinds.entry(kind).or_default() += 1;
         }
     }
-    if iterations == 0 {
-        return;
-    }
     let by_kind: Vec<String> = kinds.iter().map(|(k, c)| format!("{k}: {c}")).collect();
     println!(
-        "search iterations: {iterations} ({accepted} moves committed, best objective {best}); moves: {}",
+        "search iterations: {iterations} ({} moves committed, best objective {}); moves: {}",
+        metrics.counter(MetricId::SearchAccepted),
+        metrics.gauge(MetricId::SearchBestObjective),
         by_kind.join(", ")
     );
 }

@@ -25,7 +25,7 @@
 
 use local_graphs::Graph;
 use local_model::{FaultMove, FaultPlan};
-use local_obs::{EventData, MetricId, MetricSet, Trace};
+use local_obs::{EventData, MetricId, MetricSet, Obs, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -182,12 +182,11 @@ fn admissible(plan: &FaultPlan, mv: &FaultMove, cfg: &SearchConfig) -> bool {
 /// (run the workload at a fixed seed); the search itself adds no
 /// nondeterminism.
 ///
-/// With a trace attached, every iteration emits one `search_iter` event
-/// carrying the committed move (or `stuck` when no candidate was
-/// admissible), the committed score, and the running best. With a metric
-/// recorder attached, the search adds its iteration/acceptance/evaluation
-/// totals to the `search_*` counters and raises the `search_best_objective`
-/// gauge to the best score found.
+/// Every iteration emits one `search_iter` event carrying the committed
+/// move (or `stuck` when no candidate was admissible), the committed score,
+/// and the running best, to `trace` and folded into `metrics`. The
+/// evaluation total and the final best (a zero-iteration search emits no
+/// event) go to `metrics` directly.
 pub fn search<F>(
     g: &Graph,
     start: FaultPlan,
@@ -210,6 +209,7 @@ where
     let mut evaluations = 1u64;
     // Attribute → first iteration it is free again.
     let mut tabu: HashMap<u64, u64> = HashMap::new();
+    let obs = Obs::new(trace, metrics);
 
     for iter in 0..cfg.iterations {
         let mut chosen: Option<(FaultMove, FaultPlan, Evaluation, u64)> = None;
@@ -251,21 +251,17 @@ where
             }
             None => ("stuck".to_string(), current_score, false),
         };
-        if let Some(tr) = trace {
-            tr.emit(EventData::SearchIter {
-                iteration: iter,
-                objective: committed,
-                best: best_score,
-                mv: label,
-                accepted: took,
-                tenure: cfg.tenure,
-            });
-        }
+        obs.emit(|| EventData::SearchIter {
+            iteration: iter,
+            objective: committed,
+            best: best_score,
+            mv: label,
+            accepted: took,
+            tenure: cfg.tenure,
+        });
     }
 
-    if let Some(ms) = metrics {
-        ms.add(MetricId::SearchIterations, cfg.iterations);
-        ms.add(MetricId::SearchAccepted, accepted);
+    if let Some(ms) = obs.metrics {
         ms.add(MetricId::SearchEvaluations, evaluations);
         ms.gauge_max(MetricId::SearchBestObjective, best_score);
     }

@@ -13,7 +13,7 @@ use local_algorithms::tree::theorem10::theorem10_phase1;
 use local_algorithms::tree::Theorem10Config;
 use local_graphs::gen;
 use local_model::ExecSpec;
-use local_obs::{EventData, PowHistogram, TraceSink};
+use local_obs::{EventData, Obs, PowHistogram, TraceSink};
 use serde::{Deserialize, Serialize};
 
 /// Sweep configuration.
@@ -84,28 +84,29 @@ pub fn run(cfg: &Config, mut sink: Option<&mut dyn TraceSink>) -> Vec<Row> {
             .trace_base(base);
         let per_trial: Vec<_> = plan
             .execute(spec, |t, trace| {
+                let obs = Obs::traced(trace);
                 let status = theorem10_phase1(
                     &g,
                     cfg.delta,
                     t.seed,
                     Theorem10Config::default(),
-                    &ExecSpec::new().traced(trace),
+                    &ExecSpec::new().with_obs(obs),
                 )
                 .strict()
                 .expect("phase 1 has a fixed schedule")
                 .outputs;
                 let bad: Vec<bool> = status.iter().map(Option::is_none).collect();
                 let profile = shatter_profile(&g, &bad);
-                if let Some(tr) = trace {
+                obs.emit(|| {
                     let mut hist = PowHistogram::new();
                     for &size in &profile.component_sizes {
                         hist.record(size as u64);
                     }
-                    tr.emit(EventData::Histogram {
+                    EventData::Histogram {
                         name: "shattered_component_size".to_string(),
                         hist: Box::new(hist),
-                    });
-                }
+                    }
+                });
                 (profile.undecided, profile.largest())
             })
             .into_iter()

@@ -240,9 +240,7 @@ impl TrialPlan {
                     .collect();
                 let mut results = Vec::with_capacity(self.trials as usize);
                 for (r, trace) in traced {
-                    for event in trace.into_events() {
-                        sink.record(&event);
-                    }
+                    trace.drain_into(sink);
                     results.push(r);
                 }
                 sink.flush();

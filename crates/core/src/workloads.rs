@@ -64,7 +64,7 @@ use local_lcl::problems::{
 };
 use local_lcl::{check_partial, LclProblem};
 use local_model::{derived_u64, Budget, ExecSpec, FaultPlan, Mode};
-use local_obs::{MetricSet, MetricsRegistry, Trace};
+use local_obs::{MetricSet, MetricsRegistry, Obs, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -360,16 +360,15 @@ struct Entry<F> {
 }
 
 impl<F: Family> Entry<F> {
-    /// Run the family's protocol under `plan`, traced and metered as given.
+    /// Run the family's protocol under `plan`, observed through `obs`.
     fn run(
         &self,
         seed: u64,
         plan: &FaultPlan,
-        trace: Option<&Trace>,
-        set: Option<&MetricSet>,
+        obs: Obs<'_>,
         purpose: Purpose,
     ) -> (Census, Vec<Option<Label<F>>>) {
-        let spec = ExecSpec::new().with_faults(plan).traced(trace).metered(set);
+        let spec = ExecSpec::new().with_faults(plan).with_obs(obs);
         self.family.run(&self.graph, seed, spec, purpose)
     }
 
@@ -380,11 +379,10 @@ impl<F: Family> Entry<F> {
         seed: u64,
         plan: &FaultPlan,
         policy: &RecoveryPolicy,
-        trace: Option<&Trace>,
-        set: Option<&MetricSet>,
+        obs: Obs<'_>,
         purpose: Purpose,
     ) -> (Census, Result<Recovery<Label<F>>, Box<DegradedRun>>) {
-        let (census, labels) = self.run(seed, plan, trace, set, purpose);
+        let (census, labels) = self.run(seed, plan, obs, purpose);
         let stream = match purpose {
             Purpose::Assess => ASSESS_FINISHER_STREAM,
             Purpose::Measure | Purpose::Heal => HEAL_FINISHER_STREAM,
@@ -397,8 +395,7 @@ impl<F: Family> Entry<F> {
             &labels,
             &finisher,
             policy,
-            trace,
-            set,
+            obs,
         );
         (census, healed)
     }
@@ -423,7 +420,7 @@ impl<F: Family> Workload for Entry<F> {
 
     fn measure(&self, seed: u64, plan: &FaultPlan, trace: Option<&Trace>) -> MeasureRecord {
         let set = MetricSet::new();
-        let (census, labels) = self.run(seed, plan, trace, Some(&set), Purpose::Measure);
+        let (census, labels) = self.run(seed, plan, Obs::new(trace, Some(&set)), Purpose::Measure);
         let base = self.family.base(&self.graph);
         let pv = check_partial(&self.family.measured_problem(), base, &labels);
         let mut metrics = MetricsRegistry::new();
@@ -448,8 +445,8 @@ impl<F: Family> Workload for Entry<F> {
         trace: Option<&Trace>,
     ) -> HealRecord {
         let set = MetricSet::new();
-        let (census, healed) =
-            self.run_and_recover(seed, plan, policy, trace, Some(&set), Purpose::Heal);
+        let obs = Obs::new(trace, Some(&set));
+        let (census, healed) = self.run_and_recover(seed, plan, policy, obs, Purpose::Heal);
         let (recovered, attempts, core, residue, extra_rounds, failure) = match healed {
             Ok(rec) => (
                 true,
@@ -492,8 +489,8 @@ impl<F: Family> Workload for Entry<F> {
         policy: &RecoveryPolicy,
         trace: Option<&Trace>,
     ) -> (Evaluation, String) {
-        let (census, healed) =
-            self.run_and_recover(seed, plan, policy, trace, None, Purpose::Assess);
+        let obs = Obs::traced(trace);
+        let (census, healed) = self.run_and_recover(seed, plan, policy, obs, Purpose::Assess);
         let (crashed, cut) = (census.crashed as u64, census.cut as u64);
         match healed {
             Ok(rec) => (

@@ -8,12 +8,20 @@
 //! folds to the same registry and the same bytes.
 //! These tests pin each link of that argument: merge algebra on random
 //! registries, grouping invariance over random partitions, the parallel
-//! harness against a plain sequential loop, and the span-profile identity
-//! that self-times partition the root wall-clock exactly.
+//! harness against a plain sequential loop, the agreement of live metrics
+//! with metrics folded from the trace, and the span-profile identity that
+//! self-times partition the root wall-clock exactly.
 
-use local_model::{Action, Engine, ExecSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol};
+use local_algorithms::mis::luby::Luby;
+use local_algorithms::{recover, run_sync, LubyRestartFinisher, RecoveryPolicy};
+use local_graphs::gen;
+use local_lcl::problems::Mis;
+use local_model::{
+    Action, Engine, ExecSpec, FaultPlan, FaultSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol,
+};
 use local_obs::{
-    EventData, MetricId, MetricSet, MetricsRegistry, SpanProfile, TraceEvent, TraceSink,
+    EventData, MetricId, MetricSet, MetricsRegistry, Obs, PowHistogram, SpanProfile, Trace,
+    TraceEvent, TraceSink,
 };
 use local_separation::trials::{Trial, TrialOutcome, TrialPlan, TrialSpec};
 use proptest::prelude::*;
@@ -26,9 +34,20 @@ fn apply_op(set: &MetricSet, op: u8, v: u64) {
         1 => set.add(MetricId::EngineMessages, v),
         2 => set.gauge_max(MetricId::RecoveryRadiusMax, v % 64),
         3 => set.gauge_max(MetricId::SearchBestObjective, v % 4096),
-        4 => set.observe(MetricId::EngineHaltRound, v % 300),
-        _ => set.observe_n(MetricId::EngineMessagesPerVertex, v % 64, 1 + v % 5),
+        4 => observe(set, "halt_round", v % 300, 1),
+        _ => observe(set, "messages_per_vertex", v % 64, 1 + v % 5),
     }
+}
+
+/// Record `count` samples of `value` into the engine histogram `name`, the
+/// way the engine's `histogram` events do.
+fn observe(set: &MetricSet, name: &str, value: u64, count: u64) {
+    let mut hist = PowHistogram::new();
+    hist.record_n(value, count);
+    set.fold(&EventData::Histogram {
+        name: name.into(),
+        hist: Box::new(hist),
+    });
 }
 
 fn registry_from(ops: &[(u8, u64)]) -> MetricsRegistry {
@@ -147,7 +166,7 @@ fn metered_trial(trial: Trial) -> MetricsRegistry {
     let set = MetricSet::new();
     let n = 4 + (trial.seed % 5) as usize;
     let g = local_graphs::gen::cycle(n);
-    let spec = ExecSpec::default().metered(Some(&set));
+    let spec = ExecSpec::default().with_obs(Obs::new(None, Some(&set)));
     Engine::new(&g, Mode::randomized(trial.seed)).execute(&spec, &PulseProtocol);
     let mut reg = MetricsRegistry::new();
     reg.absorb(&set);
@@ -180,6 +199,69 @@ proptest! {
         }
         prop_assert_eq!(&parallel, &serial);
         prop_assert_eq!(bytes(&parallel), bytes(&serial));
+    }
+}
+
+/// Run `body` twice — first traced and metered, then metered alone — and
+/// return the live registry, the registry folded from the recorded trace,
+/// and the metrics-only registry.
+fn observe_both_ways(
+    body: impl Fn(Obs<'_>),
+) -> (MetricsRegistry, MetricsRegistry, MetricsRegistry) {
+    let registry = |set: &MetricSet| {
+        let mut reg = MetricsRegistry::new();
+        reg.absorb(set);
+        reg
+    };
+    let trace = Trace::new(0);
+    let live = MetricSet::new();
+    body(Obs::new(Some(&trace), Some(&live)));
+    let folded = MetricSet::new();
+    for event in trace.into_events() {
+        folded.fold(&event.data);
+    }
+    let alone = MetricSet::new();
+    body(Obs::new(None, Some(&alone)));
+    (registry(&live), registry(&folded), registry(&alone))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The two planes agree by construction: over fault-free and faulty
+    /// `run_sync` runs (both sync planes) at 1–3 forced shards, some cut by
+    /// a tight budget, followed by recovery of the partial MIS, folding the
+    /// trace's events gives the live metrics exactly, and a metrics-only
+    /// run records the same registry as a traced one.
+    #[test]
+    fn metrics_fold_from_the_trace_and_ignore_whether_it_is_kept(
+        n in 8usize..48,
+        seed in 0u64..1000,
+        faulty in 0u8..2,
+        shards in 1usize..=3,
+        budget in 3u32..40,
+    ) {
+        let g = gen::stream::circulant(n, 4).expect("4n is even");
+        let faults = FaultSpec::none()
+            .with_drop(0.15)
+            .with_delay(0.1)
+            .with_crash(0.1, 6);
+        let plan = FaultPlan::sample(&g, &faults, seed);
+        let (live, folded, alone) = observe_both_ways(|obs| {
+            let mut spec = ExecSpec::rounds(budget).with_shards(shards).with_obs(obs);
+            if faulty == 1 {
+                spec = spec.with_faults(&plan);
+            }
+            let run = run_sync(&g, Mode::randomized(seed), &Luby::new(), &spec);
+            let partial: Vec<Option<bool>> =
+                run.outcomes.iter().map(|o| o.output().copied()).collect();
+            let finisher = LubyRestartFinisher { seed };
+            let _ = recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), obs);
+        });
+        prop_assert_eq!(live.counter(MetricId::EngineRuns), 1);
+        prop_assert_eq!(&folded, &live);
+        prop_assert_eq!(&alone, &live);
+        prop_assert_eq!(bytes(&alone), bytes(&live));
     }
 }
 

@@ -26,6 +26,7 @@ use local_graphs::{gen, Graph};
 use local_lcl::problems::{Mis, Orientation, SinklessOrientation, VertexColoring};
 use local_lcl::{check_complete, check_partial, Labeling};
 use local_model::{ExecSpec, FaultPlan, FaultSpec, Mode};
+use local_obs::Obs;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -146,7 +147,7 @@ proptest! {
         let partial: Vec<Option<bool>> =
             run.outcomes.iter().map(|o| o.output().copied()).collect();
         let finisher = LubyRestartFinisher { seed: fault_seed };
-        if let Ok(rec) = recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), None, None) {
+        if let Ok(rec) = recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), Obs::default()) {
             prop_assert_eq!(rec.labels.len(), g.n());
             let cv = check_complete(&Mis::new(), &g, &rec.labels);
             prop_assert_eq!(cv.checked, g.n());
@@ -172,7 +173,7 @@ proptest! {
         let partial: Vec<Option<Orientation>> =
             run.outcomes.iter().map(|o| o.output().cloned()).collect();
         let problem = SinklessOrientation::new(3);
-        if let Ok(rec) = recover(&problem, &g, &partial, &SinklessFinisher, &RecoveryPolicy::default(), None, None) {
+        if let Ok(rec) = recover(&problem, &g, &partial, &SinklessFinisher, &RecoveryPolicy::default(), Obs::default()) {
             let cv = check_complete(&problem, &g, &rec.labels);
             prop_assert_eq!(cv.checked, g.n());
             prop_assert!(cv.violations.is_empty(), "{:?}", cv.violations);
@@ -209,7 +210,7 @@ proptest! {
 
         let problem = VertexColoring::new(palette);
         let finisher = GreedyColoringFinisher { palette };
-        let rec = recover(&problem, &g, &partial, &finisher, &RecoveryPolicy::default(), None, None)
+        let rec = recover(&problem, &g, &partial, &finisher, &RecoveryPolicy::default(), Obs::default())
             .expect("full palette never starves");
         prop_assert!(rec.attempts <= 1, "first attempt suffices, got {}", rec.attempts);
         let cv = check_complete(&problem, &g, &rec.labels);
@@ -275,7 +276,7 @@ proptest! {
             let partial: Vec<Option<bool>> =
                 run.outcomes.iter().map(|o| o.output().copied()).collect();
             let finisher = LubyRestartFinisher { seed: fault_seed };
-            match recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), None, None) {
+            match recover(&Mis::new(), &g, &partial, &finisher, &RecoveryPolicy::default(), Obs::default()) {
                 Ok(rec) => {
                     let cv = check_complete(&Mis::new(), &g, &rec.labels);
                     prop_assert_eq!(cv.checked, g.n());

@@ -21,7 +21,7 @@ use local_model::{
     Action, Engine, ExecSpec, FaultPlan, FaultSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol,
     SyncAlgorithm, SyncCtx, SyncStep,
 };
-use local_obs::{MetricSet, MetricsRegistry, Trace};
+use local_obs::{MetricSet, MetricsRegistry, Obs, Trace};
 use local_separation::trials::{TrialOutcome, TrialPlan, TrialSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ThreadId;
@@ -191,8 +191,7 @@ fn lumpy_costs_are_shard_invariant_on_both_planes() {
         let metrics = MetricSet::new();
         let mut spec = ExecSpec::rounds(40)
             .with_shards(shards)
-            .with_trace(&trace)
-            .with_metrics(&metrics);
+            .with_obs(Obs::new(Some(&trace), Some(&metrics)));
         if faulty {
             spec = spec.with_faults(&plan);
         }

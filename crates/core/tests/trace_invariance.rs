@@ -9,7 +9,7 @@
 //! loop (exactly what a one-thread pool would produce).
 
 use local_model::{Action, Engine, ExecSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol};
-use local_obs::{MemorySink, Trace, TraceSink};
+use local_obs::{MemorySink, Obs, Trace, TraceSink};
 use local_separation::trials::{Trial, TrialOutcome, TrialPlan, TrialSpec};
 use proptest::prelude::*;
 
@@ -51,8 +51,10 @@ impl Protocol for PulseProtocol {
 fn traced_trial(trial: Trial, trace: Option<&Trace>) -> u64 {
     let n = 4 + (trial.seed % 5) as usize;
     let g = local_graphs::gen::cycle(n);
-    let run = Engine::new(&g, Mode::randomized(trial.seed))
-        .execute(&ExecSpec::default().traced(trace), &PulseProtocol);
+    let run = Engine::new(&g, Mode::randomized(trial.seed)).execute(
+        &ExecSpec::default().with_obs(Obs::traced(trace)),
+        &PulseProtocol,
+    );
     run.stats.messages_sent
 }
 

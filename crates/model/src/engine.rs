@@ -9,7 +9,7 @@ use crate::recover::{Breach, Budget};
 use crate::spec::ExecSpec;
 use crate::sync::{HeardPlane, StatePlane, SyncAlgorithm};
 use local_graphs::Graph;
-use local_obs::{EventData, MetricId, MetricSet, PowHistogram, Trace};
+use local_obs::{EventData, Obs, PowHistogram};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -255,8 +255,7 @@ pub(crate) struct Resolved<'s> {
     pub(crate) params: GlobalParams,
     budget: Budget,
     pub(crate) faults: &'s FaultPlan,
-    trace: Option<&'s Trace>,
-    metrics: Option<&'s MetricSet>,
+    obs: Obs<'s>,
     /// How many threads step each sweep, resolved against the graph's size.
     shards: usize,
     /// Unique IDs in DetLOCAL mode.
@@ -656,7 +655,7 @@ const DEFAULT_MAX_ROUNDS: u32 = 100_000;
 
 impl<'g> Engine<'g> {
     /// Engine for `graph` under `mode`. Everything else about a run — fault
-    /// plan, budget, advertised parameters, trace, metrics, shard count — is
+    /// plan, budget, advertised parameters, observation handle, shard count — is
     /// stated per run by the [`ExecSpec`] passed to [`execute`](Self::execute)
     /// or [`execute_sync`](Self::execute_sync).
     pub fn new(graph: &'g Graph, mode: Mode) -> Self {
@@ -742,8 +741,7 @@ impl<'g> Engine<'g> {
             params: spec.params.unwrap_or_else(|| GlobalParams::from_graph(g)),
             budget: spec.budget.unwrap_or(Budget::rounds(DEFAULT_MAX_ROUNDS)),
             faults: spec.faults.unwrap_or(&NO_FAULTS),
-            trace: spec.trace,
-            metrics: spec.metrics,
+            obs: spec.obs,
             // An explicitly requested shard count forces the sharded path
             // even on tiny graphs — the invariance tests rely on that;
             // otherwise shard only past the parallelism threshold.
@@ -817,18 +815,16 @@ impl<'g> Engine<'g> {
         let budget = &run.budget;
         let started = budget.wall_clock.map(|_| std::time::Instant::now());
 
-        if let Some(tr) = run.trace {
-            tr.emit(EventData::RunStart {
-                n: n as u64,
-                m: g.m() as u64,
-                mode: match &self.mode {
-                    Mode::Deterministic { .. } => "det",
-                    Mode::Randomized { .. } => "rand",
-                }
-                .to_string(),
-                max_rounds: budget.max_rounds,
-            });
-        }
+        run.obs.emit(|| EventData::RunStart {
+            n: n as u64,
+            m: g.m() as u64,
+            mode: match &self.mode {
+                Mode::Deterministic { .. } => "det",
+                Mode::Randomized { .. } => "rand",
+            }
+            .to_string(),
+            max_rounds: budget.max_rounds,
+        });
 
         loop {
             // Crash-stop: nodes scheduled for this sweep fall silent before
@@ -937,18 +933,16 @@ impl<'g> Engine<'g> {
                     plane.exchange(&at, faults, &mut dropped, &mut delayed);
                 }
             }
-            if let Some(tr) = run.trace {
-                tr.emit(EventData::Round {
-                    round: at.round,
-                    live: live as u64,
-                    messages: sweep_sent,
-                    halts: sweep_halts,
-                    crashes: crashes_now,
-                    dropped: dropped - dropped_before,
-                    delayed: delayed - delayed_before,
-                    messages_total,
-                });
-            }
+            run.obs.emit(|| EventData::Round {
+                round: at.round,
+                live: live as u64,
+                messages: sweep_sent,
+                halts: sweep_halts,
+                crashes: crashes_now,
+                dropped: dropped - dropped_before,
+                delayed: delayed - delayed_before,
+                messages_total,
+            });
             if message_breach {
                 break;
             }
@@ -957,9 +951,8 @@ impl<'g> Engine<'g> {
         let mut outcomes = Vec::with_capacity(n);
         let mut rounds = 0;
         let mut messages_sent = 0u64;
-        let observed = run.trace.is_some() || run.metrics.is_some();
-        let mut messages_hist = observed.then(PowHistogram::new);
-        let mut halt_hist = observed.then(PowHistogram::new);
+        let mut messages_hist = run.obs.is_on().then(PowHistogram::new);
+        let mut halt_hist = run.obs.is_on().then(PowHistogram::new);
         for (v, (done, &sent)) in cols.done.drain(..).zip(&cols.sent).enumerate() {
             messages_sent += sent;
             if let Some(h) = messages_hist.as_mut() {
@@ -1004,44 +997,23 @@ impl<'g> Engine<'g> {
             delayed,
             breach,
         };
-        if let Some(ms) = run.metrics {
-            ms.incr(MetricId::EngineRuns);
-            ms.add(MetricId::EngineRounds, u64::from(fr.rounds));
-            ms.add(MetricId::EngineSweeps, u64::from(fr.stats.sweeps));
-            ms.add(MetricId::EngineMessages, fr.stats.messages_sent);
-            ms.add(MetricId::EngineHalted, fr.halted() as u64);
-            ms.add(MetricId::EngineCrashed, fr.crashed() as u64);
-            ms.add(MetricId::EngineCut, fr.cut() as u64);
-            ms.add(MetricId::EngineDropped, fr.dropped);
-            ms.add(MetricId::EngineDelayed, fr.delayed);
-            for (hist, id) in [
-                (&messages_hist, MetricId::EngineMessagesPerVertex),
-                (&halt_hist, MetricId::EngineHaltRound),
-            ] {
-                for (bin, count) in hist.iter().flat_map(PowHistogram::nonzero) {
-                    ms.observe_n(id, PowHistogram::bin_bounds(bin).0, count);
-                }
-            }
-        }
-        if let Some(tr) = run.trace {
-            tr.emit(EventData::Histogram {
-                name: "messages_per_vertex".into(),
-                hist: Box::new(messages_hist.unwrap_or_default()),
-            });
-            tr.emit(EventData::Histogram {
-                name: "halt_round".into(),
-                hist: Box::new(halt_hist.unwrap_or_default()),
-            });
-            tr.emit(EventData::RunEnd {
-                rounds: fr.rounds,
-                sweeps: fr.stats.sweeps,
-                messages: fr.stats.messages_sent,
-                halted: fr.halted() as u64,
-                crashed: fr.crashed() as u64,
-                cut: fr.cut() as u64,
-                breach: fr.breach.as_ref().map(|b| b.to_string()),
-            });
-        }
+        run.obs.emit(|| EventData::Histogram {
+            name: "messages_per_vertex".into(),
+            hist: Box::new(messages_hist.unwrap_or_default()),
+        });
+        run.obs.emit(|| EventData::Histogram {
+            name: "halt_round".into(),
+            hist: Box::new(halt_hist.unwrap_or_default()),
+        });
+        run.obs.emit(|| EventData::RunEnd {
+            rounds: fr.rounds,
+            sweeps: fr.stats.sweeps,
+            messages: fr.stats.messages_sent,
+            halted: fr.halted() as u64,
+            crashed: fr.crashed() as u64,
+            cut: fr.cut() as u64,
+            breach: fr.breach.as_ref().map(|b| b.to_string()),
+        });
         fr
     }
 }
@@ -1066,6 +1038,7 @@ mod tests {
     use crate::faults::FaultSpec;
     use crate::node::NodeInit;
     use local_graphs::gen;
+    use local_obs::Trace;
 
     /// Chainable test sugar over the single real entry point,
     /// [`Engine::execute`]: the strict fault-free shape (what `run` was) and
@@ -1117,7 +1090,7 @@ mod tests {
         assert_eq!(fr.breach, Some(Breach::Rounds));
 
         let trace = Trace::new(3);
-        let spec = ExecSpec::default().with_trace(&trace);
+        let spec = ExecSpec::default().with_obs(Obs::traced(Some(&trace)));
         engine.execute(&spec, &FloodMinProtocol);
         let events = trace.into_events();
         assert_eq!(events.first().map(|e| e.data.tag()), Some("run_start"));
@@ -1630,7 +1603,10 @@ mod tests {
         let g = gen::cycle(5);
         let trace = Trace::new(7);
         let run = Engine::new(&g, Mode::deterministic())
-            .exec_with(&ExecSpec::default().with_trace(&trace), &FloodMinProtocol)
+            .exec_with(
+                &ExecSpec::default().with_obs(Obs::traced(Some(&trace))),
+                &FloodMinProtocol,
+            )
             .unwrap();
         let events = trace.into_events();
         assert!(events.iter().all(|e| e.trial == 7));
@@ -1685,12 +1661,18 @@ mod tests {
         let g = gen::cycle(64);
         let seq = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
-            .exec_with(&ExecSpec::default().with_trace(&seq), &FloodMinProtocol)
+            .exec_with(
+                &ExecSpec::default().with_obs(Obs::traced(Some(&seq))),
+                &FloodMinProtocol,
+            )
             .unwrap();
         let par = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
             .with_par_threshold(1)
-            .exec_with(&ExecSpec::default().with_trace(&par), &FloodMinProtocol)
+            .exec_with(
+                &ExecSpec::default().with_obs(Obs::traced(Some(&par))),
+                &FloodMinProtocol,
+            )
             .unwrap();
         assert_eq!(seq.into_events(), par.into_events());
     }
@@ -1701,7 +1683,9 @@ mod tests {
         let trace = Trace::new(0);
         let plan = FaultPlan::from_crash_schedule(vec![Some(1), None, None, None, None]);
         Engine::new(&g, Mode::deterministic()).execute(
-            &ExecSpec::default().with_trace(&trace).with_faults(&plan),
+            &ExecSpec::default()
+                .with_obs(Obs::traced(Some(&trace)))
+                .with_faults(&plan),
             &FloodMinProtocol,
         );
         let events = trace.into_events();
@@ -1724,8 +1708,10 @@ mod tests {
         }
 
         let trace = Trace::new(0);
-        Engine::new(&g, Mode::deterministic())
-            .execute(&ExecSpec::rounds(3).with_trace(&trace), &ForeverProtocol);
+        Engine::new(&g, Mode::deterministic()).execute(
+            &ExecSpec::rounds(3).with_obs(Obs::traced(Some(&trace))),
+            &ForeverProtocol,
+        );
         let events = trace.into_events();
         match &events.last().unwrap().data {
             EventData::RunEnd { cut, breach, .. } => {
@@ -1839,12 +1825,17 @@ mod tests {
         let seq = Trace::new(0);
         let g = gen::cycle(40);
         Engine::new(&g, Mode::deterministic())
-            .exec_with(&ExecSpec::default().with_trace(&seq), &FloodMinProtocol)
+            .exec_with(
+                &ExecSpec::default().with_obs(Obs::traced(Some(&seq))),
+                &FloodMinProtocol,
+            )
             .unwrap();
         let sharded = Trace::new(0);
         Engine::new(&g, Mode::deterministic())
             .exec_with(
-                &ExecSpec::default().with_shards(6).with_trace(&sharded),
+                &ExecSpec::default()
+                    .with_shards(6)
+                    .with_obs(Obs::traced(Some(&sharded))),
                 &FloodMinProtocol,
             )
             .unwrap();

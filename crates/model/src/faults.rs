@@ -880,6 +880,21 @@ mod tests {
     }
 
     #[test]
+    fn fault_plan_parse_rejects_crash_rounds_outside_u32() {
+        let parse = |rounds: &str| {
+            serde_json::from_str::<FaultPlan>(&format!(
+                r#"{{"drop":[],"delay_p":0,"crash_round":[{rounds}],"seed":3}}"#
+            ))
+        };
+        assert!(parse("null,4294967295,4e9").is_ok(), "u32 values parse");
+        // A whole-number float past u32::MAX used to saturate silently.
+        for rounds in ["5e9", "4294967296", "1e30", "-1", "2.5"] {
+            assert!(parse(rounds).is_err(), "{rounds} is not a u32 round");
+        }
+        assert_eq!(parse("5e9").unwrap_err().0, "5000000000 out of range");
+    }
+
+    #[test]
     fn round_streams_differ_by_round_and_seed() {
         use rand::RngCore;
         let plan = FaultPlan {

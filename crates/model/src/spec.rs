@@ -4,7 +4,7 @@
 //! — but PRs 2–4 grew a Cartesian product of entry points around it
 //! (`run`/`run_faulty`, six `run_sync*` variants, five `TrialPlan::run*`
 //! variants). [`ExecSpec`] collapses the axes into one value: *what faults*,
-//! *what budget*, *what trace*, *what advertised parameters*. Every layer of
+//! *what budget*, *what observation*, *what advertised parameters*. Every layer of
 //! the stack now takes a spec instead of choosing a differently-named
 //! function, and composing capabilities is field assignment, not a new API.
 //!
@@ -17,15 +17,14 @@
 use crate::faults::FaultPlan;
 use crate::params::GlobalParams;
 use crate::recover::Budget;
-use local_obs::{MetricSet, Trace};
+use local_obs::Obs;
 use std::num::NonZeroUsize;
 
-/// How one simulation executes: fault plan, watchdog budget, trace
-/// attachment, and advertised global parameters.
+/// How one simulation executes: fault plan, watchdog budget, observation
+/// handle, and advertised global parameters.
 ///
-/// All fields are `Option`s whose `None` means "take the engine default",
-/// so a spec only states what it overrides. Borrowed fields
-/// (`faults`, `trace`) keep the hot path allocation-free: a spec is a few
+/// Every field's default means "take the engine default", so a spec only
+/// states what it overrides. Borrowed fields (`faults`, `obs`) keep the hot path allocation-free: a spec is a few
 /// words on the stack, cheap to build per run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ExecSpec<'a> {
@@ -38,13 +37,11 @@ pub struct ExecSpec<'a> {
     /// Fault plan (drops, delays, crash-stop schedule); `None` is the
     /// statically-eliminated no-op plan — the fault-free fast path.
     pub faults: Option<&'a FaultPlan>,
-    /// Trace buffer receiving run lifecycle events; `None` traces nothing
-    /// (the disabled path is a single branch per sweep).
-    pub trace: Option<&'a Trace>,
-    /// Metric recorder receiving end-of-run aggregates (rounds, messages,
-    /// halt/crash/cut counts, the two engine histograms); `None` records
-    /// nothing — like tracing, the disabled path is a single branch.
-    pub metrics: Option<&'a MetricSet>,
+    /// Where the run's lifecycle events go: `run_start`, one `round` per
+    /// sweep, the two engine histograms and `run_end`, appended to the
+    /// handle's trace and folded into its metrics. The default handle
+    /// observes nothing (the disabled path is a single branch per sweep).
+    pub obs: Obs<'a>,
     /// Number of threads that step each sweep, the caller included; `None`
     /// lets the engine choose automatically by graph size.
     /// Output is bit-identical across shard counts, so this is purely a
@@ -90,31 +87,10 @@ impl<'a> ExecSpec<'a> {
         self
     }
 
-    /// Attach `trace`: the run emits `run_start`, per-sweep `round` events,
-    /// end-of-run histograms, and `run_end`.
-    pub fn with_trace(mut self, trace: &'a Trace) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// [`with_trace`](Self::with_trace) accepting the `Option` producers
-    /// thread around — `None` leaves the spec untraced.
-    pub fn traced(mut self, trace: Option<&'a Trace>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Attach `metrics`: the run records its end-of-run aggregates into the
-    /// per-trial recorder.
-    pub fn with_metrics(mut self, metrics: &'a MetricSet) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// [`with_metrics`](Self::with_metrics) accepting the `Option` producers
-    /// thread around — `None` leaves the spec unmetered.
-    pub fn metered(mut self, metrics: Option<&'a MetricSet>) -> Self {
-        self.metrics = metrics;
+    /// Observe the run through `obs`: its events go to the handle's trace
+    /// and metrics, whichever are attached.
+    pub fn with_obs(mut self, obs: Obs<'a>) -> Self {
+        self.obs = obs;
         self
     }
 
@@ -141,8 +117,7 @@ mod tests {
         assert!(spec.params.is_none());
         assert!(spec.budget.is_none());
         assert!(spec.faults.is_none());
-        assert!(spec.trace.is_none());
-        assert!(spec.metrics.is_none());
+        assert!(!spec.obs.is_on());
         assert!(spec.shards.is_none());
     }
 
@@ -161,14 +136,15 @@ mod tests {
     #[test]
     fn builders_compose() {
         let plan = FaultPlan::none();
-        let trace = Trace::new(0);
+        let trace = local_obs::Trace::new(0);
         let spec = ExecSpec::rounds(7)
             .with_faults(&plan)
-            .with_trace(&trace)
+            .with_obs(Obs::traced(Some(&trace)))
             .with_max_rounds(9);
         assert_eq!(spec.budget.unwrap().max_rounds, 9);
         assert!(spec.faults.is_some());
-        assert!(spec.trace.is_some());
+        assert!(spec.obs.trace.is_some());
+        assert!(spec.obs.metrics.is_none());
     }
 
     #[test]
@@ -182,17 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_none_is_untraced() {
-        let spec = ExecSpec::default().traced(None);
-        assert!(spec.trace.is_none());
-    }
-
-    #[test]
-    fn metered_none_is_unmetered() {
-        let spec = ExecSpec::default().metered(None);
-        assert!(spec.metrics.is_none());
-        let set = MetricSet::new();
-        assert!(ExecSpec::default().with_metrics(&set).metrics.is_some());
-        assert!(ExecSpec::default().metered(Some(&set)).metrics.is_some());
+    fn with_obs_sets_both_planes() {
+        let trace = local_obs::Trace::new(0);
+        let set = local_obs::MetricSet::new();
+        let spec = ExecSpec::default().with_obs(Obs::new(Some(&trace), Some(&set)));
+        assert!(spec.obs.trace.is_some() && spec.obs.metrics.is_some());
+        assert!(!ExecSpec::default().with_obs(Obs::traced(None)).obs.is_on());
     }
 }

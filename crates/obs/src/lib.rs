@@ -11,8 +11,9 @@
 //!   `(trial, seq)`.
 //! * [`Trace`]: a per-trial event buffer with a monotonically increasing
 //!   sequence number and RAII [`Span`](trace::Span)s carrying monotonic
-//!   wall-clock timings. Producers hold an `Option<&Trace>`, so the disabled
-//!   hot path is a single branch — no allocation, no virtual call.
+//!   wall-clock timings.
+//! * [`Obs`]: the one handle producers hold over both planes; each event is
+//!   stated once and reaches the trace and the metrics alike.
 //! * [`TraceSink`]: where completed trials' events go — [`NullSink`],
 //!   in-memory [`MemorySink`], or a buffered JSON-lines [`FileSink`].
 //! * [`PowHistogram`]: fixed-bin power-of-two histograms with exact serde
@@ -36,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod event;
+mod handle;
 mod hist;
 mod metrics;
 mod profile;
@@ -44,6 +46,7 @@ mod sink;
 mod trace;
 
 pub use event::{EventData, TraceEvent};
+pub use handle::Obs;
 pub use hist::PowHistogram;
 pub use metrics::{
     MetricDef, MetricId, MetricKind, MetricSet, MetricsDoc, MetricsRegistry, METRICS_SCHEMA,

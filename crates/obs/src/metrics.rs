@@ -15,9 +15,10 @@
 //! object (`{"name": value, ...}`) in table order, so two registries with
 //! the same contents always render byte-identically.
 
+use crate::event::EventData;
 use crate::hist::PowHistogram;
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// How a metric aggregates across trials and merges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,18 +152,16 @@ metric_table! {
 /// Number of declared metrics.
 const COUNT: usize = MetricId::ALL.len();
 
-/// A per-trial metric recorder.
+/// A per-trial metric recorder: a [`MetricsRegistry`] behind a `RefCell`,
+/// so producers record through shared references.
 ///
 /// Deliberately **not** `Sync` (like [`crate::Trace`]): each trial owns one,
-/// records through shared references on a single thread, and the harness
-/// absorbs completed sets into a [`MetricsRegistry`] in trial order.
-/// Producers hold an `Option<&MetricSet>`, so the disabled hot path is a
-/// single branch.
+/// records on a single thread, and the harness absorbs completed sets into
+/// a [`MetricsRegistry`] in trial order. Producers reach it through an
+/// [`crate::Obs`] handle, which folds every event they emit into the set
+/// ([`MetricSet::fold`]); a handle without a set costs one branch per event.
 #[derive(Debug, Default)]
-pub struct MetricSet {
-    scalars: [Cell<u64>; COUNT],
-    hists: RefCell<Vec<(MetricId, PowHistogram)>>,
-}
+pub struct MetricSet(RefCell<MetricsRegistry>);
 
 impl MetricSet {
     /// A fresh, all-zero recorder.
@@ -173,38 +172,18 @@ impl MetricSet {
     /// Add `n` to a [`MetricKind::Counter`] metric.
     pub fn add(&self, id: MetricId, n: u64) {
         debug_assert_eq!(id.def().kind, MetricKind::Counter, "{}", id.def().name);
-        let cell = &self.scalars[id as usize];
-        cell.set(cell.get() + n);
-    }
-
-    /// Add 1 to a [`MetricKind::Counter`] metric.
-    pub fn incr(&self, id: MetricId) {
-        self.add(id, 1);
+        self.0.borrow_mut().merge_scalar(id, n);
     }
 
     /// Raise a [`MetricKind::Gauge`] metric to at least `v`.
     pub fn gauge_max(&self, id: MetricId, v: u64) {
         debug_assert_eq!(id.def().kind, MetricKind::Gauge, "{}", id.def().name);
-        let cell = &self.scalars[id as usize];
-        cell.set(cell.get().max(v));
+        self.0.borrow_mut().merge_scalar(id, v);
     }
 
-    /// Record one sample into a [`MetricKind::Histogram`] metric.
-    pub fn observe(&self, id: MetricId, sample: u64) {
-        self.observe_n(id, sample, 1);
-    }
-
-    /// Record `count` samples of the same value into a histogram metric.
-    pub fn observe_n(&self, id: MetricId, sample: u64, count: u64) {
-        debug_assert_eq!(id.def().kind, MetricKind::Histogram, "{}", id.def().name);
-        let mut hists = self.hists.borrow_mut();
-        if let Some((_, h)) = hists.iter_mut().find(|(i, _)| *i == id) {
-            h.record_n(sample, count);
-        } else {
-            let mut h = PowHistogram::new();
-            h.record_n(sample, count);
-            hists.push((id, h));
-        }
+    /// Fold one trace event into the set; see [`MetricsRegistry::fold`].
+    pub fn fold(&self, data: &EventData) {
+        self.0.borrow_mut().fold(data);
     }
 }
 
@@ -238,13 +217,7 @@ impl MetricsRegistry {
 
     /// Fold one completed per-trial recorder into the aggregate.
     pub fn absorb(&mut self, set: &MetricSet) {
-        for id in MetricId::ALL {
-            let v = set.scalars[*id as usize].get();
-            self.merge_scalar(*id, v);
-        }
-        for (id, h) in set.hists.borrow().iter() {
-            self.merge_hist(*id, h);
-        }
+        self.merge(&set.0.borrow());
     }
 
     /// Merge another registry into this one.
@@ -254,6 +227,72 @@ impl MetricsRegistry {
         }
         for (id, h) in &other.hists {
             self.merge_hist(*id, h);
+        }
+    }
+
+    /// Fold one trace event into the metrics it carries — the one place a
+    /// metric is derived from what a run did, so a registry folded from a
+    /// trace and one recorded beside it agree. Counters add and gauges take
+    /// the maximum, as in [`merge`](Self::merge). DESIGN.md Appendix F
+    /// tabulates the fold; run starts, spans and histograms other than the
+    /// engine's two carry no metric.
+    pub fn fold(&mut self, data: &EventData) {
+        use MetricId::*;
+        let scalars: &[(MetricId, u64)] = match data {
+            EventData::Round {
+                dropped, delayed, ..
+            } => &[(EngineDropped, *dropped), (EngineDelayed, *delayed)],
+            EventData::RunEnd {
+                rounds,
+                sweeps,
+                messages,
+                halted,
+                crashed,
+                cut,
+                ..
+            } => &[
+                (EngineRuns, 1),
+                (EngineRounds, u64::from(*rounds)),
+                (EngineSweeps, u64::from(*sweeps)),
+                (EngineMessages, *messages),
+                (EngineHalted, *halted),
+                (EngineCrashed, *crashed),
+                (EngineCut, *cut),
+            ],
+            EventData::Recovery {
+                radius,
+                core,
+                residue,
+                ok,
+                extra_rounds,
+                ..
+            } => &[
+                (RecoveryAttempts, 1),
+                (if *ok { RecoveryOk } else { RecoveryFailed }, 1),
+                (RecoveryCore, *core),
+                (RecoveryResidue, *residue),
+                (RecoveryExtraRounds, u64::from(*extra_rounds)),
+                (RecoveryRadiusMax, u64::from(*radius)),
+            ],
+            EventData::SearchIter { best, accepted, .. } => &[
+                (SearchIterations, 1),
+                (SearchAccepted, u64::from(*accepted)),
+                (SearchBestObjective, *best),
+            ],
+            EventData::Histogram { name, hist } => {
+                match name.as_str() {
+                    "messages_per_vertex" => self.merge_hist(EngineMessagesPerVertex, hist),
+                    "halt_round" => self.merge_hist(EngineHaltRound, hist),
+                    _ => {}
+                }
+                &[]
+            }
+            EventData::RunStart { .. }
+            | EventData::SpanStart { .. }
+            | EventData::SpanEnd { .. } => &[],
+        };
+        for &(id, v) in scalars {
+            self.merge_scalar(id, v);
         }
     }
 
@@ -402,13 +441,24 @@ impl Deserialize for MetricsDoc {
 mod tests {
     use super::*;
 
+    /// Record `count` samples of `value` into the engine histogram `name`,
+    /// the way the engine's `histogram` events do.
+    fn observe(set: &MetricSet, name: &str, value: u64, count: u64) {
+        let mut hist = PowHistogram::new();
+        hist.record_n(value, count);
+        set.fold(&EventData::Histogram {
+            name: name.into(),
+            hist: Box::new(hist),
+        });
+    }
+
     fn sample_set(scale: u64) -> MetricSet {
         let set = MetricSet::new();
         set.add(MetricId::EngineRounds, 3 * scale);
-        set.incr(MetricId::EngineRuns);
+        set.add(MetricId::EngineRuns, 1);
         set.gauge_max(MetricId::RecoveryRadiusMax, scale);
-        set.observe(MetricId::EngineHaltRound, scale);
-        set.observe_n(MetricId::EngineMessagesPerVertex, 5, scale);
+        observe(&set, "halt_round", scale, 1);
+        observe(&set, "messages_per_vertex", 5, scale);
         set
     }
 
@@ -458,14 +508,14 @@ mod tests {
     fn hist_order_is_canonical_regardless_of_touch_order() {
         // Touch the histograms in reverse table order…
         let set = MetricSet::new();
-        set.observe(MetricId::EngineHaltRound, 1);
-        set.observe(MetricId::EngineMessagesPerVertex, 1);
+        observe(&set, "halt_round", 1, 1);
+        observe(&set, "messages_per_vertex", 1, 1);
         let mut a = MetricsRegistry::new();
         a.absorb(&set);
         // …and in table order; the serialized bytes must agree.
         let set = MetricSet::new();
-        set.observe(MetricId::EngineMessagesPerVertex, 1);
-        set.observe(MetricId::EngineHaltRound, 1);
+        observe(&set, "messages_per_vertex", 1, 1);
+        observe(&set, "halt_round", 1, 1);
         let mut b = MetricsRegistry::new();
         b.absorb(&set);
         assert_eq!(

@@ -20,8 +20,8 @@ pub trait TraceSink {
     fn flush(&mut self) {}
 }
 
-/// Discards everything. Producers hold `Option<&Trace>`, so a disabled trace
-/// never even reaches a sink — `NullSink` exists for call sites that want an
+/// Discards everything. Producers hold an [`crate::Obs`] handle, so a
+/// disabled trace never even reaches a sink — `NullSink` exists for call sites that want an
 /// unconditional `&mut dyn TraceSink`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;

@@ -7,10 +7,10 @@ use std::time::Instant;
 
 /// A per-trial trace buffer.
 ///
-/// Producers (the engine, the sync layer, the recovery driver) hold an
-/// `Option<&Trace>`: `None` is the disabled path — a single branch, no
-/// allocation, no virtual call. `Some` buffers events in memory, stamped with
-/// the trial number and a monotonically increasing per-trial sequence number;
+/// Producers reach it through an [`crate::Obs`] handle whose `trace` is
+/// `None` on the disabled path — a single branch, no allocation, no virtual
+/// call. A trace buffers events in memory, stamped with the trial number and
+/// a monotonically increasing per-trial sequence number;
 /// the trial harness drains completed buffers into a [`TraceSink`] in trial
 /// order, which is what makes traces deterministic and thread-count-invariant.
 ///
