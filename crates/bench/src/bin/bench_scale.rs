@@ -11,7 +11,12 @@
 //! bench_scale --workload flood --n 1000000 --repeat 5
 //! bench_scale --workload luby  --n 10000000 --d 3 --shards 4
 //! bench_scale --workload theorem10 --n 16384 --d 16
+//! bench_scale --workload luby  --n 65536 --d 4 --drop 0.1
 //! ```
+//!
+//! `--drop P` runs `luby` under a fault plan that drops every message with
+//! probability `P`, sampled from `--seed`, for at most [`DROP_ROUNDS`]
+//! rounds; the row then records `drop`.
 //!
 //! `theorem10` runs Theorem 10's full pipeline on the complete `(d−1)`-ary
 //! tree with at least `n` vertices (the row's `n` is the requested size). It
@@ -22,7 +27,9 @@ use local_algorithms::mis::luby::Luby;
 use local_algorithms::run_sync;
 use local_algorithms::tree::{theorem10_color, Theorem10Config};
 use local_graphs::{gen, Graph};
-use local_model::{Action, Engine, ExecSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol};
+use local_model::{
+    Action, Engine, ExecSpec, FaultPlan, FaultSpec, Mode, NodeInit, NodeIo, NodeProgram, Protocol,
+};
 use std::time::Instant;
 
 /// Floods the max for a fixed horizon, then halts — pure engine overhead
@@ -120,21 +127,29 @@ fn run_flood(g: &Graph, shards: usize, horizon: u32) -> RunResult {
     }
 }
 
-fn run_luby(g: &Graph, shards: usize, seed: u64) -> RunResult {
-    let out = run_sync(
-        g,
-        Mode::randomized(seed),
-        &Luby::new(),
-        &spec_for(shards).with_max_rounds(10_000),
-    )
-    .strict()
-    .expect("luby halts");
+/// The round budget of a `luby` run under `--drop`: E13's MIS budget. A
+/// vertex whose neighbour's final state was dropped can wait forever, so a
+/// faulty run ends at the budget with such vertices cut.
+const DROP_ROUNDS: u32 = 400;
+
+fn run_luby(g: &Graph, shards: usize, seed: u64, faults: Option<&FaultPlan>) -> RunResult {
+    let spec = spec_for(shards);
+    let spec = match faults {
+        None => spec.with_max_rounds(10_000),
+        Some(plan) => spec.with_faults(plan).with_max_rounds(DROP_ROUNDS),
+    };
+    let run = run_sync(g, Mode::randomized(seed), &Luby::new(), &spec);
+    assert!(
+        faults.is_some() || run.breach.is_none(),
+        "fault-free luby halts"
+    );
     let mut h = Fnv::new();
-    for &b in &out.outputs {
-        h.write(u64::from(b));
+    for o in &run.outcomes {
+        // A cut vertex hashes as 2, beside the MIS's 0 and 1.
+        h.write(o.output().map_or(2, |&b| u64::from(b)));
     }
     RunResult {
-        rounds: out.rounds,
+        rounds: run.max_decided_round(),
         fingerprint: h.0,
     }
 }
@@ -187,6 +202,16 @@ fn main() {
         .unwrap_or_else(|| "1".into())
         .parse()
         .expect("--seed takes a u64");
+    let drop: Option<f64> = arg(&args, "--drop").map(|p| {
+        p.parse()
+            .ok()
+            .filter(|p| (0.0..=1.0).contains(p))
+            .expect("--drop takes a probability")
+    });
+    assert!(
+        drop.is_none() || workload == "luby",
+        "--drop applies to luby only"
+    );
 
     let gen_start = Instant::now();
     let g = match workload.as_str() {
@@ -199,6 +224,7 @@ fn main() {
         other => panic!("unknown workload {other:?} (expected flood|luby|theorem10)"),
     };
     let gen_ns = gen_start.elapsed().as_nanos();
+    let faults = drop.map(|p| FaultPlan::sample(&g, &FaultSpec::none().with_drop(p), seed));
 
     let mut times = Vec::with_capacity(repeat);
     let mut result = None;
@@ -206,7 +232,7 @@ fn main() {
         let t = Instant::now();
         let r = match workload.as_str() {
             "flood" => run_flood(&g, shards, horizon),
-            "luby" => run_luby(&g, shards, seed),
+            "luby" => run_luby(&g, shards, seed, faults.as_ref()),
             _ => run_theorem10(&g, d, seed),
         };
         times.push(t.elapsed().as_nanos() as u64);
@@ -224,8 +250,9 @@ fn main() {
     let min_ns = *times.iter().min().expect("non-empty");
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
+    let drop = drop.map_or(String::new(), |p| format!(",\"drop\":{p}"));
     println!(
-        "{{\"workload\":\"{workload}\",\"n\":{n},\"d\":{d},\"shards\":{shards},\"threads\":{threads},\"repeat\":{repeat},\"gen_ns\":{gen_ns},\"mean_ns\":{mean_ns},\"min_ns\":{min_ns},\"rounds\":{rounds},\"fingerprint\":\"{fp:016x}\",\"peak_rss_bytes\":{rss}}}",
+        "{{\"workload\":\"{workload}\",\"n\":{n},\"d\":{d}{drop},\"shards\":{shards},\"threads\":{threads},\"repeat\":{repeat},\"gen_ns\":{gen_ns},\"mean_ns\":{mean_ns},\"min_ns\":{min_ns},\"rounds\":{rounds},\"fingerprint\":\"{fp:016x}\",\"peak_rss_bytes\":{rss}}}",
         rounds = result.rounds,
         fp = result.fingerprint,
         rss = peak_rss_bytes(),

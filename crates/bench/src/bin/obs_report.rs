@@ -17,8 +17,9 @@
 //!   `bench_scale` rows against the recorded `BENCH_engine.json` history:
 //!   each current row's `min_ns` (already a min over repeats) must stay
 //!   within `1 + PCT/100` of the best recorded `min_ns` for the same
-//!   `(workload, n)`. The default tolerance of 200% reproduces the old
-//!   "within 3× of the best recorded run" CI rule.
+//!   `(workload, n, drop)`, where a row without `drop` has drop 0. The
+//!   default tolerance of 200% reproduces the old "within 3× of the best
+//!   recorded run" CI rule.
 
 use local_obs::{
     read_trace, EventData, MetricId, MetricKind, MetricsDoc, MetricsRegistry, PowHistogram,
@@ -432,6 +433,8 @@ fn regress_metrics(baseline_path: &str, current_path: &str) {
 struct BenchRow {
     workload: String,
     n: u64,
+    /// The message drop probability (`bench_scale --drop`); 0 when absent.
+    drop: f64,
     min_ns: u64,
 }
 
@@ -440,6 +443,7 @@ fn bench_row(path: &str, v: &Value) -> BenchRow {
         Ok(BenchRow {
             workload: String::from_value(v.field("workload")?)?,
             n: u64::from_value(v.field("n")?)?,
+            drop: v.get("drop").map_or(Ok(0.0), f64::from_value)?,
             min_ns: u64::from_value(v.field("min_ns")?)?,
         })
     };
@@ -466,7 +470,8 @@ fn bench_rows(path: &str) -> Vec<BenchRow> {
 /// `regress --bench`: gate fresh `bench_scale` rows against the recorded
 /// history. Min-of-repeats (each row's `min_ns` is already the minimum over
 /// its repeats) plus a relative tolerance: current must stay within
-/// `1 + tol/100` of the best recorded minimum for the same `(workload, n)`.
+/// `1 + tol/100` of the best recorded minimum for the same
+/// `(workload, n, drop)`.
 fn regress_bench(rest: &[&str]) {
     let (paths, tol) = match rest {
         [a, b] => ((*a, *b), 200.0),
@@ -487,13 +492,13 @@ fn regress_bench(rest: &[&str]) {
     for row in &current {
         let best = baseline
             .iter()
-            .filter(|b| b.workload == row.workload && b.n == row.n)
+            .filter(|b| b.workload == row.workload && b.n == row.n && b.drop == row.drop)
             .map(|b| b.min_ns)
             .min();
         let Some(best) = best else {
             eprintln!(
-                "error: {baseline_path} has no entry for workload {} at n = {}",
-                row.workload, row.n
+                "error: {baseline_path} has no entry for workload {} at n = {}, drop {}",
+                row.workload, row.n, row.drop
             );
             std::process::exit(2);
         };

@@ -171,7 +171,7 @@ proptest! {
         pick in 0usize..1_000_000,
         mutation in 0u8..4,
         at in 0usize..1_000_000,
-        mask in 1u8..255,
+        mask in 1u8..=255,
         depth in 129usize..400,
     ) {
         let corpus = corpus();

@@ -190,6 +190,7 @@ pub(crate) struct Arena {
     pub(crate) next_decided: BufferSlot,
     pub(crate) decision: BufferSlot,
     pub(crate) heard: BufferSlot,
+    pub(crate) senders: BufferSlot,
     pub(crate) sent_in: BufferSlot,
 }
 
@@ -208,6 +209,7 @@ thread_local! {
             next_decided: BufferSlot::new(),
             decision: BufferSlot::new(),
             heard: BufferSlot::new(),
+            senders: BufferSlot::new(),
             sent_in: BufferSlot::new(),
         }
     };
@@ -387,6 +389,9 @@ struct MessagePlane<'g, N: NodeProgram> {
     /// Messages deferred one round by delay faults (allocated only when the
     /// fault plan can delay).
     delayed: Vec<Option<N::Msg>>,
+    /// Whether the run's fault plan can drop or delay a message.
+    drops: bool,
+    delays: bool,
     /// Whether each shard delivers its own inbox as soon as its stepping is
     /// done: sharded runs without drops or delays.
     eager: bool,
@@ -438,6 +443,7 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
         }));
         inbox.resize_with(total, || None);
         out.resize_with(total, || None);
+        let (drops, delays) = (run.faults.has_drops(), run.faults.has_delays());
         MessagePlane {
             offsets,
             states,
@@ -445,7 +451,9 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
             inbox,
             out,
             delayed: Vec::new(),
-            eager: run.shards > 1 && !run.faults.has_drops() && !run.faults.has_delays(),
+            drops,
+            delays,
+            eager: run.shards > 1 && !drops && !delays,
             xfers: Vec::new(),
         }
     }
@@ -472,8 +480,7 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
         dropped: &mut u64,
         delayed: &mut u64,
     ) {
-        let drops = plan.has_drops();
-        let delays = plan.has_delays();
+        let (drops, delays) = (self.drops, self.delays);
         if !drops && !delays {
             self.deliver();
             return;

@@ -17,9 +17,10 @@
 //!   sits in both.
 //! * **Faulty runs** keep one state column and one last-heard state per CSR
 //!   slot, seeded with the neighbors' initial states. Only delivered messages
-//!   write it: the serial exchange after each sweep runs the fault plan's
-//!   drop and delay decisions in ascending receiver-slot order, exactly as
-//!   the message plane's faulty delivery does. A vertex halts one sweep after
+//!   write it: the serial exchange after each sweep walks a per-run table of
+//!   each slot's sender and runs the fault plan's drop and delay decisions
+//!   in ascending receiver-slot order, exactly as the message plane's faulty
+//!   delivery does. A vertex halts one sweep after
 //!   deciding, so a crashed neighbor cannot pin it.
 //!
 //! Either way a vertex counts as sending one message per port in every sweep
@@ -315,6 +316,17 @@ impl<'a, A: SyncAlgorithm> Plane for StatePlane<'a, A> {
     }
 }
 
+/// Every directed edge in ascending receiver-slot order, as its sender and
+/// the sender's slot for the edge: the faulty exchange's table.
+fn senders(g: &Graph) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let offsets = g.csr_offsets();
+    g.vertices().flat_map(move |v| {
+        g.neighbors(v)
+            .iter()
+            .map(move |nb| (nb.node, offsets[nb.node] + nb.back_port))
+    })
+}
+
 /// The faulty state plane: one state column, and the state last delivered
 /// on every CSR slot.
 pub(crate) struct HeardPlane<'a, A: SyncAlgorithm> {
@@ -323,6 +335,9 @@ pub(crate) struct HeardPlane<'a, A: SyncAlgorithm> {
     /// Slot `offsets[v] + p` holds the state last delivered on `v`'s port
     /// `p`: a dropped message leaves it stale, a crashed neighbor freezes it.
     heard: Vec<A::State>,
+    /// By receiver slot, the sender and the sender's own slot for the same
+    /// edge: the fault plan draws per sender slot.
+    senders: Vec<(usize, usize)>,
     /// States deferred one exchange by delay faults, by receiver slot; empty
     /// when the plan cannot delay.
     delayed: Vec<Option<A::State>>,
@@ -351,6 +366,7 @@ impl<'a, A: SyncAlgorithm> HeardPlane<'a, A> {
             algo,
             states: a.states.take(n),
             heard: a.heard.take(slots),
+            senders: a.senders.take(slots),
             delayed: Vec::new(),
             decision: a.decision.take(n),
             sent_in: a.sent_in.take(n),
@@ -358,27 +374,17 @@ impl<'a, A: SyncAlgorithm> HeardPlane<'a, A> {
             delays: run.faults.has_delays(),
         });
         push_initial_states(algo, g, run, &mut plane.states);
+        plane.senders.extend(senders(g));
         let states = &plane.states;
-        plane.heard.extend(
-            g.vertices()
-                .flat_map(|v| g.neighbors(v).iter().map(|nb| states[nb.node].clone())),
-        );
+        plane
+            .heard
+            .extend(plane.senders.iter().map(|&(u, _)| states[u].clone()));
         if plane.delays {
             plane.delayed.resize_with(slots, || None);
         }
         plane.decision.resize_with(n, || None);
         plane.sent_in.resize(n, u32::MAX);
         plane
-    }
-
-    /// Every directed edge as `(receiver slot, sender, sender slot)`, in
-    /// ascending receiver-slot order.
-    fn edges<'g>(g: &'g Graph) -> impl Iterator<Item = (usize, usize, usize)> + 'g {
-        let offsets = g.csr_offsets();
-        g.vertices()
-            .flat_map(move |v| g.neighbors(v).iter().map(|nb| (nb.node, nb.back_port)))
-            .enumerate()
-            .map(move |(i, (u, q))| (i, u, offsets[u] + q))
     }
 }
 
@@ -437,7 +443,7 @@ impl<'a, A: SyncAlgorithm> Plane for HeardPlane<'a, A> {
     ) {
         let round = sweep.round;
         if !self.drops && !self.delays {
-            for (i, u, _) in Self::edges(sweep.graph) {
+            for (i, &(u, _)) in self.senders.iter().enumerate() {
                 if self.sent_in[u] == round {
                     self.heard[i].clone_from(&self.states[u]);
                 }
@@ -445,7 +451,7 @@ impl<'a, A: SyncAlgorithm> Plane for HeardPlane<'a, A> {
             return;
         }
         let mut rng = faults.round_rng(round);
-        for (i, u, j) in Self::edges(sweep.graph) {
+        for (i, &(u, j)) in self.senders.iter().enumerate() {
             // A state delayed from the previous exchange arrives now, unless
             // a fresher on-time one supersedes it below.
             let mut arrived = if self.delays {
@@ -476,8 +482,36 @@ impl<'a, A: SyncAlgorithm> Plane for HeardPlane<'a, A> {
         ARENA.with(|a| {
             a.states.give(self.states);
             a.heard.give(self.heard);
+            a.senders.give(self.senders);
             a.decision.give(self.decision);
             a.sent_in.give(self.sent_in);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use local_graphs::GraphBuilder;
+
+    #[test]
+    fn the_exchange_table_pairs_every_slot_with_its_reverse() {
+        // Isolated vertices 0, 5 and 9, a hub of degree 5 and a path.
+        let edges = [(1, 2), (1, 3), (1, 4), (1, 6), (1, 7), (7, 8), (8, 3)];
+        let g = GraphBuilder::from_edges(10, edges).expect("simple graph");
+        let offsets = g.csr_offsets();
+        let table: Vec<(usize, usize)> = senders(&g).collect();
+        assert_eq!(table.len(), offsets[g.n()]);
+        for v in g.vertices() {
+            for (p, nb) in g.neighbors(v).iter().enumerate() {
+                let i = offsets[v] + p;
+                let (u, j) = table[i];
+                assert_eq!((u, j), (nb.node, offsets[nb.node] + nb.back_port));
+                // The sender's slot lies in the sender's row and points back.
+                assert!((offsets[u]..offsets[u + 1]).contains(&j));
+                assert_eq!(table[j].1, i, "slot {i}");
+                assert_eq!(table[j].0, v);
+            }
+        }
     }
 }
