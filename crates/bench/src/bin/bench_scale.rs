@@ -18,6 +18,10 @@
 //! probability `P`, sampled from `--seed`, for at most [`DROP_ROUNDS`]
 //! rounds; the row then records `drop`.
 //!
+//! An unknown flag, a malformed or out-of-range value, or an unknown
+//! workload prints the usage line and exits with status 2, as the `exp_*`
+//! binaries do.
+//!
 //! `theorem10` runs Theorem 10's full pipeline on the complete `(d−1)`-ary
 //! tree with at least `n` vertices (the row's `n` is the requested size). It
 //! takes no `--shards`: `theorem10_color` runs under the engine's automatic
@@ -100,13 +104,6 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 struct RunResult {
     rounds: u32,
     fingerprint: u64,
@@ -175,53 +172,103 @@ fn spec_for(shards: usize) -> ExecSpec<'static> {
     }
 }
 
+const USAGE: &str = "usage: bench_scale [--workload flood|luby|theorem10] [--n N] [--d D] \
+                     [--repeat N] [--shards N] [--rounds N] [--seed N] [--drop P]";
+
+/// The command line, every flag checked.
+struct Args {
+    workload: String,
+    n: usize,
+    d: usize,
+    repeat: usize,
+    shards: usize,
+    horizon: u32,
+    seed: u64,
+    drop: Option<f64>,
+}
+
+/// Parse a flag's value, naming the flag and what it takes on failure.
+fn value<T: std::str::FromStr>(flag: &str, raw: Option<String>, takes: &str) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs {takes}"))?;
+    raw.parse()
+        .map_err(|_| format!("{flag} takes {takes}, got `{raw}`"))
+}
+
+/// Parse the arguments after the program name.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut a = Args {
+        workload: "flood".into(),
+        n: 1_000_000,
+        d: 3,
+        repeat: 3,
+        shards: 0,
+        horizon: 20,
+        seed: 1,
+        drop: None,
+    };
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let raw = args.next();
+        match flag.as_str() {
+            "--workload" => a.workload = value(&flag, raw, "a workload name")?,
+            "--n" => a.n = value(&flag, raw, "a vertex count")?,
+            "--d" => a.d = value(&flag, raw, "a degree")?,
+            "--repeat" => a.repeat = value(&flag, raw, "a count of at least 1")?,
+            "--shards" => a.shards = value(&flag, raw, "a count (0 = auto)")?,
+            "--rounds" => a.horizon = value(&flag, raw, "a horizon")?,
+            "--seed" => a.seed = value(&flag, raw, "a u64")?,
+            "--drop" => a.drop = Some(value(&flag, raw, "a probability in [0, 1]")?),
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    if !matches!(a.workload.as_str(), "flood" | "luby" | "theorem10") {
+        return Err(format!(
+            "unknown workload `{}` (expected flood|luby|theorem10)",
+            a.workload
+        ));
+    }
+    if a.repeat == 0 {
+        return Err("--repeat takes a count of at least 1, got `0`".into());
+    }
+    if let Some(p) = a.drop {
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("--drop takes a probability in [0, 1], got `{p}`"));
+        }
+        if a.workload != "luby" {
+            return Err("--drop applies to luby only".into());
+        }
+    }
+    if a.workload == "theorem10" && a.shards != 0 {
+        return Err("--shards must be 0 for theorem10".into());
+    }
+    Ok(a)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let workload = arg(&args, "--workload").unwrap_or_else(|| "flood".into());
-    let n: usize = arg(&args, "--n")
-        .unwrap_or_else(|| "1000000".into())
-        .parse()
-        .expect("--n takes a vertex count");
-    let d: usize = arg(&args, "--d")
-        .unwrap_or_else(|| "3".into())
-        .parse()
-        .expect("--d takes a degree");
-    let repeat: usize = arg(&args, "--repeat")
-        .unwrap_or_else(|| "3".into())
-        .parse()
-        .expect("--repeat takes a count");
-    let shards: usize = arg(&args, "--shards")
-        .unwrap_or_else(|| "0".into())
-        .parse()
-        .expect("--shards takes a count (0 = auto)");
-    let horizon: u32 = arg(&args, "--rounds")
-        .unwrap_or_else(|| "20".into())
-        .parse()
-        .expect("--rounds takes a horizon");
-    let seed: u64 = arg(&args, "--seed")
-        .unwrap_or_else(|| "1".into())
-        .parse()
-        .expect("--seed takes a u64");
-    let drop: Option<f64> = arg(&args, "--drop").map(|p| {
-        p.parse()
-            .ok()
-            .filter(|p| (0.0..=1.0).contains(p))
-            .expect("--drop takes a probability")
+    let Args {
+        workload,
+        n,
+        d,
+        repeat,
+        shards,
+        horizon,
+        seed,
+        drop,
+    } = parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     });
-    assert!(
-        drop.is_none() || workload == "luby",
-        "--drop applies to luby only"
-    );
 
     let gen_start = Instant::now();
     let g = match workload.as_str() {
         "flood" => gen::stream::cycle(n),
-        "luby" => gen::stream::circulant(n, d).expect("feasible (n, d)"),
-        "theorem10" => {
-            assert_eq!(shards, 0, "--shards must be 0 for theorem10");
-            gen::complete_dary_tree(n, d)
-        }
-        other => panic!("unknown workload {other:?} (expected flood|luby|theorem10)"),
+        "luby" => gen::stream::circulant(n, d).unwrap_or_else(|e| {
+            eprintln!("error: --n {n} --d {d}: {e}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }),
+        _ => gen::complete_dary_tree(n, d),
     };
     let gen_ns = gen_start.elapsed().as_nanos();
     let faults = drop.map(|p| FaultPlan::sample(&g, &FaultSpec::none().with_drop(p), seed));

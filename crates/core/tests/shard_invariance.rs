@@ -216,6 +216,166 @@ fn lumpy_costs_are_shard_invariant_on_both_planes() {
     }
 }
 
+/// RandLOCAL hashing whose liveness is lumpy: one vertex in sixteen is
+/// long-lived and decides between rounds 36 and 43; every other vertex
+/// decides in round 1 or 2. The state folds in what each vertex heard, so
+/// a lost or misplaced delivery shows in the outputs.
+struct LumpyLive;
+
+impl SyncAlgorithm for LumpyLive {
+    /// `(hash, decision round)`.
+    type State = (u64, u32);
+    type Output = u64;
+
+    fn init(&self, init: &NodeInit<'_>) -> (u64, u32) {
+        let h = mix(init.node as u64);
+        let last = if h.is_multiple_of(16) {
+            36 + (h >> 8) % 8
+        } else {
+            1 + (h >> 8) % 2
+        };
+        (h, last as u32)
+    }
+
+    fn update(
+        &self,
+        round: u32,
+        ctx: &mut SyncCtx<'_>,
+        &(hash, last): &(u64, u32),
+        neighbors: &[(u64, u32)],
+    ) -> SyncStep<(u64, u32), u64> {
+        let draw = ctx.rng().next_u64();
+        let acc = mix(neighbors
+            .iter()
+            .fold(hash ^ draw, |a, &(h, _)| a.rotate_left(9) ^ h));
+        if round >= last {
+            SyncStep::Decide((acc, last), acc)
+        } else {
+            SyncStep::Continue((acc, last))
+        }
+    }
+}
+
+/// A run's result, trace events and metrics document, under `spec`
+/// extended by an observation handle.
+fn observed<O>(
+    spec: ExecSpec<'_>,
+    run: impl FnOnce(&ExecSpec<'_>) -> O,
+) -> (O, Vec<local_obs::TraceEvent>, String) {
+    let trace = Trace::new(0);
+    let metrics = MetricSet::new();
+    let out = run(&spec.with_obs(Obs::new(Some(&trace), Some(&metrics))));
+    let mut registry = MetricsRegistry::new();
+    registry.absorb(&metrics);
+    let doc = serde_json::to_string(&registry).expect("registries serialize");
+    (out, trace.into_events(), doc)
+}
+
+#[test]
+fn lumpy_liveness_is_shard_invariant_through_the_tail() {
+    let g = gen::stream::circulant(4000, 4).expect("4000*4 is even");
+    let faults = FaultSpec::none()
+        .with_drop(0.2)
+        .with_delay(0.2)
+        .with_crash(0.05, 30);
+    let plan = FaultPlan::sample(&g, &faults, 5);
+    let mode = Mode::randomized(3);
+    for (faulty, rounds) in [(false, 60), (true, 60), (false, 20), (true, 20)] {
+        let spec = |shards: Option<usize>| {
+            let spec = ExecSpec::rounds(rounds);
+            let spec = if faulty {
+                spec.with_faults(&plan)
+            } else {
+                spec
+            };
+            shards.map_or(spec, |k| spec.with_shards(k))
+        };
+        let label = |what: &str| format!("faulty = {faulty}, {rounds} rounds, {what}");
+        let (serial, serial_trace, serial_doc) =
+            observed(spec(None), |s| run_sync(&g, mode.clone(), &LumpyLive, s));
+        let (long, cut) = (serial.sweeps > 30, serial.counts().2 > 0);
+        assert_eq!(
+            (long, cut),
+            (rounds == 60, rounds == 20),
+            "{}",
+            label("shape")
+        );
+        for k in [1, 2, 3] {
+            let (sharded, trace, doc) =
+                observed(spec(Some(k)), |s| run_sync(&g, mode.clone(), &LumpyLive, s));
+            let label = label(&format!("{k} shards"));
+            assert_runs_identical(&label, &serial, &sharded);
+            assert_eq!(serial_trace, trace, "{label}: trace");
+            assert_eq!(serial_doc, doc, "{label}: metrics");
+        }
+        // The engine itself, with sharded sweeps until fewer than 300
+        // vertices are live and the chunks stepped on one thread after.
+        let engine = |threshold: Option<usize>, shards| {
+            observed(spec(shards), |s| {
+                let engine = Engine::new(&g, mode.clone());
+                match threshold {
+                    Some(t) => engine.with_par_threshold(t).execute_sync(s, &LumpyLive),
+                    None => engine.execute_sync(s, &LumpyLive),
+                }
+            })
+        };
+        let (unsharded, unsharded_trace, unsharded_doc) = engine(None, None);
+        for k in [2, 3] {
+            let (fallback, trace, doc) = engine(Some(300), Some(k));
+            let label = label(&format!("{k} shards falling back below 300 live"));
+            assert_eq!(unsharded, fallback, "{label}: run");
+            assert_eq!(unsharded_trace, trace, "{label}: trace");
+            assert_eq!(unsharded_doc, doc, "{label}: metrics");
+        }
+    }
+}
+
+/// Vertex 0 runs until round 10 and outputs the sum of the states it last
+/// heard; every other vertex decides at round 1 on `1000 + v`.
+struct LateEcho;
+
+impl SyncAlgorithm for LateEcho {
+    type State = u64;
+    type Output = u64;
+
+    fn init(&self, _: &NodeInit<'_>) -> u64 {
+        0
+    }
+
+    fn update(
+        &self,
+        round: u32,
+        ctx: &mut SyncCtx<'_>,
+        _: &u64,
+        neighbors: &[u64],
+    ) -> SyncStep<u64, u64> {
+        match ctx.id() {
+            Some(0) if round < 10 => SyncStep::Continue(0),
+            Some(0) => SyncStep::Decide(0, neighbors.iter().sum()),
+            Some(v) => SyncStep::Decide(1000 + v, 1000 + v),
+            None => unreachable!("DetLOCAL"),
+        }
+    }
+}
+
+#[test]
+fn a_delayed_state_from_a_halted_sender_still_arrives() {
+    // Every message is delayed one exchange. Vertex 0's neighbours 1 and
+    // 39 send their final states in sweep 1 and halt in sweep 2; the
+    // states arrive in exchange 2, by when vertex 0 is the only live
+    // vertex and the exchange visits only marked slots.
+    let g = gen::cycle(40);
+    let plan = FaultPlan::sample(&g, &FaultSpec::none().with_delay(1.0), 1);
+    let spec = ExecSpec::rounds(20).with_faults(&plan);
+    let serial = run_sync(&g, Mode::deterministic(), &LateEcho, &spec);
+    assert_eq!(serial.outcomes[0].output(), Some(&(1001 + 1039)));
+    assert_eq!(serial.sweeps, 12);
+    for k in [1, 2, 3] {
+        let sharded = run_sync(&g, Mode::deterministic(), &LateEcho, &spec.with_shards(k));
+        assert_runs_identical(&format!("{k} shards"), &serial, &sharded);
+    }
+}
+
 /// Flood that panics on whichever vertex a helper thread steps first; the
 /// calling thread waits in its first vertex until that has happened, so
 /// the panic always lands on a helper.

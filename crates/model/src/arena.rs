@@ -65,6 +65,34 @@ impl BufferSlot {
     }
 }
 
+impl BufferSlot {
+    /// [`take`](Self::take) for a buffer kept as separate parts, one per
+    /// chunk of a run, that together hold `len` elements: the held parts,
+    /// each empty but keeping its capacity, when they hold `T`s and `len`
+    /// reaches the floor; else none. The caller sizes the outer `Vec`.
+    pub fn take_parts<T: 'static>(&self, len: usize) -> Vec<Vec<T>> {
+        if bytes::<T>(len) < FLOOR_BYTES {
+            return Vec::new();
+        }
+        self.0
+            .take()
+            .and_then(|held| held.downcast::<Vec<Vec<T>>>().ok())
+            .map(|held| *held)
+            .unwrap_or_default()
+    }
+
+    /// [`give`](Self::give) for parts: kept, each emptied, when their
+    /// capacities together reach the floor.
+    pub fn give_parts<T: 'static>(&self, mut parts: Vec<Vec<T>>) {
+        let total = parts.iter().map(Vec::capacity).sum();
+        if bytes::<T>(total) < FLOOR_BYTES {
+            return;
+        }
+        parts.iter_mut().for_each(Vec::clear);
+        drop(self.0.replace(Some(Box::new(parts))));
+    }
+}
+
 /// The size of `len` elements of `T`, saturating.
 fn bytes<T>(len: usize) -> usize {
     len.saturating_mul(std::mem::size_of::<T>())
@@ -107,6 +135,23 @@ mod tests {
         slot.give(small);
         let big: Vec<u64> = slot.take(BIG);
         assert_eq!(big.as_ptr(), ptr, "a small give never evicts");
+    }
+
+    #[test]
+    fn parts_come_back_empty_and_reused_above_the_floor() {
+        let slot = BufferSlot::new();
+        let parts: Vec<Vec<u64>> = vec![vec![1; BIG / 2], vec![2; BIG / 2]];
+        let ptrs: Vec<*const u64> = parts.iter().map(|p| p.as_ptr()).collect();
+        slot.give_parts(parts);
+        assert!(
+            slot.take_parts::<u64>(16).is_empty(),
+            "a small run bypasses"
+        );
+        let back: Vec<Vec<u64>> = slot.take_parts(BIG);
+        assert!(back.iter().all(Vec::is_empty));
+        assert_eq!(back.iter().map(|p| p.as_ptr()).collect::<Vec<_>>(), ptrs);
+        slot.give_parts(vec![vec![0u64; 16]]);
+        assert!(slot.0.borrow().is_none(), "small parts are not kept");
     }
 
     #[test]

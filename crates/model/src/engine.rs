@@ -118,48 +118,72 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The engine's own per-vertex columns, struct-of-arrays.
+/// The engine's own columns, struct-of-arrays.
 ///
-/// Earlier revisions kept one slot struct per vertex with an inline
-/// `Option<ChaCha8Rng>`; in DetLOCAL mode that padded every vertex with a
-/// dead 120-byte RNG payload (the 112-byte generator plus the `Option` tag)
-/// the sweep still had to stride over. Columns keep each access pattern
-/// dense — the sweep walks `done`/`sent` sequentially, and `rngs` is *empty*
-/// (not `None`-filled) when the mode is deterministic — and they split
-/// cleanly into per-shard sub-slices. What a vertex computes with lives in
-/// its [`Plane`].
+/// `outcomes` is the run's result, filled in place: every vertex starts
+/// [`Outcome::Cut`], and a halt or a crash overwrites its cell, so the
+/// finished column is handed out as it stands. The other columns belong to
+/// the run's chunks, the fixed vertex ranges a sweep is cut into. Each
+/// chunk keeps its own ascending list of live vertices, which the sweep
+/// walks instead of the whole range and compacts in place, and its own RNG
+/// column, which the thread stepping the chunk in sweep 0 seeds; both are
+/// part-buffers, so a sharded run pays its O(n) set-up on all its threads.
 struct Columns<O> {
-    /// Per-node RNG streams; empty in DetLOCAL mode.
-    rngs: Vec<ChaCha8Rng>,
-    done: Vec<Option<(u32, O)>>,
+    outcomes: Vec<Outcome<O>>,
+    /// Messages sent per vertex, for the `messages_per_vertex` histogram;
+    /// empty when the run is not observed.
     sent: Vec<u64>,
+    /// Per chunk, its live vertices in ascending order.
+    live: Vec<Vec<u32>>,
+    /// Per chunk, its vertices' RNG streams; all empty in DetLOCAL mode.
+    rngs: Vec<Vec<ChaCha8Rng>>,
 }
 
-/// One shard's cut of the [`Columns`].
+/// One chunk's cut of the [`Columns`].
 struct ColumnCut<'c, O> {
-    rngs: &'c mut [ChaCha8Rng],
-    done: &'c mut [Option<(u32, O)>],
+    outcomes: &'c mut [Outcome<O>],
     sent: &'c mut [u64],
+    live: &'c mut Vec<u32>,
+    rngs: &'c mut Vec<ChaCha8Rng>,
 }
 
 impl<O> Columns<O> {
     /// The cuts of the vertex ranges `bounds[s]..bounds[s + 1]`.
     fn cuts(&mut self, bounds: &[usize]) -> Vec<ColumnCut<'_, O>> {
-        let randomized = !self.rngs.is_empty();
-        let mut rngs = self.rngs.as_mut_slice();
-        let mut done = self.done.as_mut_slice();
+        let observed = !self.sent.is_empty();
+        let mut outcomes = self.outcomes.as_mut_slice();
         let mut sent = self.sent.as_mut_slice();
         bounds
             .windows(2)
-            .map(|w| {
+            .zip(self.live.iter_mut().zip(&mut self.rngs))
+            .map(|(w, (live, rngs))| {
                 let len = w[1] - w[0];
                 ColumnCut {
-                    rngs: cut(&mut rngs, if randomized { len } else { 0 }),
-                    done: cut(&mut done, len),
-                    sent: cut(&mut sent, len),
+                    outcomes: cut(&mut outcomes, len),
+                    sent: cut(&mut sent, if observed { len } else { 0 }),
+                    live,
+                    rngs,
                 }
             })
             .collect()
+    }
+}
+
+/// The vertices still live after a sweep, ascending: the chunks' live lists
+/// in chunk order.
+#[derive(Clone, Copy)]
+pub(crate) struct Live<'a> {
+    lists: &'a [Vec<u32>],
+    len: usize,
+}
+
+impl<'a> Live<'a> {
+    pub(crate) fn len(self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> + 'a {
+        self.lists.iter().flatten().map(|&v| v as usize)
     }
 }
 
@@ -177,9 +201,9 @@ pub(crate) fn cut<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
 /// pooled: they may borrow from the caller.
 pub(crate) struct Arena {
     rngs: BufferSlot,
+    live: BufferSlot,
     sent: BufferSlot,
     partner: BufferSlot,
-    done: BufferSlot,
     inbox: BufferSlot,
     out: BufferSlot,
     /// The state planes' state column (the previous sweep's, when there
@@ -198,9 +222,9 @@ thread_local! {
     pub(crate) static ARENA: Arena = const {
         Arena {
             rngs: BufferSlot::new(),
+            live: BufferSlot::new(),
             sent: BufferSlot::new(),
             partner: BufferSlot::new(),
-            done: BufferSlot::new(),
             inbox: BufferSlot::new(),
             out: BufferSlot::new(),
             states: BufferSlot::new(),
@@ -258,8 +282,12 @@ pub(crate) struct Resolved<'s> {
     budget: Budget,
     pub(crate) faults: &'s FaultPlan,
     obs: Obs<'s>,
-    /// How many threads step each sweep, resolved against the graph's size.
+    /// How many threads step a sweep, resolved against the graph's size.
     shards: usize,
+    /// Below this many live vertices a sweep steps on the calling thread
+    /// alone: the threshold under an automatic shard count, 0 under a
+    /// requested one.
+    serial_below: usize,
     /// Unique IDs in DetLOCAL mode.
     pub(crate) ids: Option<Vec<u64>>,
 }
@@ -273,8 +301,11 @@ pub(crate) struct Sweep<'a> {
     pub(crate) offsets: &'a [usize],
     pub(crate) params: &'a GlobalParams,
     pub(crate) ids: Option<&'a [u64]>,
-    /// Crash flags; empty when the plan schedules no crash.
-    pub(crate) crashed: &'a [bool],
+    /// The master seed of a RandLOCAL run, from which sweep 0 seeds every
+    /// vertex's stream.
+    seed: Option<u64>,
+    /// Whether a live list may still hold a vertex crashed this sweep.
+    crashes: bool,
 }
 
 /// How one sweep steps a chunk's vertices and how the exchange after it
@@ -286,6 +317,10 @@ pub(crate) struct Sweep<'a> {
 pub(crate) trait Plane {
     /// What a halted vertex outputs.
     type Output: Send + 'static;
+    /// The vertex count from which an automatic shard count steps sweeps
+    /// on more than one thread, and the live count below which a sharded
+    /// run's sweeps fall back to one.
+    const PAR_THRESHOLD: usize;
     /// One chunk's disjoint view of the plane.
     type Shard<'p>: Send
     where
@@ -308,10 +343,12 @@ pub(crate) trait Plane {
     /// stepped.
     fn settle(_shard: &mut Self::Shard<'_>) {}
 
-    /// The exchange after `sweep`, run on the engine's thread.
+    /// The exchange after `sweep`, run on the engine's thread; `live` are
+    /// the vertices that stepped in it without halting.
     fn exchange(
         &mut self,
         sweep: &Sweep<'_>,
+        live: Live<'_>,
         faults: &FaultPlan,
         dropped: &mut u64,
         delayed: &mut u64,
@@ -321,14 +358,21 @@ pub(crate) trait Plane {
     fn recycle(self);
 }
 
-/// Step the vertices of `range` for one sweep against one chunk's plane
-/// view and column cut, both chunk-relative. Returns `(messages sent, nodes
-/// halted)` for the chunk.
+/// The RNG stream of vertex `v` in a RandLOCAL run with master `seed`.
+fn vertex_rng(seed: u64, v: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(splitmix64(seed ^ splitmix64(v as u64 + 1)))
+}
+
+/// Step the live vertices of the chunk over `range` for one sweep against
+/// its plane view and column cut, both chunk-relative, and drop the ones
+/// that halted or crashed from its live list. Returns `(messages sent,
+/// nodes halted)` for the chunk. In sweep 0 it first fills the chunk's live
+/// list and seeds its RNG column.
 ///
-/// This is the one stepping routine — the serial path calls it over `0..n`
-/// and a sharded sweep once per claimed chunk, so the two orders are
-/// bit-identical by construction: every vertex reads only what the last
-/// exchange left and its own pre-seeded RNG stream, and writes only its own
+/// This is the one stepping routine — the serial path calls it for every
+/// chunk in turn and a sharded sweep once per claimed chunk, so the two
+/// orders are bit-identical by construction: every vertex reads only what
+/// the last exchange left and its own RNG stream, and writes only its own
 /// cells.
 fn step_span<P: Plane>(
     sweep: &Sweep<'_>,
@@ -336,26 +380,49 @@ fn step_span<P: Plane>(
     shard: &mut P::Shard<'_>,
     cut: ColumnCut<'_, P::Output>,
 ) -> (u64, u64) {
-    let randomized = !cut.rngs.is_empty();
-    let mut sent_total = 0u64;
-    let mut halts = 0u64;
-    for (i, v) in range.enumerate() {
-        if cut.done[i].is_some() || (!sweep.crashed.is_empty() && sweep.crashed[v]) {
-            continue;
-        }
-        let rng = if randomized {
-            Some(&mut cut.rngs[i])
-        } else {
-            None
-        };
-        let (sent_now, halt) = P::step(shard, sweep, v, i, rng);
-        cut.sent[i] += sent_now;
-        sent_total += sent_now;
-        if let Some(o) = halt {
-            cut.done[i] = Some((sweep.round, o));
-            halts += 1;
+    let ColumnCut {
+        outcomes,
+        sent,
+        live,
+        rngs,
+    } = cut;
+    let lo = range.start;
+    if sweep.round == 0 {
+        live.extend(range.clone().map(|v| v as u32));
+        if let Some(seed) = sweep.seed {
+            rngs.extend(range.map(|v| vertex_rng(seed, v)));
         }
     }
+    let mut sent_total = 0u64;
+    let mut halts = 0u64;
+    let mut kept = 0;
+    for at in 0..live.len() {
+        let v = live[at] as usize;
+        let i = v - lo;
+        if sweep.crashes && outcomes[i].is_crashed() {
+            continue;
+        }
+        // `rngs` is empty in DetLOCAL mode and `sent` in an unobserved run.
+        let (sent_now, halt) = P::step(shard, sweep, v, i, rngs.get_mut(i));
+        if let Some(s) = sent.get_mut(i) {
+            *s += sent_now;
+        }
+        sent_total += sent_now;
+        match halt {
+            Some(output) => {
+                outcomes[i] = Outcome::Halted {
+                    round: sweep.round,
+                    output,
+                };
+                halts += 1;
+            }
+            None => {
+                live[kept] = v as u32;
+                kept += 1;
+            }
+        }
+    }
+    live.truncate(kept);
     P::settle(shard);
     (sent_total, halts)
 }
@@ -513,6 +580,7 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
 
 impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
     type Output = N::Output;
+    const PAR_THRESHOLD: usize = MESSAGE_PAR_THRESHOLD;
     type Shard<'p>
         = MessageShard<'p, N>
     where
@@ -598,6 +666,7 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
     fn exchange(
         &mut self,
         sweep: &Sweep<'_>,
+        _live: Live<'_>,
         faults: &FaultPlan,
         dropped: &mut u64,
         delayed: &mut u64,
@@ -627,29 +696,41 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
 /// counting rounds.
 ///
 /// Vertex steps within a sweep are independent (they read only what the
-/// previous exchange left), so on large graphs the engine cuts each sweep
-/// into contiguous chunks, [`CHUNKS_PER_THREAD`] per stepping thread, and
-/// the calling thread and `shards − 1` scoped helpers claim chunks from a
-/// shared queue until none is left. Results are bit-identical to sequential
-/// execution — and invariant across shard counts and claim orders — because
-/// every vertex's randomness comes from its own pre-seeded stream, vertices
-/// write only their own cells, and every exchange has exactly one writer per
-/// slot.
+/// previous exchange left), so on large graphs the engine cuts the vertices
+/// into contiguous chunks, [`CHUNKS_PER_THREAD`] per stepping thread, and in
+/// each sweep the calling thread and `shards − 1` scoped helpers claim
+/// chunks from a shared queue until none is left. A sweep steps only the
+/// chunks' live vertices, and once fewer than the plane's threshold are
+/// live, the calling thread steps every chunk alone. Results are
+/// bit-identical to sequential execution — and invariant across shard
+/// counts and claim orders — because every vertex's randomness comes from
+/// its own stream, vertices write only their own cells, and every exchange
+/// has exactly one writer per slot.
 #[derive(Debug)]
 pub struct Engine<'g> {
     graph: &'g Graph,
     mode: Mode,
-    par_threshold: usize,
+    /// Overrides both planes' threshold (a test hook).
+    par_threshold: Option<usize>,
 }
 
-/// Below this many vertices the engine steps nodes sequentially: spawning
-/// and joining the helpers of a sharded sweep costs tens of microseconds,
-/// more than it saves on a smaller graph. Measured on a 2-vCPU VM, two
-/// threads against one pinned core (median of ten min-of-200 runs): Luby
-/// on a 4-regular circulant took 667/521 µs at n = 2048, 1034/896 µs at
-/// 4096 and 1633/1799 µs at 8192, the first size where two threads won
-/// (7 of 10 pairs).
-const PAR_THRESHOLD: usize = 8192;
+/// The state planes' [`Plane::PAR_THRESHOLD`]: spawning and joining the
+/// helpers of a sharded sweep costs tens of microseconds, more than it
+/// saves on a smaller graph. Measured on a 2-vCPU VM, two threads against
+/// one pinned core (median of ten min-of-200 runs): Luby on a 4-regular
+/// circulant took 667/521 µs at n = 2048, 1034/896 µs at 4096 and
+/// 1633/1799 µs at 8192, the first size where two threads won (7 of 10
+/// pairs).
+pub(crate) const STATE_PAR_THRESHOLD: usize = 8192;
+
+/// The message plane's [`Plane::PAR_THRESHOLD`]. Its sweeps do less work
+/// per vertex than a state plane's, and its eager delivery adds a transfer
+/// per cross-chunk message, so sharding pays only on a larger graph.
+/// Measured on a 2-vCPU VM with `bench_scale --workload flood`, two shards
+/// against `--shards 1` pinned to one core (medians of min-of-200 runs):
+/// 3372/2475 µs at n = 8192 (two threads won 1 of 5), 4395/4470 µs at
+/// 16,384 (8 of 13) and 8053/9690 µs at 32,768 (12 of 13).
+const MESSAGE_PAR_THRESHOLD: usize = 16_384;
 
 /// How many chunks a sharded sweep cuts per stepping thread. More chunks
 /// even out vertices whose cost the static weight misjudges, at the price
@@ -669,16 +750,18 @@ impl<'g> Engine<'g> {
         Engine {
             graph,
             mode,
-            par_threshold: PAR_THRESHOLD,
+            par_threshold: None,
         }
     }
 
-    /// Override the vertex count above which nodes are stepped on scoped
-    /// threads. Exposed so tests can force the parallel path on small graphs;
-    /// results are bit-identical either way.
+    /// Override both planes' vertex count from which nodes are stepped on
+    /// scoped threads, and the live count below which a sweep falls back to
+    /// one, under a requested shard count too. Exposed so tests can force
+    /// the parallel path and the fallback on small graphs; results are
+    /// bit-identical either way.
     #[doc(hidden)]
     pub fn with_par_threshold(mut self, par_threshold: usize) -> Self {
-        self.par_threshold = par_threshold.max(1);
+        self.par_threshold = Some(par_threshold.max(1));
         self
     }
 
@@ -716,7 +799,7 @@ impl<'g> Engine<'g> {
     where
         P: Protocol,
     {
-        let run = self.resolve(spec);
+        let run = self.resolve::<MessagePlane<'_, P::Node>>(spec);
         let plane = MessagePlane::new(self.graph, protocol, &run);
         self.execute_inner(&run, plane)
     }
@@ -734,16 +817,18 @@ impl<'g> Engine<'g> {
         spec: &ExecSpec<'_>,
         algo: &A,
     ) -> FaultyRun<(A::Output, u32)> {
-        let run = self.resolve(spec);
+        let run = self.resolve::<StatePlane<'_, A>>(spec);
         match spec.faults {
             None => self.execute_inner(&run, StatePlane::new(self.graph, algo, &run)),
             Some(_) => self.execute_inner(&run, HeardPlane::new(self.graph, algo, &run)),
         }
     }
 
-    fn resolve<'s>(&self, spec: &ExecSpec<'s>) -> Resolved<'s> {
+    /// Fill in `spec`'s defaults for a run on plane `P`.
+    fn resolve<'s, P: Plane>(&self, spec: &ExecSpec<'s>) -> Resolved<'s> {
         let g = self.graph;
         let n = g.n();
+        let threshold = self.par_threshold.unwrap_or(P::PAR_THRESHOLD);
         Resolved {
             params: spec.params.unwrap_or_else(|| GlobalParams::from_graph(g)),
             budget: spec.budget.unwrap_or(Budget::rounds(DEFAULT_MAX_ROUNDS)),
@@ -754,10 +839,16 @@ impl<'g> Engine<'g> {
             // otherwise shard only past the parallelism threshold.
             shards: match spec.shards {
                 Some(k) => k.get().min(n.max(1)),
-                None if n >= self.par_threshold => std::thread::available_parallelism()
+                None if n >= threshold => std::thread::available_parallelism()
                     .map_or(1, std::num::NonZeroUsize::get)
                     .min(n),
                 None => 1,
+            },
+            // A requested shard count steps every sweep on that many
+            // threads, unless the test hook sets a threshold.
+            serial_below: match (spec.shards, self.par_threshold) {
+                (Some(_), None) => 0,
+                _ => threshold,
             },
             ids: match &self.mode {
                 Mode::Deterministic { ids } => Some(ids.assign(g)),
@@ -775,28 +866,31 @@ impl<'g> Engine<'g> {
             Mode::Randomized { seed } => Some(*seed),
             Mode::Deterministic { .. } => None,
         };
-        // Every pooled column is refilled exactly as a fresh one would be.
-        let mut cols: Columns<P::Output> = ARENA.with(|a| Columns {
-            rngs: a.rngs.take(if seed.is_some() { n } else { 0 }),
-            done: a.done.take(n),
-            sent: a.sent.take(n),
-        });
-        if let Some(s) = seed {
-            cols.rngs.extend(
-                (0..n as u64).map(|v| ChaCha8Rng::seed_from_u64(splitmix64(s ^ splitmix64(v + 1)))),
-            );
-        }
-        cols.done.resize_with(n, || None);
-        cols.sent.resize(n, 0);
-
         let bounds = if run.shards > 1 {
             shard_bounds(g.csr_offsets(), run.shards * CHUNKS_PER_THREAD)
         } else {
             vec![0, n]
         };
+        let chunks = bounds.len() - 1;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "live lists hold vertices as u32, so n = {n} is too large"
+        );
+        // Pooled buffers come back empty; sweep 0 fills each chunk's parts.
+        let mut cols: Columns<P::Output> = ARENA.with(|a| Columns {
+            outcomes: Vec::with_capacity(n),
+            sent: a.sent.take(if run.obs.is_on() { n } else { 0 }),
+            live: a.live.take_parts(n),
+            rngs: a.rngs.take_parts(if seed.is_some() { n } else { 0 }),
+        });
+        cols.outcomes.resize_with(n, || Outcome::Cut);
+        if run.obs.is_on() {
+            cols.sent.resize(n, 0);
+        }
+        cols.live.resize_with(chunks, Vec::new);
+        cols.rngs.resize_with(chunks, Vec::new);
 
         let has_crashes = faults.has_crashes();
-        let mut crashed: Vec<bool> = vec![false; if has_crashes { n } else { 0 }];
         // Crash schedule, flattened and sorted by (round, vertex): the sweep
         // loop consumes it with a cursor instead of re-scanning every vertex
         // each round. Same order as the old per-vertex scan.
@@ -812,6 +906,7 @@ impl<'g> Engine<'g> {
         let mut crash_cursor = 0usize;
         let mut halted_total = 0usize;
         let mut crashed_total = 0usize;
+        let mut rounds = 0;
         let mut sweep: u32 = 0;
         let mut breach: Option<Breach> = None;
         let mut dropped = 0u64;
@@ -835,13 +930,14 @@ impl<'g> Engine<'g> {
 
         loop {
             // Crash-stop: nodes scheduled for this sweep fall silent before
-            // stepping (their earlier messages were already delivered).
+            // stepping (their earlier messages were already delivered). The
+            // stepping chunk drops them from its live list.
             let mut crashes_now = 0u64;
             while crash_cursor < crash_events.len() && crash_events[crash_cursor].0 == sweep {
                 let v = crash_events[crash_cursor].1;
                 crash_cursor += 1;
-                if cols.done[v].is_none() {
-                    crashed[v] = true;
+                if matches!(cols.outcomes[v], Outcome::Cut) {
+                    cols.outcomes[v] = Outcome::Crashed { round: sweep };
                     crashed_total += 1;
                     crashes_now += 1;
                 }
@@ -870,20 +966,21 @@ impl<'g> Engine<'g> {
                 offsets: g.csr_offsets(),
                 params: &run.params,
                 ids: run.ids.as_deref(),
-                crashed: &crashed,
+                seed,
+                crashes: crashes_now > 0,
             };
 
-            // Each chunk steps its own vertex range against its own plane view
-            // and column cut; every cell has exactly one writer per sweep,
-            // so the result is bit-identical to the serial order whatever
-            // the chunk count, the thread count or which thread claims which
-            // chunk.
+            // Each chunk steps its own live vertices against its own plane
+            // view and column cut; every cell has exactly one writer per
+            // sweep, so the result is bit-identical to the serial order
+            // whatever the chunk count, the thread count or which thread
+            // claims which chunk.
             let views = plane
                 .shards(&bounds)
                 .into_iter()
                 .zip(cols.cuts(&bounds))
                 .zip(bounds.windows(2));
-            let (sweep_sent, sweep_halts) = if run.shards == 1 {
+            let (sweep_sent, sweep_halts) = if run.shards == 1 || live < run.serial_below {
                 views
                     .map(|((mut view, cut), w)| step_span::<P>(&at, w[0]..w[1], &mut view, cut))
                     .fold((0, 0), |(s, h), (s1, h1)| (s + s1, h + h1))
@@ -924,6 +1021,9 @@ impl<'g> Engine<'g> {
             messages_per_round.push(sweep_sent);
             messages_total += sweep_sent;
             halted_total += sweep_halts as usize;
+            if sweep_halts > 0 {
+                rounds = sweep;
+            }
             let still = live - sweep_halts as usize;
             sweep += 1;
             let dropped_before = dropped;
@@ -937,7 +1037,11 @@ impl<'g> Engine<'g> {
                     }
                 }
                 if !message_breach {
-                    plane.exchange(&at, faults, &mut dropped, &mut delayed);
+                    let live = Live {
+                        lists: &cols.live,
+                        len: still,
+                    };
+                    plane.exchange(&at, live, faults, &mut dropped, &mut delayed);
                 }
             }
             run.obs.emit(|| EventData::Round {
@@ -954,48 +1058,47 @@ impl<'g> Engine<'g> {
                 break;
             }
         }
+        debug_assert!(
+            breach.is_some() || halted_total + crashed_total == n,
+            "live nodes only survive a budget cut"
+        );
 
-        let mut outcomes = Vec::with_capacity(n);
-        let mut rounds = 0;
-        let mut messages_sent = 0u64;
-        let mut messages_hist = run.obs.is_on().then(PowHistogram::new);
-        let mut halt_hist = run.obs.is_on().then(PowHistogram::new);
-        for (v, (done, &sent)) in cols.done.drain(..).zip(&cols.sent).enumerate() {
-            messages_sent += sent;
-            if let Some(h) = messages_hist.as_mut() {
-                h.record(sent);
+        // Only an observed run walks the columns again, for its histograms.
+        if run.obs.is_on() {
+            let mut messages_hist = PowHistogram::new();
+            let mut halt_hist = PowHistogram::new();
+            for (outcome, &sent) in cols.outcomes.iter().zip(&cols.sent) {
+                messages_hist.record(sent);
+                if let Outcome::Halted { round, .. } = outcome {
+                    halt_hist.record(u64::from(*round));
+                }
             }
-            outcomes.push(match done {
-                Some((r, o)) => {
-                    rounds = rounds.max(r);
-                    if let Some(h) = halt_hist.as_mut() {
-                        h.record(u64::from(r));
-                    }
-                    Outcome::Halted {
-                        round: r,
-                        output: o,
-                    }
-                }
-                None if has_crashes && crashed[v] => Outcome::Crashed {
-                    round: faults.crash_round(v).expect("crashed nodes are scheduled"),
-                },
-                None => {
-                    debug_assert!(breach.is_some(), "live nodes only survive a budget cut");
-                    Outcome::Cut
-                }
+            run.obs.emit(|| EventData::Histogram {
+                name: "messages_per_vertex".into(),
+                hist: Box::new(messages_hist),
+            });
+            run.obs.emit(|| EventData::Histogram {
+                name: "halt_round".into(),
+                hist: Box::new(halt_hist),
             });
         }
         plane.recycle();
+        let Columns {
+            outcomes,
+            sent,
+            live,
+            rngs,
+        } = cols;
         ARENA.with(|a| {
-            a.rngs.give(cols.rngs);
-            a.done.give(cols.done);
-            a.sent.give(cols.sent);
+            a.sent.give(sent);
+            a.live.give_parts(live);
+            a.rngs.give_parts(rngs);
         });
         let fr = FaultyRun {
             outcomes,
             rounds,
             stats: RunStats {
-                messages_sent,
+                messages_sent: messages_total,
                 sweeps: sweep,
                 live_per_round,
                 messages_per_round,
@@ -1004,14 +1107,6 @@ impl<'g> Engine<'g> {
             delayed,
             breach,
         };
-        run.obs.emit(|| EventData::Histogram {
-            name: "messages_per_vertex".into(),
-            hist: Box::new(messages_hist.unwrap_or_default()),
-        });
-        run.obs.emit(|| EventData::Histogram {
-            name: "halt_round".into(),
-            hist: Box::new(halt_hist.unwrap_or_default()),
-        });
         run.obs.emit(|| EventData::RunEnd {
             rounds: fr.rounds,
             sweeps: fr.stats.sweeps,
@@ -1324,11 +1419,11 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        // A graph larger than PAR_THRESHOLD exercises the sharded path
+        // A graph larger than the message plane's threshold exercises the sharded path
         // (shards on `std::thread::scope` threads); the same protocol on a
         // small graph exercises the sequential path. Both must be
         // reproducible under the same seed.
-        let g = gen::cycle(PAR_THRESHOLD + 10);
+        let g = gen::cycle(MESSAGE_PAR_THRESHOLD + 10);
         let a = Engine::new(&g, Mode::randomized(7))
             .exec(&RandProtocol)
             .unwrap();
@@ -1960,7 +2055,7 @@ mod tests {
         // floor, so each run after the first on this thread gets the
         // buffers the one before gave back, or evicts them for another
         // element type. A buffer that leaked state into the next run (an
-        // uncleared inbox slot, a stale `done` entry, an RNG column not
+        // uncleared inbox slot, a stale live-list entry, an RNG column not
         // reseeded) would make a run differ from its fresh-thread twin.
         let g = gen::stream::circulant(20_000, 4).unwrap();
         let spec = FaultSpec::none()
