@@ -330,7 +330,7 @@ mod tests {
         let new: Vec<u64> = g
             .vertices()
             .map(|v| {
-                let nbs: Vec<u64> = g.neighbors(v).iter().map(|nb| old[nb.node]).collect();
+                let nbs: Vec<u64> = g.neighbors(v).iter().map(|nb| old[nb.node()]).collect();
                 fam.recolor(old[v], &nbs)
             })
             .collect();

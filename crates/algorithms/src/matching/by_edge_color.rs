@@ -38,7 +38,7 @@ impl EdgeClassSweep {
                 .map(|v| {
                     g.neighbors(v)
                         .iter()
-                        .map(|nb| edge_colors[nb.edge])
+                        .map(|nb| edge_colors[nb.edge()])
                         .collect()
                 })
                 .collect(),
@@ -115,7 +115,7 @@ pub fn matching_by_edge_color(g: &Graph, seed: u64) -> MatchingOutcome {
     let mut matched_edges = vec![false; g.m()];
     for v in g.vertices() {
         if let Some(p) = out.outputs[v] {
-            matched_edges[g.neighbor(v, p).edge] = true;
+            matched_edges[g.neighbor(v, p).edge()] = true;
         }
     }
     MatchingOutcome {

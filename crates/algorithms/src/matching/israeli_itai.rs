@@ -143,7 +143,7 @@ pub fn israeli_itai_matching(
     let mut matched_edges = vec![false; g.m()];
     for v in g.vertices() {
         if let Some(p) = out.outputs[v] {
-            matched_edges[g.neighbor(v, p).edge] = true;
+            matched_edges[g.neighbor(v, p).edge()] = true;
         }
     }
     Ok(MatchingOutcome {

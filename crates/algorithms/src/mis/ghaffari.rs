@@ -196,7 +196,7 @@ pub fn ghaffari_mis(g: &Graph, seed: u64, config: GhaffariConfig) -> Result<MisO
                 let blocked = g
                     .neighbors(v)
                     .iter()
-                    .any(|nb| pre.status[nb.node] == Some(true));
+                    .any(|nb| pre.status[nb.node()] == Some(true));
                 residual[v] = !blocked;
             }
         }

@@ -61,9 +61,9 @@ pub fn orientation_from_coloring(
             .neighbors(v)
             .iter()
             .map(|nb| {
-                let e_color = psi.color(nb.edge);
+                let e_color = psi.color(nb.edge());
                 let mine = *colors.get(v) == e_color;
-                let theirs = *colors.get(nb.node) == e_color;
+                let theirs = *colors.get(nb.node()) == e_color;
                 match (mine, theirs) {
                     (true, false) => true,  // I claim it: out for me.
                     (false, true) => false, // They claim it: in for me.
@@ -72,9 +72,11 @@ pub fn orientation_from_coloring(
                         // consistent claim. Fall through to the tie rule so
                         // the orientation stays edge-consistent; the failure
                         // surfaces as a possible sink, as in Lemma 1.
-                        tie_rule(*colors.get(v), *colors.get(nb.node), v, nb.node)
+                        tie_rule(*colors.get(v), *colors.get(nb.node()), v, nb.node())
                     }
-                    (false, false) => tie_rule(*colors.get(v), *colors.get(nb.node), v, nb.node),
+                    (false, false) => {
+                        tie_rule(*colors.get(v), *colors.get(nb.node()), v, nb.node())
+                    }
                 }
             })
             .collect();
@@ -130,7 +132,7 @@ pub fn coloring_from_orientation(
                 .iter()
                 .enumerate()
                 .find(|(p, _)| o.outgoing(*p))
-                .map_or(0, |(_, nb)| psi.color(nb.edge))
+                .map_or(0, |(_, nb)| psi.color(nb.edge()))
         })
         .collect();
     Labeling::new(labels)
@@ -213,8 +215,8 @@ mod tests {
         for v in g.vertices() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
                 let mine = orientation.get(v).outgoing(p);
-                let theirs = orientation.get(nb.node).outgoing(nb.back_port);
-                assert_ne!(mine, theirs, "edge ({v},{}) inconsistent", nb.node);
+                let theirs = orientation.get(nb.node()).outgoing(nb.back_port());
+                assert_ne!(mine, theirs, "edge ({v},{}) inconsistent", nb.node());
             }
         }
     }

@@ -180,8 +180,8 @@ mod tests {
         for v in g.vertices() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
                 let mine = out.labels.get(v).outgoing(p);
-                let theirs = out.labels.get(nb.node).outgoing(nb.back_port);
-                assert_ne!(mine, theirs, "edge ({v},{}) inconsistent", nb.node);
+                let theirs = out.labels.get(nb.node()).outgoing(nb.back_port());
+                assert_ne!(mine, theirs, "edge ({v},{}) inconsistent", nb.node());
             }
         }
     }

@@ -450,16 +450,16 @@ impl Finisher<local_lcl::problems::SinklessOrientation> for SinklessFinisher {
         // Boundary edges are forced: mirror the frozen side's declaration.
         for (i, &v) in residue.members().iter().enumerate() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
-                if residue.contains(nb.node) {
+                if residue.contains(nb.node()) {
                     continue;
                 }
-                let frozen = partial[nb.node]
+                let frozen = partial[nb.node()]
                     .as_ref()
                     .ok_or_else(|| infeasible(attempt, "unlabeled vertex outside the residue"))?;
-                let theirs = *frozen.0.get(nb.back_port).ok_or_else(|| {
+                let theirs = *frozen.0.get(nb.back_port()).ok_or_else(|| {
                     infeasible(
                         attempt,
-                        format!("malformed frozen orientation at vertex {}", nb.node),
+                        format!("malformed frozen orientation at vertex {}", nb.node()),
                     )
                 })?;
                 out[i][p] = Some(!theirs);
@@ -509,10 +509,10 @@ impl Finisher<local_lcl::problems::SinklessOrientation> for SinklessFinisher {
                     .neighbors(ga)
                     .iter()
                     .enumerate()
-                    .find(|(_, nb)| nb.node == gb)
+                    .find(|(_, nb)| nb.node() == gb)
                     .expect("cycle edges exist in the graph");
                 out[a][p] = Some(true);
-                out[b][nb.back_port] = Some(false);
+                out[b][nb.back_port()] = Some(false);
                 satisfied[a] = true;
                 depth[a] = 0;
             }
@@ -536,10 +536,10 @@ impl Finisher<local_lcl::problems::SinklessOrientation> for SinklessFinisher {
                     continue;
                 }
                 let j = residue
-                    .local(nb.node)
+                    .local(nb.node())
                     .expect("all boundary ports were forced");
                 out[i][p] = Some(true);
-                out[j][nb.back_port] = Some(false);
+                out[j][nb.back_port()] = Some(false);
             }
         }
 
@@ -580,12 +580,12 @@ fn drain_orientation_queue(
         max_depth = max_depth.max(depth[i]);
         let v = residue.global(i);
         for (p, nb) in g.neighbors(v).iter().enumerate() {
-            let Some(j) = residue.local(nb.node) else {
+            let Some(j) = residue.local(nb.node()) else {
                 continue;
             };
             if out[i][p].is_none() && !satisfied[j] {
                 out[i][p] = Some(false);
-                out[j][nb.back_port] = Some(true);
+                out[j][nb.back_port()] = Some(true);
                 satisfied[j] = true;
                 depth[j] = depth[i] + 1;
                 queue.push_back(j);
@@ -623,7 +623,7 @@ fn find_free_cycle(
             let p = *cursor;
             *cursor += 1;
             let nb = &neighbors[p];
-            let Some(j) = residue.local(nb.node) else {
+            let Some(j) = residue.local(nb.node()) else {
                 continue;
             };
             if out[u][p].is_some() || satisfied[j] {
@@ -688,7 +688,7 @@ impl Finisher<local_lcl::problems::VertexColoring> for GreedyColoringFinisher {
         let mut depth = vec![0u32; m];
         let mut queue: VecDeque<usize> = VecDeque::new();
         for (i, &v) in residue.members().iter().enumerate() {
-            if g.neighbors(v).iter().any(|nb| !residue.contains(nb.node)) {
+            if g.neighbors(v).iter().any(|nb| !residue.contains(nb.node())) {
                 seen[i] = true;
                 queue.push_back(i);
             }
@@ -701,9 +701,9 @@ impl Finisher<local_lcl::problems::VertexColoring> for GreedyColoringFinisher {
                 let v = residue.global(i);
                 let mut used = vec![false; self.palette];
                 for nb in g.neighbors(v) {
-                    let c = match residue.local(nb.node) {
+                    let c = match residue.local(nb.node()) {
                         Some(j) => color[j],
-                        None => Some(*partial[nb.node].as_ref().ok_or_else(|| {
+                        None => Some(*partial[nb.node()].as_ref().ok_or_else(|| {
                             infeasible(attempt, "unlabeled vertex outside the residue")
                         })?),
                     };
@@ -724,7 +724,7 @@ impl Finisher<local_lcl::problems::VertexColoring> for GreedyColoringFinisher {
                 };
                 color[i] = Some(c);
                 for nb in g.neighbors(v) {
-                    if let Some(j) = residue.local(nb.node) {
+                    if let Some(j) = residue.local(nb.node()) {
                         if !seen[j] {
                             seen[j] = true;
                             depth[j] = depth[i] + 1;
@@ -797,9 +797,9 @@ impl Finisher<local_lcl::problems::Mis> for LubyRestartFinisher {
             let blocked = g
                 .neighbors(v)
                 .iter()
-                .any(|nb| match residue.local(nb.node) {
+                .any(|nb| match residue.local(nb.node()) {
                     Some(j) => retained[j],
-                    None => partial[nb.node] == Some(true),
+                    None => partial[nb.node()] == Some(true),
                 });
             if !blocked {
                 retained[i] = true;
@@ -815,9 +815,9 @@ impl Finisher<local_lcl::problems::Mis> for LubyRestartFinisher {
                     && !g
                         .neighbors(v)
                         .iter()
-                        .any(|nb| match residue.local(nb.node) {
+                        .any(|nb| match residue.local(nb.node()) {
                             Some(j) => retained[j],
-                            None => partial[nb.node] == Some(true),
+                            None => partial[nb.node()] == Some(true),
                         })
             })
             .collect();
@@ -854,9 +854,9 @@ impl Finisher<local_lcl::problems::Mis> for LubyRestartFinisher {
             let has_witness =
                 g.neighbors(members[i])
                     .iter()
-                    .any(|nb| match residue.local(nb.node) {
+                    .any(|nb| match residue.local(nb.node()) {
                         Some(j) => labels[j],
-                        None => partial[nb.node] == Some(true),
+                        None => partial[nb.node()] == Some(true),
                     });
             if !has_witness {
                 labels[i] = true;
@@ -907,16 +907,16 @@ impl Finisher<local_lcl::problems::EdgeKColoring> for EdgeGreedyFinisher {
         // Boundary edges copy the frozen side's announcement.
         for (i, &v) in members.iter().enumerate() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
-                if residue.contains(nb.node) {
+                if residue.contains(nb.node()) {
                     continue;
                 }
-                let frozen = partial[nb.node]
+                let frozen = partial[nb.node()]
                     .as_ref()
                     .ok_or_else(|| infeasible(attempt, "unlabeled vertex outside the residue"))?;
-                let &c = frozen.0.get(nb.back_port).ok_or_else(|| {
+                let &c = frozen.0.get(nb.back_port()).ok_or_else(|| {
                     infeasible(
                         attempt,
-                        format!("frozen neighbor {} mislabeled its ports", nb.node),
+                        format!("frozen neighbor {} mislabeled its ports", nb.node()),
                     )
                 })?;
                 if c >= self.palette {
@@ -944,7 +944,7 @@ impl Finisher<local_lcl::problems::EdgeKColoring> for EdgeGreedyFinisher {
                 }
                 let nb = &g.neighbors(v)[p];
                 let j = residue
-                    .local(nb.node)
+                    .local(nb.node())
                     .expect("interior edges keep both endpoints in the residue");
                 let free = (0..self.palette).find(|c| {
                     !out[i].iter().flatten().any(|u| u == c)
@@ -955,11 +955,12 @@ impl Finisher<local_lcl::problems::EdgeKColoring> for EdgeGreedyFinisher {
                         attempt,
                         format!(
                             "no free color on edge {v}–{}: all {} palette colors used",
-                            nb.node, self.palette
+                            nb.node(),
+                            self.palette
                         ),
                     ));
                 };
-                let back = nb.back_port;
+                let back = nb.back_port();
                 out[i][p] = Some(c);
                 out[j][back] = Some(c);
             }
@@ -1019,18 +1020,18 @@ impl Finisher<local_lcl::problems::RulingSet> for RulingSetFinisher {
                     continue;
                 }
                 for nb in g.neighbors(u) {
-                    if dist[nb.node] != usize::MAX {
+                    if dist[nb.node()] != usize::MAX {
                         continue;
                     }
-                    dist[nb.node] = dist[u] + 1;
-                    let member = match residue.local(nb.node) {
+                    dist[nb.node()] = dist[u] + 1;
+                    let member = match residue.local(nb.node()) {
                         Some(j) => labels[j],
-                        None => partial[nb.node] == Some(true),
+                        None => partial[nb.node()] == Some(true),
                     };
                     if member {
                         return true;
                     }
-                    queue.push_back(nb.node);
+                    queue.push_back(nb.node());
                 }
             }
             false
@@ -1091,15 +1092,15 @@ impl Finisher<local_lcl::problems::DefectiveColoring> for DefectiveGreedyFinishe
         let mono = |assigned: &[Option<usize>], u: usize, c: usize| -> usize {
             g.neighbors(u)
                 .iter()
-                .filter(|nb| color_of(assigned, nb.node) == Some(c))
+                .filter(|nb| color_of(assigned, nb.node()) == Some(c))
                 .count()
         };
         // Would giving v color c push a frozen neighbor past its budget?
         let safe = |assigned: &[Option<usize>], v: usize, c: usize| -> bool {
             g.neighbors(v).iter().all(|nb| {
-                residue.contains(nb.node)
-                    || partial[nb.node] != Some(c)
-                    || mono(assigned, nb.node, c) < self.defect
+                residue.contains(nb.node())
+                    || partial[nb.node()] != Some(c)
+                    || mono(assigned, nb.node(), c) < self.defect
             })
         };
         for i in 0..members.len() {
@@ -1290,7 +1291,7 @@ mod tests {
                 Some(Orientation(
                     g.neighbors(v)
                         .iter()
-                        .map(|nb| nb.node == (v + 1) % n)
+                        .map(|nb| nb.node() == (v + 1) % n)
                         .collect(),
                 ))
             })
@@ -1765,7 +1766,7 @@ mod tests {
             .map(|v| {
                 base.neighbors(v)
                     .iter()
-                    .map(|nb| edge_color[nb.edge])
+                    .map(|nb| edge_color[nb.edge()])
                     .collect::<Option<Vec<usize>>>()
                     .map(PortColors)
             })

@@ -414,7 +414,7 @@ mod tests {
         ] {
             let run = run_sync(&g, Mode::deterministic(), &SeenAtRoundOne, &spec);
             for (v, o) in run.outcomes.iter().enumerate() {
-                let want: Vec<u64> = g.neighbors(v).iter().map(|nb| nb.node as u64).collect();
+                let want: Vec<u64> = g.neighbors(v).iter().map(|nb| nb.node() as u64).collect();
                 assert_eq!(o.output(), Some(&want), "vertex {v}");
             }
         }

@@ -408,9 +408,9 @@ pub(crate) fn bad_component_stats(g: &Graph, bad: &[bool]) -> ShatterStats {
         while let Some(u) = stack.pop() {
             size += 1;
             for nb in g.neighbors(u) {
-                if bad[nb.node] && !seen[nb.node] {
-                    seen[nb.node] = true;
-                    stack.push(nb.node);
+                if bad[nb.node()] && !seen[nb.node()] {
+                    seen[nb.node()] = true;
+                    stack.push(nb.node());
                 }
             }
         }

@@ -282,12 +282,12 @@ pub fn theorem11_color(g: &Graph, delta: usize, seed: u64) -> Result<Theorem11Ou
     debug_assert!(g
         .vertices()
         .filter(|&v| in_u[v])
-        .all(|v| { g.neighbors(v).iter().filter(|nb| in_u[nb.node]).count() <= 3 }));
+        .all(|v| { g.neighbors(v).iter().filter(|nb| in_u[nb.node()]).count() <= 3 }));
 
     // Phase 2: S = uncolored vertices with exactly 3 uncolored neighbors.
     let s_set: Vec<bool> = g
         .vertices()
-        .map(|v| in_u[v] && g.neighbors(v).iter().filter(|nb| in_u[nb.node]).count() == 3)
+        .map(|v| in_u[v] && g.neighbors(v).iter().filter(|nb| in_u[nb.node()]).count() == 3)
         .collect();
     let stats = bad_component_stats(g, &s_set);
     let mut phase2_rounds = 1; // the |N ∩ U| count exchange

@@ -110,8 +110,8 @@ pub fn priority_mis(g: &Graph, priorities: &[u64]) -> Option<Vec<bool>> {
             if state[v].is_some() {
                 continue;
             }
-            let beats_all = g.neighbors(v).iter().all(|nb| match state[nb.node] {
-                None => priorities[v] > priorities[nb.node],
+            let beats_all = g.neighbors(v).iter().all(|nb| match state[nb.node()] {
+                None => priorities[v] > priorities[nb.node()],
                 Some(_) => true,
             });
             if beats_all {
@@ -123,7 +123,11 @@ pub fn priority_mis(g: &Graph, priorities: &[u64]) -> Option<Vec<bool>> {
             progressed = true;
         }
         for v in 0..n {
-            if state[v].is_none() && g.neighbors(v).iter().any(|nb| state[nb.node] == Some(true)) {
+            if state[v].is_none()
+                && g.neighbors(v)
+                    .iter()
+                    .any(|nb| state[nb.node()] == Some(true))
+            {
                 state[v] = Some(false);
                 progressed = true;
             }

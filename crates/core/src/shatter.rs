@@ -62,9 +62,9 @@ pub fn shatter_profile(g: &Graph, undecided: &[bool]) -> ShatterProfile {
         while let Some(u) = stack.pop() {
             size += 1;
             for nb in g.neighbors(u) {
-                if undecided[nb.node] && !seen[nb.node] {
-                    seen[nb.node] = true;
-                    stack.push(nb.node);
+                if undecided[nb.node()] && !seen[nb.node()] {
+                    seen[nb.node()] = true;
+                    stack.push(nb.node());
                 }
             }
         }

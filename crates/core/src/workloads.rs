@@ -654,7 +654,7 @@ impl Family for EdgeColoring {
                 self.base
                     .neighbors(v)
                     .iter()
-                    .map(|nb| colors[nb.edge])
+                    .map(|nb| colors[nb.edge()])
                     .collect::<Option<Vec<usize>>>()
                     .map(PortColors)
             })

@@ -198,8 +198,8 @@ proptest! {
         // A valid greedy base coloring, then arbitrary holes punched in it.
         let mut base: Vec<usize> = vec![0; g.n()];
         for v in g.vertices() {
-            let used: Vec<usize> = g.neighbors(v).iter().filter(|nb| nb.node < v)
-                .map(|nb| base[nb.node]).collect();
+            let used: Vec<usize> = g.neighbors(v).iter().filter(|nb| nb.node() < v)
+                .map(|nb| base[nb.node()]).collect();
             base[v] = (0..palette).find(|c| !used.contains(c)).expect("palette suffices");
         }
         let partial: Vec<Option<usize>> = base

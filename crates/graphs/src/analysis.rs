@@ -22,9 +22,9 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
     queue.push_back(src);
     while let Some(u) = queue.pop_front() {
         for nb in g.neighbors(u) {
-            if dist[nb.node] == usize::MAX {
-                dist[nb.node] = dist[u] + 1;
-                queue.push_back(nb.node);
+            if dist[nb.node()] == usize::MAX {
+                dist[nb.node()] = dist[u] + 1;
+                queue.push_back(nb.node());
             }
         }
     }
@@ -47,10 +47,10 @@ pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
         let mut queue = VecDeque::from([start]);
         while let Some(u) = queue.pop_front() {
             for nb in g.neighbors(u) {
-                if comp_of[nb.node] == usize::MAX {
-                    comp_of[nb.node] = c;
-                    members.push(nb.node);
-                    queue.push_back(nb.node);
+                if comp_of[nb.node()] == usize::MAX {
+                    comp_of[nb.node()] = c;
+                    members.push(nb.node());
+                    queue.push_back(nb.node());
                 }
             }
         }
@@ -129,13 +129,13 @@ pub fn girth(g: &Graph) -> Option<usize> {
                 }
             }
             for nb in g.neighbors(u) {
-                if nb.edge == parent_edge[u] {
+                if nb.edge() == parent_edge[u] {
                     continue;
                 }
-                let w = nb.node;
+                let w = nb.node();
                 if dist[w] == usize::MAX {
                     dist[w] = dist[u] + 1;
-                    parent_edge[w] = nb.edge;
+                    parent_edge[w] = nb.edge();
                     touched.push(w);
                     queue.push_back(w);
                 } else {
@@ -163,10 +163,10 @@ pub fn bipartition(g: &Graph) -> Option<Vec<u8>> {
         let mut queue = VecDeque::from([start]);
         while let Some(u) = queue.pop_front() {
             for nb in g.neighbors(u) {
-                if side[nb.node] == u8::MAX {
-                    side[nb.node] = 1 - side[u];
-                    queue.push_back(nb.node);
-                } else if side[nb.node] == side[u] {
+                if side[nb.node()] == u8::MAX {
+                    side[nb.node()] = 1 - side[u];
+                    queue.push_back(nb.node());
+                } else if side[nb.node()] == side[u] {
                     return None;
                 }
             }
@@ -205,12 +205,12 @@ pub fn power_graph(g: &Graph, k: usize) -> Graph {
                 continue;
             }
             for nb in g.neighbors(u) {
-                if dist[nb.node] == usize::MAX {
-                    dist[nb.node] = dist[u] + 1;
-                    touched.push(nb.node);
-                    queue.push_back(nb.node);
-                    if nb.node > v {
-                        b.add_edge(v, nb.node).expect("unique by construction");
+                if dist[nb.node()] == usize::MAX {
+                    dist[nb.node()] = dist[u] + 1;
+                    touched.push(nb.node());
+                    queue.push_back(nb.node());
+                    if nb.node() > v {
+                        b.add_edge(v, nb.node()).expect("unique by construction");
                     }
                 }
             }
@@ -231,7 +231,7 @@ pub fn line_graph(g: &Graph) -> Graph {
         let inc = g.neighbors(v);
         for i in 0..inc.len() {
             for j in (i + 1)..inc.len() {
-                let (e1, e2) = (inc[i].edge, inc[j].edge);
+                let (e1, e2) = (inc[i].edge(), inc[j].edge());
                 if !b.has_edge(e1, e2) {
                     b.add_edge(e1, e2).expect("checked for duplicates");
                 }
@@ -253,10 +253,10 @@ pub fn ball_size(g: &Graph, v: NodeId, r: usize) -> usize {
             continue;
         }
         for nb in g.neighbors(u) {
-            if dist[nb.node] == usize::MAX {
-                dist[nb.node] = dist[u] + 1;
+            if dist[nb.node()] == usize::MAX {
+                dist[nb.node()] = dist[u] + 1;
                 count += 1;
-                queue.push_back(nb.node);
+                queue.push_back(nb.node());
             }
         }
     }

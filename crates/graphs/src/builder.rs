@@ -1,7 +1,7 @@
 //! Incremental construction of [`Graph`] values with validation.
 
 use crate::error::GraphError;
-use crate::graph::{assemble_csr, EdgeId, Graph, NodeId};
+use crate::graph::{assemble_csr, fits_u32, EdgeId, Graph, NodeId};
 use std::collections::HashSet;
 
 /// Builder for [`Graph`]: collects edges, rejects self-loops and duplicates,
@@ -79,8 +79,14 @@ impl GraphBuilder {
 
     /// Finish construction. Ports are numbered in edge-insertion order at
     /// each endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` or `2m` exceeds `u32::MAX`; [`GraphBuilder::from_edges`]
+    /// returns that as [`GraphError::TooLarge`] instead.
     pub fn build(self) -> Graph {
-        let (offsets, adj, max_degree) = assemble_csr(self.n, || self.edges.iter().copied());
+        let (offsets, adj, max_degree) =
+            assemble_csr(self.n, self.edges.len(), || self.edges.iter().copied());
         Graph::from_csr(offsets, adj, self.edges, max_degree)
     }
 
@@ -88,7 +94,8 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GraphBuilder::add_edge`] for any listed edge.
+    /// Same conditions as [`GraphBuilder::add_edge`] for any listed edge,
+    /// and [`GraphError::TooLarge`] if `n` or `2m` exceeds `u32::MAX`.
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
@@ -97,6 +104,7 @@ impl GraphBuilder {
         for (u, v) in edges {
             b.add_edge(u, v)?;
         }
+        fits_u32(n, b.m())?;
         Ok(b.build())
     }
 
@@ -109,7 +117,7 @@ impl GraphBuilder {
     /// same list. Invalid input is only caught by debug assertions.
     pub(crate) fn from_edges_unchecked(n: usize, edges: Vec<(NodeId, NodeId)>) -> Graph {
         debug_assert!(edges.iter().all(|&(u, v)| u < v && v < n));
-        let (offsets, adj, max_degree) = assemble_csr(n, || edges.iter().copied());
+        let (offsets, adj, max_degree) = assemble_csr(n, edges.len(), || edges.iter().copied());
         Graph::from_csr(offsets, adj, edges, max_degree)
     }
 }

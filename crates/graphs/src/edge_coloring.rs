@@ -60,13 +60,13 @@ impl EdgeColoring {
         for v in g.vertices() {
             let mut seen: Vec<Option<EdgeId>> = vec![None; self.num_colors];
             for nb in g.neighbors(v) {
-                let c = self.colors[nb.edge];
+                let c = self.colors[nb.edge()];
                 if let Some(other) = seen[c] {
-                    if other != nb.edge {
-                        return Some((other, nb.edge));
+                    if other != nb.edge() {
+                        return Some((other, nb.edge()));
                     }
                 } else {
-                    seen[c] = Some(nb.edge);
+                    seen[c] = Some(nb.edge());
                 }
             }
         }
@@ -123,10 +123,10 @@ fn hopcroft_karp(g: &Graph, side: &[u8], alive: &[bool]) -> Vec<Option<EdgeId>> 
         let mut found_augmenting = false;
         while let Some(u) = queue.pop_front() {
             for nb in g.neighbors(u) {
-                if !alive[nb.edge] {
+                if !alive[nb.edge()] {
                     continue;
                 }
-                let w = nb.node; // right side
+                let w = nb.node(); // right side
                 match mate[w] {
                     None => found_augmenting = true,
                     Some(me) => {
@@ -154,10 +154,10 @@ fn hopcroft_karp(g: &Graph, side: &[u8], alive: &[bool]) -> Vec<Option<EdgeId>> 
         ) -> bool {
             for p in 0..g.degree(u) {
                 let nb = g.neighbor(u, p);
-                if !alive[nb.edge] {
+                if !alive[nb.edge()] {
                     continue;
                 }
-                let w = nb.node;
+                let w = nb.node();
                 let ok = match mate[w] {
                     None => true,
                     Some(me) => {
@@ -167,8 +167,8 @@ fn hopcroft_karp(g: &Graph, side: &[u8], alive: &[bool]) -> Vec<Option<EdgeId>> 
                     }
                 };
                 if ok {
-                    mate[u] = Some(nb.edge);
-                    mate[w] = Some(nb.edge);
+                    mate[u] = Some(nb.edge());
+                    mate[w] = Some(nb.edge());
                     return true;
                 }
             }
@@ -251,22 +251,22 @@ pub fn misra_gries(g: &Graph) -> EdgeColoring {
     let free_color = |color: &[Option<usize>], v: NodeId| -> usize {
         let mut used = vec![false; k];
         for nb in g.neighbors(v) {
-            if let Some(c) = color[nb.edge] {
+            if let Some(c) = color[nb.edge()] {
                 used[c] = true;
             }
         }
         used.iter().position(|&u| !u).expect("deg <= Δ < k colors")
     };
     let is_free = |color: &[Option<usize>], v: NodeId, c: usize| -> bool {
-        g.neighbors(v).iter().all(|nb| color[nb.edge] != Some(c))
+        g.neighbors(v).iter().all(|nb| color[nb.edge()] != Some(c))
     };
     // Edge id of {u, w}.
     let edge_of = |u: NodeId, w: NodeId| -> EdgeId {
         g.neighbors(u)
             .iter()
-            .find(|nb| nb.node == w)
+            .find(|nb| nb.node() == w)
             .expect("fan vertices are neighbors")
-            .edge
+            .edge()
     };
 
     for e0 in 0..g.m() {
@@ -281,12 +281,12 @@ pub fn misra_gries(g: &Graph) -> EdgeColoring {
         loop {
             let last = *fan.last().expect("fan nonempty");
             let next = g.neighbors(u).iter().find(|nb| {
-                !in_fan[nb.node] && color[nb.edge].is_some_and(|c| is_free(&color, last, c))
+                !in_fan[nb.node()] && color[nb.edge()].is_some_and(|c| is_free(&color, last, c))
             });
             match next {
                 Some(nb) => {
-                    in_fan[nb.node] = true;
-                    fan.push(nb.node);
+                    in_fan[nb.node()] = true;
+                    fan.push(nb.node());
                 }
                 None => break,
             }
@@ -302,13 +302,13 @@ pub fn misra_gries(g: &Graph) -> EdgeColoring {
                 let step = g
                     .neighbors(x)
                     .iter()
-                    .find(|nb| nb.edge != prev_edge && color[nb.edge] == Some(want))
+                    .find(|nb| nb.edge() != prev_edge && color[nb.edge()] == Some(want))
                     .copied();
                 match step {
                     Some(nb) => {
-                        color[nb.edge] = Some(if want == c { d } else { c });
-                        prev_edge = nb.edge;
-                        x = nb.node;
+                        color[nb.edge()] = Some(if want == c { d } else { c });
+                        prev_edge = nb.edge();
+                        x = nb.node();
                         want = if want == c { d } else { c };
                     }
                     None => break,

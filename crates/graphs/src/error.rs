@@ -32,6 +32,14 @@ pub enum GraphError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// The graph does not fit the 32-bit adjacency: `n` or the port count
+    /// `2m` exceeds `u32::MAX`.
+    TooLarge {
+        /// The number of vertices.
+        n: usize,
+        /// The number of edges.
+        m: usize,
+    },
     /// A randomized generator exhausted its retry budget.
     RetriesExhausted {
         /// What was being attempted.
@@ -52,6 +60,12 @@ impl fmt::Display for GraphError {
             GraphError::InfeasibleParameters { reason } => {
                 write!(f, "infeasible generator parameters: {reason}")
             }
+            GraphError::TooLarge { n, m } => write!(
+                f,
+                "graph with {n} vertices and {m} edges exceeds the 32-bit adjacency \
+                 (n and 2m must be at most {})",
+                u32::MAX
+            ),
             GraphError::RetriesExhausted { what, attempts } => {
                 write!(f, "gave up on {what} after {attempts} attempts")
             }

@@ -34,14 +34,14 @@ fn shortest_cycle(g: &Graph) -> Option<Vec<NodeId>> {
                 break;
             }
             for nb in g.neighbors(u) {
-                if nb.edge == parent_edge[u] {
+                if nb.edge() == parent_edge[u] {
                     continue;
                 }
-                let w = nb.node;
+                let w = nb.node();
                 if dist[w] == usize::MAX {
                     dist[w] = dist[u] + 1;
                     parent[w] = u;
-                    parent_edge[w] = nb.edge;
+                    parent_edge[w] = nb.edge();
                     queue.push_back(w);
                 } else if dist[u] + dist[w] + 1 == girth {
                     // Reconstruct the cycle: path u→root, path w→root, joined.

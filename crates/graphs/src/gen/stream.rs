@@ -13,8 +13,7 @@
 //! and endpoints); differential tests below pin that.
 
 use crate::error::GraphError;
-use crate::graph::implicit;
-use crate::graph::Graph;
+use crate::graph::{fits_u32, implicit, Graph};
 
 /// The cycle `C_n` with an implicit edge table: edge `e < n−1` joins `e` and
 /// `e + 1`, edge `n−1` closes the cycle. Smaller `n` (`< 3`) yields the path
@@ -32,8 +31,10 @@ pub fn cycle(n: usize) -> Graph {
 ///
 /// # Errors
 ///
-/// [`GraphError::InfeasibleParameters`] if `n·d` is odd or `d ≥ n`.
+/// [`GraphError::InfeasibleParameters`] if `n·d` is odd or `d ≥ n`, and
+/// [`GraphError::TooLarge`] if `n` or `n·d` exceeds `u32::MAX`.
 pub fn circulant(n: usize, d: usize) -> Result<Graph, GraphError> {
+    fits_u32(n, n.saturating_mul(d) / 2)?;
     if d == 0 {
         return Ok(crate::GraphBuilder::new(n).build());
     }
@@ -154,10 +155,13 @@ mod tests {
             assert!(g.handshake_holds());
             for v in g.vertices() {
                 for (p, nb) in g.neighbors(v).iter().enumerate() {
-                    let back = g.neighbor(nb.node, nb.back_port);
-                    assert_eq!((back.node, back.back_port, back.edge), (v, p, nb.edge));
-                    let (a, b) = g.endpoints(nb.edge);
-                    assert_eq!((a.min(b), a.max(b)), (v.min(nb.node), v.max(nb.node)));
+                    let back = g.neighbor(nb.node(), nb.back_port());
+                    assert_eq!(
+                        (back.node(), back.back_port(), back.edge()),
+                        (v, p, nb.edge())
+                    );
+                    let (a, b) = g.endpoints(nb.edge());
+                    assert_eq!((a.min(b), a.max(b)), (v.min(nb.node()), v.max(nb.node())));
                 }
             }
         }

@@ -8,12 +8,20 @@
 //! engine address per-port message slots with plain offset arithmetic (see
 //! `local_model`'s message plane, which borrows [`Graph::csr_offsets`]).
 //!
+//! Each [`Neighbor`] entry packs its three indices into `u32`s, 12 bytes a
+//! port where three `usize`s took 24: the adjacency is most of a large
+//! graph's memory, and every sweep of the engine streams it. Construction
+//! checks once that the vertex count and the port count `2m` fit in `u32`
+//! (a typed [`GraphError::TooLarge`] from the constructors that return a
+//! `Result`, a panic from the rest); the public index types stay `usize`.
+//!
 //! Edge endpoints are stored either explicitly (one `(u, v)` pair per edge)
 //! or *implicitly* for the regular families the large-`n` experiments sweep
 //! (cycles, circulants, complete d-ary trees): an implicit graph answers
 //! [`Graph::endpoints`] by closed form and only materializes the full edge
 //! list if [`Graph::edges`] is actually called.
 
+use crate::error::GraphError;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::OnceLock;
@@ -37,14 +45,61 @@ pub type EdgeId = usize;
 pub type PortId = usize;
 
 /// One entry of a vertex's adjacency list: the neighbor on a given port.
+///
+/// Stored as three `u32`s, 12 bytes a port: every graph's vertex count and
+/// port count (`2m`) fit in `u32`, which construction checks once (see
+/// [`fits_u32`]). The accessors widen back to the `usize` index types, so
+/// no signature outside this struct sees the narrow form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Neighbor {
+    node: u32,
+    back_port: u32,
+    edge: u32,
+}
+
+impl Neighbor {
+    /// The entry for the port whose edge `edge` leads to `node`, arriving
+    /// there on port `back_port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of the three is at least `2^32`.
+    pub fn new(node: NodeId, back_port: PortId, edge: EdgeId) -> Self {
+        let narrow = |x: usize| u32::try_from(x).expect("adjacency index exceeds u32");
+        Neighbor {
+            node: narrow(node),
+            back_port: narrow(back_port),
+            edge: narrow(edge),
+        }
+    }
+
+    /// An entry from indices the caller has already bounded by [`fits_u32`].
+    #[inline]
+    fn packed(node: NodeId, back_port: PortId, edge: EdgeId) -> Self {
+        Neighbor {
+            node: node as u32,
+            back_port: back_port as u32,
+            edge: edge as u32,
+        }
+    }
+
     /// The vertex on the other end of this port's edge.
-    pub node: NodeId,
-    /// The port at `node` whose edge leads back here.
-    pub back_port: PortId,
+    #[inline]
+    pub fn node(self) -> NodeId {
+        self.node as NodeId
+    }
+
+    /// The port at [`node`](Self::node) whose edge leads back here.
+    #[inline]
+    pub fn back_port(self) -> PortId {
+        self.back_port as PortId
+    }
+
     /// The global edge index of this edge.
-    pub edge: EdgeId,
+    #[inline]
+    pub fn edge(self) -> EdgeId {
+        self.edge as EdgeId
+    }
 }
 
 const ZERO_NEIGHBOR: Neighbor = Neighbor {
@@ -52,6 +107,21 @@ const ZERO_NEIGHBOR: Neighbor = Neighbor {
     back_port: 0,
     edge: 0,
 };
+
+/// Whether a graph on `n` vertices with `m` edges fits the 32-bit
+/// adjacency: `n` and the port count `2m` both at most `u32::MAX`. Every
+/// vertex, port and edge index is then below `2^32`.
+///
+/// # Errors
+///
+/// [`GraphError::TooLarge`] otherwise.
+pub(crate) fn fits_u32(n: usize, m: usize) -> Result<(), GraphError> {
+    let limit = u32::MAX as usize;
+    if n > limit || m > limit / 2 {
+        return Err(GraphError::TooLarge { n, m });
+    }
+    Ok(())
+}
 
 /// How a graph stores its edge-endpoint table.
 #[derive(Debug, Clone)]
@@ -199,23 +269,32 @@ pub struct Graph {
 /// ports follow edge order, and an entry's `back_port` is the other
 /// endpoint's incidence count at the moment the edge is placed.
 ///
-/// The iterator must yield each undirected edge exactly once with valid,
-/// distinct endpoints (`u, v < n`, `u ≠ v`) — callers validate.
+/// The iterator must yield exactly `m` edges, each undirected edge once
+/// with valid, distinct endpoints (`u, v < n`, `u ≠ v`) — callers validate.
+///
+/// # Panics
+///
+/// Panics, before allocating, if the graph does not fit the 32-bit
+/// adjacency ([`fits_u32`]); constructors that return a `Result` check
+/// first.
 pub(crate) fn assemble_csr<I>(
     n: usize,
+    m: usize,
     make_iter: impl Fn() -> I,
 ) -> (Vec<usize>, Vec<Neighbor>, usize)
 where
     I: Iterator<Item = (NodeId, NodeId)>,
 {
+    if let Err(e) = fits_u32(n, m) {
+        panic!("{e}");
+    }
     let mut offsets = vec![0usize; n + 1];
-    let mut m = 0usize;
     for (u, v) in make_iter() {
         debug_assert!(u != v && u < n && v < n, "invalid edge ({u}, {v})");
         offsets[u + 1] += 1;
         offsets[v + 1] += 1;
-        m += 1;
     }
+    debug_assert_eq!(offsets.iter().sum::<usize>(), 2 * m, "edge count");
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
@@ -224,16 +303,8 @@ where
     for (e, (u, v)) in make_iter().enumerate() {
         let pu = cursor[u] - offsets[u];
         let pv = cursor[v] - offsets[v];
-        adj[cursor[u]] = Neighbor {
-            node: v,
-            back_port: pv,
-            edge: e,
-        };
-        adj[cursor[v]] = Neighbor {
-            node: u,
-            back_port: pu,
-            edge: e,
-        };
+        adj[cursor[u]] = Neighbor::packed(v, pv, e);
+        adj[cursor[v]] = Neighbor::packed(u, pu, e);
         cursor[u] += 1;
         cursor[v] += 1;
     }
@@ -383,12 +454,12 @@ impl Graph {
         } else {
             (v, u)
         };
-        self.neighbors(a).iter().any(|nb| nb.node == b)
+        self.neighbors(a).iter().any(|nb| nb.node() == b)
     }
 
     /// The port at `u` whose edge leads to `v`, if any.
     pub fn port_to(&self, u: NodeId, v: NodeId) -> Option<PortId> {
-        self.neighbors(u).iter().position(|nb| nb.node == v)
+        self.neighbors(u).iter().position(|nb| nb.node() == v)
     }
 
     /// Whether the graph is `d`-regular (every vertex has degree exactly `d`).
@@ -429,11 +500,8 @@ impl Graph {
         for v in 0..n {
             let s = self.offsets[v];
             for (old_p, nb) in self.neighbors(v).iter().enumerate() {
-                adj[s + port_perm[s + old_p]] = Neighbor {
-                    node: nb.node,
-                    back_port: port_perm[self.offsets[nb.node] + nb.back_port],
-                    edge: nb.edge,
-                };
+                let back_port = port_perm[self.offsets[nb.node()] + nb.back_port()];
+                adj[s + port_perm[s + old_p]] = Neighbor::packed(nb.node(), back_port, nb.edge());
             }
         }
         Graph {
@@ -503,7 +571,7 @@ pub(crate) mod implicit {
     pub(crate) fn cycle(n: usize) -> Graph {
         assert!(n >= 3, "implicit cycle requires n >= 3");
         let make_iter = || (0..n).map(move |e| ImplicitKind::Cycle { n }.endpoints(e));
-        let (offsets, adj, max_degree) = assemble_csr(n, make_iter);
+        let (offsets, adj, max_degree) = assemble_csr(n, n, make_iter);
         Graph::from_implicit(offsets, adj, ImplicitKind::Cycle { n }, max_degree)
     }
 
@@ -516,7 +584,7 @@ pub(crate) mod implicit {
         );
         let m = n * d / 2;
         let make_iter = || (0..m).map(move |e| circulant_endpoints(n, d, e));
-        let (offsets, adj, max_degree) = assemble_csr(n, make_iter);
+        let (offsets, adj, max_degree) = assemble_csr(n, m, make_iter);
         debug_assert_eq!(max_degree, d);
         Graph::from_implicit(offsets, adj, ImplicitKind::Circulant { n, d }, max_degree)
     }
@@ -530,18 +598,62 @@ pub(crate) mod implicit {
             d,
         };
         let k = kind.clone();
+        let m = total.saturating_sub(1);
         let make_iter = move || {
             let k = k.clone();
-            (0..total.saturating_sub(1)).map(move |e| k.endpoints(e))
+            (0..m).map(move |e| k.endpoints(e))
         };
-        let (offsets, adj, max_degree) = assemble_csr(total, make_iter);
+        let (offsets, adj, max_degree) = assemble_csr(total, m, make_iter);
         Graph::from_implicit(offsets, adj, kind, max_degree)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::GraphBuilder;
+    use super::{fits_u32, Neighbor};
+    use crate::{gen, GraphBuilder, GraphError};
+
+    #[test]
+    fn a_port_entry_is_12_bytes() {
+        assert_eq!(std::mem::size_of::<Neighbor>(), 12);
+    }
+
+    // The guard is exercised on counts alone: nothing here allocates a
+    // graph or a vector anywhere near 2^32 elements.
+    #[test]
+    fn counts_past_u32_are_rejected_before_anything_is_allocated() {
+        let max = u32::MAX as usize;
+        assert_eq!(fits_u32(max, max / 2), Ok(()));
+        assert_eq!(
+            fits_u32(max + 1, 0),
+            Err(GraphError::TooLarge { n: max + 1, m: 0 })
+        );
+        assert_eq!(
+            fits_u32(3, max / 2 + 1),
+            Err(GraphError::TooLarge {
+                n: 3,
+                m: max / 2 + 1
+            })
+        );
+        assert_eq!(
+            GraphBuilder::from_edges(max + 1, std::iter::empty()),
+            Err(GraphError::TooLarge { n: max + 1, m: 0 })
+        );
+        // n = 2^31 fits, but its 2-regular circulant has 2^32 ports.
+        let n = 1usize << 31;
+        assert_eq!(
+            gen::stream::circulant(n, 2),
+            Err(GraphError::TooLarge { n, m: n })
+        );
+        let e = gen::stream::circulant(max + 1, 2).unwrap_err();
+        assert!(e.to_string().contains("32-bit adjacency"), "{e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32")]
+    fn a_neighbor_index_past_u32_panics() {
+        let _ = Neighbor::new(1 << 32, 0, 0);
+    }
 
     #[test]
     fn triangle_basics() {
@@ -570,10 +682,10 @@ mod tests {
         let g = b.build();
         for v in g.vertices() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
-                let back = g.neighbor(nb.node, nb.back_port);
-                assert_eq!(back.node, v, "back edge must return to origin");
-                assert_eq!(back.back_port, p, "back port must be the origin port");
-                assert_eq!(back.edge, nb.edge, "edge ids must agree on both sides");
+                let back = g.neighbor(nb.node(), nb.back_port());
+                assert_eq!(back.node(), v, "back edge must return to origin");
+                assert_eq!(back.back_port(), p, "back port must be the origin port");
+                assert_eq!(back.edge(), nb.edge(), "edge ids must agree on both sides");
             }
         }
     }
@@ -661,10 +773,10 @@ mod shuffle_tests {
         for v in s.vertices() {
             assert_eq!(s.degree(v), g.degree(v));
             for (p, nb) in s.neighbors(v).iter().enumerate() {
-                let back = s.neighbor(nb.node, nb.back_port);
-                assert_eq!(back.node, v, "shuffled back edge returns");
-                assert_eq!(back.back_port, p, "shuffled back port matches");
-                assert_eq!(back.edge, nb.edge);
+                let back = s.neighbor(nb.node(), nb.back_port());
+                assert_eq!(back.node(), v, "shuffled back edge returns");
+                assert_eq!(back.back_port(), p, "shuffled back port matches");
+                assert_eq!(back.edge(), nb.edge());
             }
         }
         // Same edge set.
@@ -676,8 +788,8 @@ mod shuffle_tests {
         let g = gen::star(20);
         let s = g.shuffle_ports(3);
         // The hub's neighbor order should differ with overwhelming probability.
-        let orig: Vec<usize> = g.neighbors(0).iter().map(|nb| nb.node).collect();
-        let perm: Vec<usize> = s.neighbors(0).iter().map(|nb| nb.node).collect();
+        let orig: Vec<usize> = g.neighbors(0).iter().map(|nb| nb.node()).collect();
+        let perm: Vec<usize> = s.neighbors(0).iter().map(|nb| nb.node()).collect();
         assert_ne!(orig, perm);
     }
 

@@ -20,16 +20,8 @@ fn reference_adj(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<Neighbor>> {
     for (e, &(u, v)) in edges.iter().enumerate() {
         let pu = adj[u].len();
         let pv = adj[v].len();
-        adj[u].push(Neighbor {
-            node: v,
-            back_port: pv,
-            edge: e,
-        });
-        adj[v].push(Neighbor {
-            node: u,
-            back_port: pu,
-            edge: e,
-        });
+        adj[u].push(Neighbor::new(v, pv, e));
+        adj[v].push(Neighbor::new(u, pu, e));
     }
     adj
 }

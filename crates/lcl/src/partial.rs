@@ -126,16 +126,16 @@ fn check_partial_ball<P: LclProblem>(
                 continue;
             }
             for nb in g.neighbors(u) {
-                if dist[nb.node] != usize::MAX {
+                if dist[nb.node()] != usize::MAX {
                     continue;
                 }
-                if labels[nb.node].is_none() {
+                if labels[nb.node()].is_none() {
                     complete = false;
                     break 'ball;
                 }
-                dist[nb.node] = dist[u] + 1;
-                stamped.push(nb.node);
-                queue.push_back(nb.node);
+                dist[nb.node()] = dist[u] + 1;
+                stamped.push(nb.node());
+                queue.push_back(nb.node());
             }
         }
         for &u in &stamped {

@@ -136,20 +136,20 @@ where
     view.degree = nbrs.len();
     view.neighbors.truncate(nbrs.len());
     for (p, nb) in nbrs.iter().enumerate() {
-        let l = label(nb.node)?;
-        let degree = g.degree(nb.node);
-        let edge_input = problem.edge_input(nb.edge);
+        let l = label(nb.node())?;
+        let degree = g.degree(nb.node());
+        let edge_input = problem.edge_input(nb.edge());
         match view.neighbors.get_mut(p) {
             Some(old) => {
                 old.label.clone_from(l);
                 old.degree = degree;
-                old.back_port = nb.back_port;
+                old.back_port = nb.back_port();
                 old.edge_input = edge_input;
             }
             None => view.neighbors.push(NeighborView {
                 label: l.clone(),
                 degree,
-                back_port: nb.back_port,
+                back_port: nb.back_port(),
                 edge_input,
             }),
         }

@@ -47,7 +47,7 @@ impl EdgeKColoring {
     ) -> crate::Labeling<PortColors> {
         assert_eq!(colors.len(), g.m(), "one color per edge");
         g.vertices()
-            .map(|v| PortColors(g.neighbors(v).iter().map(|nb| colors[nb.edge]).collect()))
+            .map(|v| PortColors(g.neighbors(v).iter().map(|nb| colors[nb.edge()]).collect()))
             .collect()
     }
 }

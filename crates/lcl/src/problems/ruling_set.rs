@@ -10,7 +10,7 @@
 
 use crate::problem::{LclProblem, LocalView, Reason};
 use local_graphs::{Graph, NodeId};
-use std::collections::VecDeque;
+use std::collections::HashSet;
 
 /// The `(2, k)`-ruling set problem: members pairwise at distance `> k`,
 /// every vertex within distance `k` of a member (`r = k`).
@@ -36,36 +36,57 @@ impl RulingSet {
     }
 
     /// Members of the labeled ball around `v`, paired with their distance
-    /// from `v` (up to distance `k`, excluding `v` itself).
+    /// from `v` (up to distance `k`, excluding `v` itself), in BFS order.
+    ///
+    /// The search's visited set is local to the ball, so a call costs
+    /// O(ball) rather than O(n): the ball's vertices in BFS order, which
+    /// double as the queue and are scanned linearly while there are at most
+    /// [`SCAN_LIMIT`] of them, and a hash set of them beyond that.
     fn members_in_ball(
         &self,
         g: &Graph,
         labels: &[Option<bool>],
         v: NodeId,
     ) -> Vec<(NodeId, usize)> {
-        let mut dist = vec![usize::MAX; g.n()];
-        let mut queue = VecDeque::new();
+        let mut ball = Vec::with_capacity(SCAN_LIMIT + 1);
+        ball.push((v, 0));
+        // Empty until the ball outgrows `SCAN_LIMIT`, then all of it.
+        let mut index = HashSet::new();
         let mut members = Vec::new();
-        dist[v] = 0;
-        queue.push_back(v);
-        while let Some(u) = queue.pop_front() {
-            if dist[u] == self.k {
-                continue;
+        let mut head = 0;
+        while let Some(&(u, d)) = ball.get(head) {
+            head += 1;
+            if d == self.k {
+                // BFS order: every vertex left is at distance k too.
+                break;
             }
             for nb in g.neighbors(u) {
-                if dist[nb.node] != usize::MAX {
+                let w = nb.node();
+                let seen = if index.is_empty() {
+                    ball.iter().any(|&(x, _)| x == w)
+                } else {
+                    !index.insert(w)
+                };
+                if seen {
                     continue;
                 }
-                dist[nb.node] = dist[u] + 1;
-                if labels[nb.node] == Some(true) {
-                    members.push((nb.node, dist[nb.node]));
+                ball.push((w, d + 1));
+                if index.is_empty() && ball.len() > SCAN_LIMIT {
+                    index.extend(ball.iter().map(|&(x, _)| x));
                 }
-                queue.push_back(nb.node);
+                if labels[w] == Some(true) {
+                    members.push((w, d + 1));
+                }
             }
         }
         members
     }
 }
+
+/// The ball size up to which [`RulingSet::members_in_ball`] finds visited
+/// vertices by a linear scan of the ball list, so the small balls of
+/// low-degree graphs cost no hashing.
+const SCAN_LIMIT: usize = 32;
 
 impl LclProblem for RulingSet {
     type Label = bool;
@@ -185,6 +206,68 @@ mod tests {
         let out = check_complete(&p, &g, &l);
         assert_eq!(out.checked, 9);
         assert!(out.all_checked_valid());
+    }
+
+    /// The body `members_in_ball` had before its visited set became local
+    /// to the ball: a BFS over a distance array of length n.
+    fn members_in_ball_dense(
+        k: usize,
+        g: &local_graphs::Graph,
+        labels: &[Option<bool>],
+        v: NodeId,
+    ) -> Vec<(NodeId, usize)> {
+        let mut dist = vec![usize::MAX; g.n()];
+        let mut queue = std::collections::VecDeque::new();
+        let mut members = Vec::new();
+        dist[v] = 0;
+        queue.push_back(v);
+        while let Some(u) = queue.pop_front() {
+            if dist[u] == k {
+                continue;
+            }
+            for nb in g.neighbors(u) {
+                if dist[nb.node()] != usize::MAX {
+                    continue;
+                }
+                dist[nb.node()] = dist[u] + 1;
+                if labels[nb.node()] == Some(true) {
+                    members.push((nb.node(), dist[nb.node()]));
+                }
+                queue.push_back(nb.node());
+            }
+        }
+        members
+    }
+
+    #[test]
+    fn ball_members_match_the_dense_search_on_random_partial_labellings() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        // Sparse graphs keep balls under the scan limit; the dense ones
+        // push radius-2 and radius-3 balls past it.
+        for (n, p) in [(40, 0.05), (60, 0.08), (80, 0.15), (120, 0.3)] {
+            let g = gen::gnp(n, p, &mut rng);
+            for k in [2, 3] {
+                let problem = RulingSet::new(k);
+                let labels: Vec<Option<bool>> = (0..n)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => None,
+                        1 => Some(true),
+                        _ => Some(false),
+                    })
+                    .collect();
+                for v in g.vertices() {
+                    assert_eq!(
+                        problem.members_in_ball(&g, &labels, v),
+                        members_in_ball_dense(k, &g, &labels, v),
+                        "n {n}, p {p}, k {k}, vertex {v}"
+                    );
+                }
+                let partial = check_partial(&problem, &g, &labels);
+                assert_eq!(partial.checked + partial.skipped, n);
+            }
+        }
     }
 
     #[test]

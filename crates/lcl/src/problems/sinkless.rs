@@ -171,7 +171,7 @@ mod tests {
                 let ports: Vec<bool> = g
                     .neighbors(v)
                     .iter()
-                    .map(|nb| nb.node == (v + 1) % n)
+                    .map(|nb| nb.node() == (v + 1) % n)
                     .collect();
                 Orientation(ports)
             })
@@ -196,7 +196,7 @@ mod tests {
                 let ports: Vec<bool> = g
                     .neighbors(v)
                     .iter()
-                    .map(|nb| match (v, nb.node) {
+                    .map(|nb| match (v, nb.node()) {
                         (0, _) => false,
                         (_, 0) => true,
                         (2, _) => true,

@@ -81,7 +81,7 @@ where
             .graph
             .neighbors(init.node)
             .iter()
-            .map(|nb| self.problem.edge_input(nb.edge))
+            .map(|nb| self.problem.edge_input(nb.edge()))
             .collect();
         VerifierNode {
             problem: self.problem,

@@ -108,7 +108,7 @@ impl LclProblem for CountedDistanceTwo {
             return Ok(());
         }
         let near = g.neighbors(v).iter().flat_map(|a| {
-            std::iter::once(a.node).chain(g.neighbors(a.node).iter().map(|b| b.node))
+            std::iter::once(a.node()).chain(g.neighbors(a.node()).iter().map(|b| b.node()))
         });
         match near.filter(|&u| u != v).find(|&u| labels[u] == Some(true)) {
             Some(u) => Err(format!("member {u} within distance 2").into()),

@@ -78,11 +78,11 @@ pub fn encode(
             continue;
         }
         for nb in g.neighbors(u) {
-            if index[nb.node] == usize::MAX {
-                index[nb.node] = order.len();
-                dist[nb.node] = dist[u] + 1;
-                order.push(nb.node);
-                queue.push_back(nb.node);
+            if index[nb.node()] == usize::MAX {
+                index[nb.node()] = order.len();
+                dist[nb.node()] = dist[u] + 1;
+                order.push(nb.node());
+                queue.push_back(nb.node());
             }
         }
     }
@@ -93,13 +93,13 @@ pub fn encode(
         tokens.push(g.degree(u) as u64);
         if dist[u] < t {
             for nb in g.neighbors(u) {
-                let idx = index[nb.node];
+                let idx = index[nb.node()];
                 tokens.push(if idx == usize::MAX {
                     UNKNOWN
                 } else {
                     idx as u64
                 });
-                tokens.push(edge_labels.map_or(0, |l| l[nb.edge]));
+                tokens.push(edge_labels.map_or(0, |l| l[nb.edge()]));
             }
         }
     }
@@ -141,12 +141,12 @@ pub fn encode_unordered(
             continue;
         }
         for nb in g.neighbors(u) {
-            if dist[nb.node] == usize::MAX {
-                dist[nb.node] = dist[u] + 1;
-                parent[nb.node] = u;
-                order.push(nb.node);
-                queue.push_back(nb.node);
-            } else if nb.node != parent[u] && parent[nb.node] != u {
+            if dist[nb.node()] == usize::MAX {
+                dist[nb.node()] = dist[u] + 1;
+                parent[nb.node()] = u;
+                order.push(nb.node());
+                queue.push_back(nb.node());
+            } else if nb.node() != parent[u] && parent[nb.node()] != u {
                 return None; // cycle within the ball
             }
         }
@@ -165,8 +165,8 @@ pub fn encode_unordered(
             let mut children: Vec<Vec<u64>> = g
                 .neighbors(u)
                 .iter()
-                .filter(|nb| parent[nb.node] == u && dist[nb.node] == dist[u] + 1)
-                .map(|nb| enc(g, nb.node, t, dist, parent, labels))
+                .filter(|nb| parent[nb.node()] == u && dist[nb.node()] == dist[u] + 1)
+                .map(|nb| enc(g, nb.node(), t, dist, parent, labels))
                 .collect();
             children.sort();
             tokens.push(children.len() as u64);

@@ -6,6 +6,7 @@ use crate::ids::IdAssignment;
 use crate::node::{Action, NodeInit, NodeIo, NodeProgram, Protocol};
 use crate::params::GlobalParams;
 use crate::recover::{Breach, Budget};
+use crate::rng::VertexRng;
 use crate::spec::ExecSpec;
 use crate::sync::{HeardPlane, StatePlane, SyncAlgorithm};
 use local_graphs::Graph;
@@ -136,7 +137,7 @@ struct Columns<O> {
     /// Per chunk, its live vertices in ascending order.
     live: Vec<Vec<u32>>,
     /// Per chunk, its vertices' RNG streams; all empty in DetLOCAL mode.
-    rngs: Vec<Vec<ChaCha8Rng>>,
+    rngs: Vec<Vec<VertexRng>>,
 }
 
 /// One chunk's cut of the [`Columns`].
@@ -144,7 +145,7 @@ struct ColumnCut<'c, O> {
     outcomes: &'c mut [Outcome<O>],
     sent: &'c mut [u64],
     live: &'c mut Vec<u32>,
-    rngs: &'c mut Vec<ChaCha8Rng>,
+    rngs: &'c mut Vec<VertexRng>,
 }
 
 impl<O> Columns<O> {
@@ -336,7 +337,7 @@ pub(crate) trait Plane {
         sweep: &Sweep<'_>,
         v: usize,
         i: usize,
-        rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut VertexRng>,
     ) -> (u64, Option<Self::Output>);
 
     /// Finish a chunk on the thread that stepped it, once all its vertices
@@ -358,9 +359,10 @@ pub(crate) trait Plane {
     fn recycle(self);
 }
 
-/// The RNG stream of vertex `v` in a RandLOCAL run with master `seed`.
-fn vertex_rng(seed: u64, v: usize) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(splitmix64(seed ^ splitmix64(v as u64 + 1)))
+/// The RNG stream of vertex `v` in a RandLOCAL run with master `seed`:
+/// `ChaCha8Rng::seed_from_u64` of the same split seed, in compact form.
+fn vertex_rng(seed: u64, v: usize) -> VertexRng {
+    VertexRng::seed_from_u64(splitmix64(seed ^ splitmix64(v as u64 + 1)))
 }
 
 /// Step the live vertices of the chunk over `range` for one sweep against
@@ -447,8 +449,9 @@ struct MessagePlane<'g, N: NodeProgram> {
     offsets: &'g [usize],
     /// The node programs, by vertex.
     states: Vec<N>,
-    /// `partner[offsets[v] + p] = offsets[u] + q` for the reverse edge.
-    partner: Vec<usize>,
+    /// `partner[offsets[v] + p] = offsets[u] + q` for the reverse edge; a
+    /// graph's slot count fits in `u32` (see [`local_graphs::Neighbor`]).
+    partner: Vec<u32>,
     /// Receive buffer: after delivery, `v`'s inbox by port.
     inbox: Vec<Option<N::Msg>>,
     /// Send buffer: `v`'s outbox by port, all `None` between deliveries.
@@ -475,7 +478,7 @@ struct MessageShard<'p, N: NodeProgram> {
     states: &'p mut [N],
     inbox: &'p mut [Option<N::Msg>],
     out: &'p mut [Option<N::Msg>],
-    partner: &'p [usize],
+    partner: &'p [u32],
     /// This shard's export list, under eager delivery only.
     xfer: Option<&'p mut Vec<(usize, N::Msg)>>,
 }
@@ -506,7 +509,7 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
         partner.extend(g.vertices().flat_map(|v| {
             g.neighbors(v)
                 .iter()
-                .map(|nb| offsets[nb.node] + nb.back_port)
+                .map(|nb| (offsets[nb.node()] + nb.back_port()) as u32)
         }));
         inbox.resize_with(total, || None);
         out.resize_with(total, || None);
@@ -529,7 +532,7 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
     /// drop the now-consumed previous inbox). Leaves `out` all `None`.
     fn deliver(&mut self) {
         for (i, &j) in self.partner.iter().enumerate() {
-            self.inbox[i] = self.out[j].take();
+            self.inbox[i] = self.out[j as usize].take();
         }
     }
 
@@ -556,7 +559,7 @@ impl<'g, N: NodeProgram> MessagePlane<'g, N> {
             self.delayed = (0..self.partner.len()).map(|_| None).collect();
         }
         let mut rng = plan.round_rng(round);
-        for (i, &j) in self.partner.iter().enumerate() {
+        for (i, j) in self.partner.iter().map(|&j| j as usize).enumerate() {
             // A message delayed from the previous exchange arrives now,
             // unless a fresher on-time message supersedes it below.
             let mut incoming = if delays { self.delayed[i].take() } else { None };
@@ -615,7 +618,7 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
         sweep: &Sweep<'_>,
         v: usize,
         i: usize,
-        rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut VertexRng>,
     ) -> (u64, Option<N::Output>) {
         let (o0, o1) = (sweep.offsets[v] - sh.base, sweep.offsets[v + 1] - sh.base);
         let action = {
@@ -625,7 +628,7 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
                 params: sweep.params,
                 inbox: &mut sh.inbox[o0..o1],
                 outbox: &mut sh.out[o0..o1],
-                rng,
+                rng: rng.map(|r| r as &mut dyn RngCore),
             };
             sh.states[i].step(sweep.round, &mut io)
         };
@@ -647,7 +650,7 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
         let (inbox, out, partner) = (&mut *sh.inbox, &mut *sh.out, sh.partner);
         let (base, end) = (sh.base, sh.base + out.len());
         for li in 0..inbox.len() {
-            let j = partner[base + li];
+            let j = partner[base + li] as usize;
             inbox[li] = if j >= base && j < end {
                 out[j - base].take()
             } else {
@@ -658,7 +661,7 @@ impl<N: NodeProgram + Send> Plane for MessagePlane<'_, N> {
         // involution): export it with its destination inbox slot.
         for lj in 0..out.len() {
             if let Some(m) = out[lj].take() {
-                xfer.push((partner[base + lj], m));
+                xfer.push((partner[base + lj] as usize, m));
             }
         }
     }

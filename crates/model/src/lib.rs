@@ -75,6 +75,7 @@ mod node;
 mod params;
 pub mod recover;
 pub mod reference;
+mod rng;
 mod spec;
 mod sync;
 

@@ -3,7 +3,7 @@
 use crate::params::GlobalParams;
 use local_graphs::{NodeId, PortId};
 use rand::RngCore;
-use rand_chacha::ChaCha8Rng;
+use std::fmt;
 
 /// What a node decides at the end of a step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,14 +67,26 @@ pub struct NodeInit<'a> {
 
 /// Per-round I/O handle: the inbox from the previous exchange, the outbox for
 /// this one, and the model capabilities (ID / randomness).
-#[derive(Debug)]
 pub struct NodeIo<'a, M> {
     pub(crate) degree: usize,
     pub(crate) id: Option<u64>,
     pub(crate) params: &'a GlobalParams,
     pub(crate) inbox: &'a mut [Option<M>],
     pub(crate) outbox: &'a mut [Option<M>],
-    pub(crate) rng: Option<&'a mut ChaCha8Rng>,
+    pub(crate) rng: Option<&'a mut dyn RngCore>,
+}
+
+impl<M: fmt::Debug> fmt::Debug for NodeIo<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeIo")
+            .field("degree", &self.degree)
+            .field("id", &self.id)
+            .field("params", &self.params)
+            .field("inbox", &self.inbox)
+            .field("outbox", &self.outbox)
+            .field("randomized", &self.rng.is_some())
+            .finish()
+    }
 }
 
 impl<'a, M: Clone> NodeIo<'a, M> {

@@ -308,9 +308,9 @@ impl Residue {
                 continue;
             }
             for nb in g.neighbors(v) {
-                if dist[nb.node].is_none() {
-                    dist[nb.node] = Some(d + 1);
-                    queue.push_back(nb.node);
+                if dist[nb.node()].is_none() {
+                    dist[nb.node()] = Some(d + 1);
+                    queue.push_back(nb.node());
                 }
             }
         }

@@ -23,7 +23,7 @@ use crate::params::GlobalParams;
 use crate::spec::ExecSpec;
 use crate::sync::{SyncAlgorithm, SyncCtx, SyncStep};
 use local_graphs::{Graph, Neighbor};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Run `protocol` on `g` under `mode` with the baseline message plane.
@@ -131,8 +131,8 @@ where
                     .iter()
                     .map(|nb| {
                         prev_out
-                            .get(nb.node)
-                            .and_then(|o| o.get(nb.back_port))
+                            .get(nb.node())
+                            .and_then(|o| o.get(nb.back_port()))
                             .cloned()
                             .flatten()
                     })
@@ -147,7 +147,7 @@ where
                     params,
                     inbox: &mut inbox,
                     outbox: &mut out,
-                    rng: slot.rng.as_mut(),
+                    rng: slot.rng.as_mut().map(|r| r as &mut dyn RngCore),
                 };
                 slot.state.step(round, &mut io)
             };
@@ -314,7 +314,7 @@ impl<'a, A: SyncAlgorithm, W: NodeProgram + Send> Protocol for SyncProtocol<'a, 
             nbrs,
             state: self.algo.init(init),
             decided: None,
-            heard: nbrs.iter().map(|nb| initial(nb.node)).collect(),
+            heard: nbrs.iter().map(|nb| initial(nb.node())).collect(),
         })
     }
 }

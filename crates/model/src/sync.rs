@@ -36,6 +36,7 @@ use crate::engine::{cut, Live, Plane, Resolved, Sweep, ARENA, STATE_PAR_THRESHOL
 use crate::faults::FaultPlan;
 use crate::node::NodeInit;
 use crate::params::GlobalParams;
+use crate::rng::VertexRng;
 use local_graphs::{Graph, Neighbor, PortId};
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
@@ -97,7 +98,7 @@ impl<'a> SyncCtx<'a> {
     ///
     /// Panics if `p >= degree`.
     pub fn back_port(&self, p: PortId) -> PortId {
-        self.nbrs[p].back_port
+        self.nbrs[p].back_port()
     }
 }
 
@@ -156,7 +157,7 @@ fn update<A: SyncAlgorithm>(
     algo: &A,
     sweep: &Sweep<'_>,
     v: usize,
-    rng: Option<&mut ChaCha8Rng>,
+    rng: Option<&mut VertexRng>,
     current: &A::State,
     neighbors: &[A::State],
 ) -> (A::State, Decision<A::Output>) {
@@ -258,7 +259,7 @@ impl<'a, A: SyncAlgorithm> Plane for StatePlane<'a, A> {
         sweep: &Sweep<'_>,
         v: usize,
         i: usize,
-        rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut VertexRng>,
     ) -> (u64, Option<Self::Output>) {
         let nbrs = sweep.graph.neighbors(v);
         let degree = nbrs.len() as u64;
@@ -270,8 +271,8 @@ impl<'a, A: SyncAlgorithm> Plane for StatePlane<'a, A> {
             None => {
                 for (p, nb) in nbrs.iter().enumerate() {
                     match sh.scratch.get_mut(p) {
-                        Some(slot) => slot.clone_from(&sh.prev[nb.node]),
-                        None => sh.scratch.push(sh.prev[nb.node].clone()),
+                        Some(slot) => slot.clone_from(&sh.prev[nb.node()]),
+                        None => sh.scratch.push(sh.prev[nb.node()].clone()),
                     }
                 }
                 let (state, decision) = update(
@@ -295,7 +296,7 @@ impl<'a, A: SyncAlgorithm> Plane for StatePlane<'a, A> {
                     sh.next[i].clone_from(&sh.prev[v]);
                     sh.next_decided[i] = true;
                 }
-                if nbrs.iter().all(|nb| sh.prev_decided[nb.node]) {
+                if nbrs.iter().all(|nb| sh.prev_decided[nb.node()]) {
                     let (decided, output) = sh.decision[i].take().expect("matched Some");
                     (0, Some((output, decided)))
                 } else {
@@ -322,13 +323,15 @@ impl<'a, A: SyncAlgorithm> Plane for StatePlane<'a, A> {
 }
 
 /// Every directed edge in ascending receiver-slot order, as its sender and
-/// the sender's slot for the edge: the faulty exchange's table.
-fn senders(g: &Graph) -> impl Iterator<Item = (usize, usize)> + '_ {
+/// the sender's slot for the edge: the faulty exchange's table. A graph's
+/// vertex and slot counts fit in `u32` (see [`local_graphs::Neighbor`]).
+fn senders(g: &Graph) -> impl Iterator<Item = (u32, u32)> + '_ {
     let offsets = g.csr_offsets();
     g.vertices().flat_map(move |v| {
-        g.neighbors(v)
-            .iter()
-            .map(move |nb| (nb.node, offsets[nb.node] + nb.back_port))
+        g.neighbors(v).iter().map(move |nb| {
+            let u = nb.node();
+            (u as u32, (offsets[u] + nb.back_port()) as u32)
+        })
     })
 }
 
@@ -342,7 +345,7 @@ pub(crate) struct HeardPlane<'a, A: SyncAlgorithm> {
     heard: Vec<A::State>,
     /// By receiver slot, the sender and the sender's own slot for the same
     /// edge: the fault plan draws per sender slot.
-    senders: Vec<(usize, usize)>,
+    senders: Vec<(u32, u32)>,
     /// States deferred one exchange by delay faults, by receiver slot; empty
     /// when the plan cannot delay.
     delayed: Vec<Option<A::State>>,
@@ -407,9 +410,12 @@ impl<'a, A: SyncAlgorithm> HeardPlane<'a, A> {
         push_initial_states(algo, g, run, &mut plane.states);
         plane.senders.extend(senders(g));
         let states = &plane.states;
-        plane
-            .heard
-            .extend(plane.senders.iter().map(|&(u, _)| states[u].clone()));
+        plane.heard.extend(
+            plane
+                .senders
+                .iter()
+                .map(|&(u, _)| states[u as usize].clone()),
+        );
         if plane.delays {
             plane.delayed.resize_with(slots, || None);
         }
@@ -438,6 +444,7 @@ impl<'a, A: SyncAlgorithm> HeardPlane<'a, A> {
         delayed: &mut u64,
     ) {
         let (u, j) = self.senders[i];
+        let (u, j) = (u as usize, j as usize);
         // A state delayed from the previous exchange arrives now, unless
         // a fresher on-time one supersedes it below.
         let mut arrived = if self.delays {
@@ -496,7 +503,7 @@ impl<'a, A: SyncAlgorithm> Plane for HeardPlane<'a, A> {
         sweep: &Sweep<'_>,
         v: usize,
         i: usize,
-        rng: Option<&mut ChaCha8Rng>,
+        rng: Option<&mut VertexRng>,
     ) -> (u64, Option<Self::Output>) {
         if sweep.round > 0 {
             if let Some((decided, output)) = sh.decision[i].take() {
@@ -534,7 +541,7 @@ impl<'a, A: SyncAlgorithm> Plane for HeardPlane<'a, A> {
             // Every message arrives, in any order.
             for u in live.iter() {
                 for &(_, i) in &self.senders[offsets[u]..offsets[u + 1]] {
-                    self.heard[i].clone_from(&self.states[u]);
+                    self.heard[i as usize].clone_from(&self.states[u]);
                 }
             }
             return;
@@ -543,7 +550,7 @@ impl<'a, A: SyncAlgorithm> Plane for HeardPlane<'a, A> {
         if live.len() * SPARSE_SHARE < sweep.graph.n() {
             for u in live.iter() {
                 for &(_, i) in &self.senders[offsets[u]..offsets[u + 1]] {
-                    self.marks[i / 64] |= 1 << (i % 64);
+                    self.marks[i as usize / 64] |= 1 << (i % 64);
                 }
             }
             for w in 0..self.marks.len() {
@@ -584,13 +591,14 @@ mod tests {
         let edges = [(1, 2), (1, 3), (1, 4), (1, 6), (1, 7), (7, 8), (8, 3)];
         let g = GraphBuilder::from_edges(10, edges).expect("simple graph");
         let offsets = g.csr_offsets();
-        let table: Vec<(usize, usize)> = senders(&g).collect();
+        let table: Vec<(usize, usize)> =
+            senders(&g).map(|(u, j)| (u as usize, j as usize)).collect();
         assert_eq!(table.len(), offsets[g.n()]);
         for v in g.vertices() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
                 let i = offsets[v] + p;
                 let (u, j) = table[i];
-                assert_eq!((u, j), (nb.node, offsets[nb.node] + nb.back_port));
+                assert_eq!((u, j), (nb.node(), offsets[nb.node()] + nb.back_port()));
                 // The sender's slot lies in the sender's row and points back.
                 assert!((offsets[u]..offsets[u + 1]).contains(&j));
                 assert_eq!(table[j].1, i, "slot {i}");

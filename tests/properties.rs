@@ -34,9 +34,9 @@ proptest! {
         prop_assert!(g.handshake_holds());
         for v in g.vertices() {
             for (p, nb) in g.neighbors(v).iter().enumerate() {
-                let back = g.neighbor(nb.node, nb.back_port);
-                prop_assert_eq!(back.node, v);
-                prop_assert_eq!(back.back_port, p);
+                let back = g.neighbor(nb.node(), nb.back_port());
+                prop_assert_eq!(back.node(), v);
+                prop_assert_eq!(back.back_port(), p);
             }
         }
     }
@@ -146,14 +146,14 @@ fn brute_force_girth(g: &exp_separation::graphs::Graph) -> Option<usize> {
         best: &mut Option<usize>,
     ) {
         for nb in g.neighbors(current) {
-            if nb.node == start && depth >= 3 {
+            if nb.node() == start && depth >= 3 {
                 if best.is_none_or(|b| depth < b) {
                     *best = Some(depth);
                 }
-            } else if !visited[nb.node] && nb.node > start {
-                visited[nb.node] = true;
-                dfs(g, start, nb.node, visited, depth + 1, best);
-                visited[nb.node] = false;
+            } else if !visited[nb.node()] && nb.node() > start {
+                visited[nb.node()] = true;
+                dfs(g, start, nb.node(), visited, depth + 1, best);
+                visited[nb.node()] = false;
             }
         }
     }
