@@ -8,7 +8,7 @@
 
 use super::edge_set::EdgeSet;
 use crate::error::GraphError;
-use crate::graph::Graph;
+use crate::graph::{fits_u32, Graph};
 use crate::GraphBuilder;
 use rand::Rng;
 
@@ -91,8 +91,10 @@ fn switch_chain(
 ///
 /// # Errors
 ///
-/// [`GraphError::InfeasibleParameters`] if `n·d` is odd or `d ≥ n`.
+/// [`GraphError::InfeasibleParameters`] if `n·d` is odd or `d ≥ n`, and
+/// [`GraphError::TooLarge`] if `n` or `n·d` exceeds `u32::MAX`.
 pub fn random_regular(n: usize, d: usize, rng: &mut impl Rng) -> Result<Graph, GraphError> {
+    fits_u32(n, n.saturating_mul(d) / 2)?;
     if d == 0 {
         return Ok(GraphBuilder::new(n).build());
     }
@@ -143,12 +145,14 @@ pub fn random_regular(n: usize, d: usize, rng: &mut impl Rng) -> Result<Graph, G
 ///
 /// # Errors
 ///
-/// [`GraphError::InfeasibleParameters`] if `d > n_side`.
+/// [`GraphError::InfeasibleParameters`] if `d > n_side`, and
+/// [`GraphError::TooLarge`] if `2·n_side` or `2·n_side·d` exceeds `u32::MAX`.
 pub fn random_bipartite_regular(
     n_side: usize,
     d: usize,
     rng: &mut impl Rng,
 ) -> Result<Graph, GraphError> {
+    fits_u32(n_side.saturating_mul(2), n_side.saturating_mul(d))?;
     if d > n_side {
         return Err(GraphError::InfeasibleParameters {
             reason: format!("d = {d} > n_side = {n_side}"),

@@ -58,21 +58,6 @@ pub struct Neighbor {
 }
 
 impl Neighbor {
-    /// The entry for the port whose edge `edge` leads to `node`, arriving
-    /// there on port `back_port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any of the three is at least `2^32`.
-    pub fn new(node: NodeId, back_port: PortId, edge: EdgeId) -> Self {
-        let narrow = |x: usize| u32::try_from(x).expect("adjacency index exceeds u32");
-        Neighbor {
-            node: narrow(node),
-            back_port: narrow(back_port),
-            edge: narrow(edge),
-        }
-    }
-
     /// An entry from indices the caller has already bounded by [`fits_u32`].
     #[inline]
     fn packed(node: NodeId, back_port: PortId, edge: EdgeId) -> Self {
@@ -612,6 +597,8 @@ pub(crate) mod implicit {
 mod tests {
     use super::{fits_u32, Neighbor};
     use crate::{gen, GraphBuilder, GraphError};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn a_port_entry_is_12_bytes() {
@@ -647,12 +634,20 @@ mod tests {
         );
         let e = gen::stream::circulant(max + 1, 2).unwrap_err();
         assert!(e.to_string().contains("32-bit adjacency"), "{e}");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds u32")]
-    fn a_neighbor_index_past_u32_panics() {
-        let _ = Neighbor::new(1 << 32, 0, 0);
+        // The random generators check before they build their edge lists.
+        let rng = &mut StdRng::seed_from_u64(0);
+        assert_eq!(
+            gen::random_regular(n, 2, rng),
+            Err(GraphError::TooLarge { n, m: n })
+        );
+        assert_eq!(
+            gen::random_bipartite_regular(n / 2, 2, rng),
+            Err(GraphError::TooLarge { n, m: n })
+        );
+        assert_eq!(
+            gen::high_girth_regular(n / 2, 2, 6, rng),
+            Err(GraphError::TooLarge { n, m: n })
+        );
     }
 
     #[test]

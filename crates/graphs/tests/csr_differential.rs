@@ -8,20 +8,21 @@
 //! from the same edge list and require the CSR graph to agree neighbor-for-
 //! neighbor on arbitrary random graphs.
 
-use local_graphs::{gen, Graph, GraphBuilder, Neighbor};
+use local_graphs::{gen, Graph, GraphBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The pre-refactor adjacency representation, built by the pre-refactor
-/// rule: each inserted edge appends one `Neighbor` to each endpoint's list.
-fn reference_adj(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<Neighbor>> {
-    let mut adj: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+/// rule: each inserted edge appends one `(node, back_port, edge)` entry to
+/// each endpoint's list.
+fn reference_adj(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<(usize, usize, usize)>> {
+    let mut adj: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); n];
     for (e, &(u, v)) in edges.iter().enumerate() {
         let pu = adj[u].len();
         let pv = adj[v].len();
-        adj[u].push(Neighbor::new(v, pv, e));
-        adj[v].push(Neighbor::new(u, pu, e));
+        adj[u].push((v, pv, e));
+        adj[v].push((u, pu, e));
     }
     adj
 }
@@ -59,7 +60,12 @@ fn assert_matches_reference(g: &Graph, n: usize, edges: &[(usize, usize)]) {
             reference[v].len(),
             "CSR slot span of {v}"
         );
-        assert_eq!(g.neighbors(v), reference[v].as_slice(), "adjacency of {v}");
+        let entries: Vec<_> = g
+            .neighbors(v)
+            .iter()
+            .map(|nb| (nb.node(), nb.back_port(), nb.edge()))
+            .collect();
+        assert_eq!(entries, reference[v], "adjacency of {v}");
     }
     for (e, &(u, v)) in edges.iter().enumerate() {
         assert_eq!(g.endpoints(e), (u, v), "endpoints of edge {e}");

@@ -86,7 +86,15 @@ impl RulingSet {
 /// The ball size up to which [`RulingSet::members_in_ball`] finds visited
 /// vertices by a linear scan of the ball list, so the small balls of
 /// low-degree graphs cost no hashing.
-const SCAN_LIMIT: usize = 32;
+///
+/// 64 is the measured crossover. On the radius-2 balls of 2,000-vertex
+/// `d`-regular circulants (2d + 1 vertices), a search with the scan alone
+/// cost a quarter of one with a `HashSet` alone up to 17 vertices, half at
+/// 33, 0.95 of it at 65 and 1.1 of it at 73 (release build, 2-vCPU Xeon
+/// VM). On the `heal` benchmark, whose balls stay below the limit, the
+/// scan read 8.5% more ops/s than the hash set alone in the median, higher
+/// in 8 of 10 alternating pairs.
+const SCAN_LIMIT: usize = 64;
 
 impl LclProblem for RulingSet {
     type Label = bool;
