@@ -1,13 +1,15 @@
-//! Large-`n` scaling probe for the round engine — the data source behind
-//! `BENCH_engine.json` and the CI large-n smoke job.
+//! Scaling probe for the round engine — the repository's one wall-clock
+//! measurement path, the data source behind `BENCH_engine.json` and its CI
+//! gates (`obs_report regress --bench`).
 //!
-//! Unlike the criterion benches (statistical, small `n`), this binary does a
-//! handful of timed single runs at 1M–100M vertices and reports a JSON row:
-//! mean wall-clock per run, peak RSS (`VmHWM`), and an order-independent
-//! fingerprint of the outputs so shard-count invariance is checkable from the
-//! command line:
+//! It does `--repeat` timed runs of one workload, from 1,024 to 100M
+//! vertices, and reports a JSON row: mean and minimum wall-clock per run,
+//! the graph's maximum degree `d`, peak RSS (`VmHWM`), and an
+//! order-independent fingerprint of the outputs so shard-count invariance is
+//! checkable from the command line:
 //!
 //! ```text
+//! bench_scale --workload flood --n 1024 --repeat 200
 //! bench_scale --workload flood --n 1000000 --repeat 5
 //! bench_scale --workload luby  --n 10000000 --d 3 --shards 4
 //! bench_scale --workload theorem10 --n 16384 --d 16
@@ -22,10 +24,11 @@
 //! workload prints the usage line and exits with status 2, as the `exp_*`
 //! binaries do.
 //!
-//! `theorem10` runs Theorem 10's full pipeline on the complete `(d−1)`-ary
-//! tree with at least `n` vertices (the row's `n` is the requested size). It
-//! takes no `--shards`: `theorem10_color` runs under the engine's automatic
-//! choice.
+//! `flood` runs on the `n`-cycle, whatever `--d` says; `luby` on the
+//! `d`-regular circulant. `theorem10` runs Theorem 10's full pipeline on the
+//! complete `(d−1)`-ary tree with at least `n` vertices (the row's `n` is the
+//! requested size). It takes no `--shards`: `theorem10_color` runs under the
+//! engine's automatic choice.
 
 use local_algorithms::mis::luby::Luby;
 use local_algorithms::run_sync;
@@ -36,8 +39,8 @@ use local_model::{
 };
 use std::time::Instant;
 
-/// Floods the max for a fixed horizon, then halts — pure engine overhead
-/// (same protocol as the criterion `engine_flood_20_rounds` group).
+/// Floods the max for a fixed horizon, then halts — pure engine overhead,
+/// every vertex live and broadcasting on every port for `--rounds` sweeps.
 struct Flood {
     horizon: u32,
     value: u64,
@@ -300,6 +303,7 @@ fn main() {
     let drop = drop.map_or(String::new(), |p| format!(",\"drop\":{p}"));
     println!(
         "{{\"workload\":\"{workload}\",\"n\":{n},\"d\":{d}{drop},\"shards\":{shards},\"threads\":{threads},\"repeat\":{repeat},\"gen_ns\":{gen_ns},\"mean_ns\":{mean_ns},\"min_ns\":{min_ns},\"rounds\":{rounds},\"fingerprint\":\"{fp:016x}\",\"peak_rss_bytes\":{rss}}}",
+        d = g.max_degree(),
         rounds = result.rounds,
         fp = result.fingerprint,
         rss = peak_rss_bytes(),

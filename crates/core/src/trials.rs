@@ -4,19 +4,16 @@
 //! runs used to hand-roll the same sequential loop (`for seed in 0..k`).
 //! [`TrialPlan`] replaces those loops: it derives one independent seed per
 //! trial from a master seed through the engine's own stream-splitting
-//! ([`local_model::derived_rng`]), executes the trials in parallel with
+//! ([`local_model::derived_u64`]), executes the trials in parallel with
 //! rayon, and returns the per-trial results *in trial order* — so the
 //! aggregate an experiment computes is bit-identical no matter how many
 //! worker threads ran.
 //!
-//! [`summarize_runs`] aggregates the engine's per-run [`RunStats`] into the
-//! JSON-friendly [`StatsSummary`], and [`TrialReport`] is the stable JSON
-//! envelope the `exp_e*` binaries emit under `--json` (schema documented in
-//! the README).
+//! [`TrialReport`] is the stable JSON envelope the `exp_e*` binaries emit
+//! under `--json` (schema documented in the README).
 
-use local_model::{derived_rng, derived_u64, RunStats};
+use local_model::derived_u64;
 use local_obs::{Trace, TraceSink};
-use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -34,15 +31,6 @@ pub struct Trial {
     pub index: u64,
     /// The independent per-trial seed, derived from the plan's master seed.
     pub seed: u64,
-}
-
-impl Trial {
-    /// A fresh deterministic RNG for this trial (for auxiliary randomness
-    /// such as workload generation, split from the trial seed the same way
-    /// the engine splits node streams).
-    pub fn rng(&self) -> ChaCha8Rng {
-        derived_rng(self.seed, 0)
-    }
 }
 
 /// The checkpoint capability of a [`TrialSpec`]: the store, the scope key,
@@ -248,24 +236,6 @@ impl TrialPlan {
             }
         }
     }
-
-    /// [`execute`](Self::execute), then average `value` over the trials.
-    ///
-    /// An empty plan has a mean of `0.0` (never `NaN`).
-    pub fn mean<F>(&self, value: F) -> f64
-    where
-        F: Fn(Trial) -> f64 + Sync,
-    {
-        if self.trials == 0 {
-            return 0.0;
-        }
-        let total: f64 = self
-            .execute(TrialSpec::new(), |t, _| value(t))
-            .into_iter()
-            .map(TrialOutcome::into_ok)
-            .sum();
-        total / self.trials as f64
-    }
 }
 
 /// Encode a trial outcome as a checkpoint value: `{"ok": R}` or
@@ -347,97 +317,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic>".to_string()
-    }
-}
-
-/// Aggregate of the engine's [`RunStats`] over a batch of runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatsSummary {
-    /// Number of runs aggregated.
-    pub runs: u64,
-    /// Total messages sent across all runs.
-    pub messages_total: u64,
-    /// Mean messages per run.
-    pub messages_mean: f64,
-    /// Mean engine sweeps per run.
-    pub sweeps_mean: f64,
-    /// Smallest sweep count observed.
-    pub sweeps_min: u32,
-    /// Largest sweep count observed.
-    pub sweeps_max: u32,
-    /// Mean round complexity per run (`sweeps − 1`: the final sweep only
-    /// collects halts).
-    pub rounds_mean: f64,
-    /// Largest round complexity observed.
-    pub rounds_max: u32,
-    /// Largest single-round message volume observed across all runs (0 when
-    /// no run recorded per-round message counts).
-    pub messages_max_round: u64,
-}
-
-/// Round complexity of one run. The engine's final sweep only collects
-/// halts, so a run with `s` sweeps performed `s − 1` algorithmic rounds.
-/// The degenerate cases are explicit: a zero-sweep run (the engine never
-/// stepped — e.g. an immediate budget cut) and a one-sweep run (every vertex
-/// halted on its first activation) both count as zero rounds.
-fn rounds_of(sweeps: u32) -> u32 {
-    match sweeps {
-        0 | 1 => 0,
-        s => s - 1,
-    }
-}
-
-/// Aggregate per-run [`RunStats`] into a [`StatsSummary`].
-///
-/// Returns a zeroed summary for an empty batch.
-pub fn summarize_runs<'a, I>(runs: I) -> StatsSummary
-where
-    I: IntoIterator<Item = &'a RunStats>,
-{
-    let mut n = 0u64;
-    let mut messages_total = 0u64;
-    let mut sweeps_total = 0u64;
-    let mut sweeps_min = u32::MAX;
-    let mut sweeps_max = 0u32;
-    let mut rounds_total = 0u64;
-    let mut rounds_max = 0u32;
-    let mut messages_max_round = 0u64;
-    for s in runs {
-        n += 1;
-        messages_total += s.messages_sent;
-        sweeps_total += u64::from(s.sweeps);
-        sweeps_min = sweeps_min.min(s.sweeps);
-        sweeps_max = sweeps_max.max(s.sweeps);
-        let rounds = rounds_of(s.sweeps);
-        rounds_total += u64::from(rounds);
-        rounds_max = rounds_max.max(rounds);
-        if let Some(&peak) = s.messages_per_round.iter().max() {
-            messages_max_round = messages_max_round.max(peak);
-        }
-    }
-    if n == 0 {
-        return StatsSummary {
-            runs: 0,
-            messages_total: 0,
-            messages_mean: 0.0,
-            sweeps_mean: 0.0,
-            sweeps_min: 0,
-            sweeps_max: 0,
-            rounds_mean: 0.0,
-            rounds_max: 0,
-            messages_max_round: 0,
-        };
-    }
-    StatsSummary {
-        runs: n,
-        messages_total,
-        messages_mean: messages_total as f64 / n as f64,
-        sweeps_mean: sweeps_total as f64 / n as f64,
-        sweeps_min,
-        sweeps_max,
-        rounds_mean: rounds_total as f64 / n as f64,
-        rounds_max,
-        messages_max_round,
     }
 }
 
@@ -536,87 +415,8 @@ mod tests {
     #[test]
     fn parallel_fold_is_deterministic() {
         let plan = TrialPlan::new(200, 11);
-        let a: f64 = plan.mean(|t| (t.seed % 1000) as f64);
-        let b: f64 = plan.mean(|t| (t.seed % 1000) as f64);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn trial_rngs_are_independent() {
-        use rand::RngCore;
-        let plan = TrialPlan::new(2, 9);
-        let draws: Vec<u64> = run(&plan, |t| t.rng().next_u64());
-        assert_ne!(draws[0], draws[1]);
-    }
-
-    #[test]
-    fn stats_summary_aggregates() {
-        let runs = vec![
-            RunStats {
-                messages_sent: 10,
-                sweeps: 3,
-                live_per_round: vec![4, 2, 1],
-                messages_per_round: vec![6, 3, 1],
-            },
-            RunStats {
-                messages_sent: 30,
-                sweeps: 5,
-                live_per_round: vec![4, 4, 3, 2, 1],
-                messages_per_round: vec![12, 8, 6, 3, 1],
-            },
-        ];
-        let s = summarize_runs(&runs);
-        assert_eq!(s.runs, 2);
-        assert_eq!(s.messages_total, 40);
-        assert_eq!(s.messages_mean, 20.0);
-        assert_eq!(s.sweeps_min, 3);
-        assert_eq!(s.sweeps_max, 5);
-        assert_eq!(s.sweeps_mean, 4.0);
-        assert_eq!(s.rounds_mean, 3.0);
-        assert_eq!(s.rounds_max, 4);
-        assert_eq!(s.messages_max_round, 12);
-    }
-
-    #[test]
-    fn zero_and_one_sweep_runs_count_zero_rounds() {
-        // A zero-sweep run (engine cut before its first sweep) and a
-        // one-sweep run (everyone halted immediately) are distinct states
-        // that both perform zero algorithmic rounds.
-        let runs = vec![
-            RunStats {
-                messages_sent: 0,
-                sweeps: 0,
-                live_per_round: vec![],
-                messages_per_round: vec![],
-            },
-            RunStats {
-                messages_sent: 4,
-                sweeps: 1,
-                live_per_round: vec![2],
-                messages_per_round: vec![4],
-            },
-        ];
-        let s = summarize_runs(&runs);
-        assert_eq!(s.rounds_mean, 0.0);
-        assert_eq!(s.rounds_max, 0);
-        assert_eq!(s.sweeps_min, 0);
-        assert_eq!(s.sweeps_max, 1);
-        assert_eq!(s.messages_max_round, 4);
-    }
-
-    #[test]
-    fn messages_max_round_is_zero_without_per_round_data() {
-        // Old checkpoint records decode with an empty messages_per_round;
-        // the aggregate must not invent a peak for them.
-        let runs = vec![RunStats {
-            messages_sent: 9,
-            sweeps: 4,
-            live_per_round: vec![3, 2, 1, 0],
-            messages_per_round: vec![],
-        }];
-        let s = summarize_runs(&runs);
-        assert_eq!(s.messages_total, 9);
-        assert_eq!(s.messages_max_round, 0);
+        let fold = || run(&plan, |t| (t.seed % 1000) as f64).iter().sum::<f64>();
+        assert_eq!(fold(), fold());
     }
 
     #[test]
@@ -662,25 +462,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_summarizes_to_zeros() {
-        let empty = summarize_runs([]);
-        assert_eq!(empty.runs, 0);
-        assert_eq!(empty.messages_total, 0);
-        assert_eq!(empty.messages_mean, 0.0);
-        assert_eq!(empty.sweeps_mean, 0.0);
-        assert_eq!(empty.sweeps_min, 0);
-        assert_eq!(empty.sweeps_max, 0);
-        assert_eq!(empty.rounds_mean, 0.0);
-        assert_eq!(empty.rounds_max, 0);
-        assert!(!empty.messages_mean.is_nan());
-    }
-
-    #[test]
-    fn zero_trial_mean_is_zero_not_nan() {
+    fn zero_trial_plan_runs_nothing() {
         let plan = TrialPlan::new(0, 42);
-        let m = plan.mean(|_| f64::INFINITY);
-        assert_eq!(m, 0.0);
-        assert!(!m.is_nan());
         assert!(run(&plan, |t| t.index).is_empty());
         assert!(run_isolated(&plan, |t| t.index).is_empty());
     }

@@ -13,7 +13,6 @@ use local_graphs::Graph;
 use local_obs::{EventData, Obs, PowHistogram};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Mutex;
 
 /// Which of the paper's two models a run executes under.
@@ -51,49 +50,14 @@ impl Mode {
     }
 }
 
-/// Aggregate statistics of a run.
+/// Aggregate statistics of a run. Per-round curves are the `round` trace
+/// events ([`EventData::Round`]), one per sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStats {
     /// Total messages sent across all rounds.
     pub messages_sent: u64,
     /// Number of engine sweeps executed (≥ `rounds`).
     pub sweeps: u32,
-    /// How many nodes were still live *entering* each sweep — the progress
-    /// curve of the protocol (length = `sweeps`).
-    pub live_per_round: Vec<usize>,
-    /// Messages sent during each sweep — the per-round twin of
-    /// `live_per_round` (length = `sweeps`; sums to `messages_sent`).
-    pub messages_per_round: Vec<u64>,
-}
-
-// Hand-written so records serialized before `messages_per_round` existed
-// (e.g. old checkpoint files) still decode: the field defaults to empty.
-impl Serialize for RunStats {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("messages_sent".into(), self.messages_sent.to_value()),
-            ("sweeps".into(), self.sweeps.to_value()),
-            ("live_per_round".into(), self.live_per_round.to_value()),
-            (
-                "messages_per_round".into(),
-                self.messages_per_round.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for RunStats {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(RunStats {
-            messages_sent: u64::from_value(v.field("messages_sent")?)?,
-            sweeps: u32::from_value(v.field("sweeps")?)?,
-            live_per_round: Vec::from_value(v.field("live_per_round")?)?,
-            messages_per_round: match v.get("messages_per_round") {
-                Some(x) => Vec::from_value(x)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// The result of running a protocol to completion.
@@ -914,8 +878,6 @@ impl<'g> Engine<'g> {
         let mut breach: Option<Breach> = None;
         let mut dropped = 0u64;
         let mut delayed = 0u64;
-        let mut live_per_round: Vec<usize> = Vec::new();
-        let mut messages_per_round: Vec<u64> = Vec::new();
         let mut messages_total = 0u64;
         let budget = &run.budget;
         let started = budget.wall_clock.map(|_| std::time::Instant::now());
@@ -962,7 +924,6 @@ impl<'g> Engine<'g> {
                     break;
                 }
             }
-            live_per_round.push(live);
             let at = Sweep {
                 round: sweep,
                 graph: g,
@@ -1021,7 +982,6 @@ impl<'g> Engine<'g> {
                 })
             };
 
-            messages_per_round.push(sweep_sent);
             messages_total += sweep_sent;
             halted_total += sweep_halts as usize;
             if sweep_halts > 0 {
@@ -1103,8 +1063,6 @@ impl<'g> Engine<'g> {
             stats: RunStats {
                 messages_sent: messages_total,
                 sweeps: sweep,
-                live_per_round,
-                messages_per_round,
             },
             dropped,
             delayed,
@@ -1470,22 +1428,36 @@ mod tests {
         assert!(run.outputs.iter().all(|&o| o == 1 << 30));
     }
 
+    /// `(live, messages)` of every `round` event of one traced run.
+    fn round_curve<P: Protocol + Sync>(g: &Graph, protocol: &P) -> (RunStats, Vec<(u64, u64)>) {
+        let trace = Trace::new(0);
+        let run = Engine::new(g, Mode::deterministic())
+            .exec_with(
+                &ExecSpec::default().with_obs(Obs::traced(Some(&trace))),
+                protocol,
+            )
+            .unwrap();
+        let curve = trace
+            .into_events()
+            .into_iter()
+            .filter_map(|e| match e.data {
+                EventData::Round { live, messages, .. } => Some((live, messages)),
+                _ => None,
+            })
+            .collect();
+        (run.stats, curve)
+    }
+
     #[test]
     fn live_per_round_traces_progress() {
-        let g = gen::star(6);
-        let run = Engine::new(&g, Mode::deterministic())
-            .exec(&ImmediateProtocol)
-            .unwrap();
-        assert_eq!(run.stats.live_per_round, vec![6]);
-        let g = gen::cycle(5);
-        let run = Engine::new(&g, Mode::deterministic())
-            .exec(&FloodMinProtocol)
-            .unwrap();
-        assert_eq!(run.stats.live_per_round.len() as u32, run.stats.sweeps);
-        assert_eq!(run.stats.live_per_round[0], 5);
+        let (_, curve) = round_curve(&gen::star(6), &ImmediateProtocol);
+        assert_eq!(curve, vec![(6, 0)]);
+        let (stats, curve) = round_curve(&gen::cycle(5), &FloodMinProtocol);
+        assert_eq!(curve.len() as u32, stats.sweeps);
+        assert_eq!(curve[0].0, 5);
         // Monotonically non-increasing.
-        for w in run.stats.live_per_round.windows(2) {
-            assert!(w[0] >= w[1]);
+        for w in curve.windows(2) {
+            assert!(w[0].0 >= w[1].0);
         }
     }
 
@@ -1660,47 +1632,14 @@ mod tests {
 
     #[test]
     fn messages_per_round_sums_to_messages_sent() {
-        let g = gen::cycle(7);
-        let run = Engine::new(&g, Mode::deterministic())
-            .exec(&FloodMinProtocol)
-            .unwrap();
+        let (stats, curve) = round_curve(&gen::cycle(7), &FloodMinProtocol);
+        assert_eq!(curve.len() as u32, stats.sweeps, "one event per sweep");
         assert_eq!(
-            run.stats.messages_per_round.len() as u32,
-            run.stats.sweeps,
-            "one entry per sweep"
-        );
-        assert_eq!(
-            run.stats.messages_per_round.iter().sum::<u64>(),
-            run.stats.messages_sent
+            curve.iter().map(|&(_, m)| m).sum::<u64>(),
+            stats.messages_sent
         );
         // FloodMin on a cycle broadcasts on both ports every non-final sweep.
-        assert_eq!(run.stats.messages_per_round[0], 14);
-    }
-
-    #[test]
-    fn run_stats_decode_tolerates_records_without_messages_per_round() {
-        // A record written before `messages_per_round` existed (old
-        // checkpoint files) must still decode, defaulting to empty.
-        let old = Value::Object(vec![
-            ("messages_sent".into(), Value::U64(6)),
-            ("sweeps".into(), Value::U64(2)),
-            (
-                "live_per_round".into(),
-                Value::Array(vec![Value::U64(3), Value::U64(3)]),
-            ),
-        ]);
-        let stats = RunStats::from_value(&old).unwrap();
-        assert_eq!(stats.messages_sent, 6);
-        assert_eq!(stats.sweeps, 2);
-        assert_eq!(stats.messages_per_round, Vec::<u64>::new());
-        // A current record round-trips with the field intact.
-        let current = RunStats {
-            messages_sent: 6,
-            sweeps: 2,
-            live_per_round: vec![3, 3],
-            messages_per_round: vec![4, 2],
-        };
-        assert_eq!(RunStats::from_value(&current.to_value()).unwrap(), current);
+        assert_eq!(curve[0].1, 14);
     }
 
     #[test]

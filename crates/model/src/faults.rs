@@ -929,8 +929,6 @@ mod tests {
             stats: RunStats {
                 messages_sent: 0,
                 sweeps: 4,
-                live_per_round: vec![3, 2, 1, 1],
-                messages_per_round: vec![0, 0, 0, 0],
             },
             dropped: 0,
             delayed: 0,

@@ -85,6 +85,6 @@ pub use faults::{FaultMove, FaultPlan, FaultSpec, FaultyRun, Outcome};
 pub use ids::{id_bits, IdAssignment};
 pub use node::{Action, NodeInit, NodeIo, NodeProgram, Protocol};
 pub use params::{GlobalParams, HorizonOverflow};
-pub use recover::{faulty_core, AttemptRecord, Breach, Budget, RecoveryError, Residue};
+pub use recover::{AttemptRecord, Breach, Budget, RecoveryError, Residue};
 pub use spec::ExecSpec;
 pub use sync::{SyncAlgorithm, SyncCtx, SyncStep};

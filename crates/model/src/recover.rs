@@ -13,7 +13,8 @@
 //!   the [`Breach`] recorded on the [`FaultyRun`](crate::FaultyRun), instead
 //!   of hanging.
 //! * [`Residue`] — the induced subgraph of a *core* vertex set (typically the
-//!   non-`Halted` vertices, see [`faulty_core`]) dilated by a boundary
+//!   unlabeled vertices plus those whose outputs violate the problem, as
+//!   `local_algorithms::repair::recover` builds it) dilated by a boundary
 //!   radius, with local↔global index maps so a finisher's labels can be
 //!   spliced back into the full graph.
 //! * [`RecoveryError`] — the typed failure surface of an escalating recovery
@@ -23,7 +24,6 @@
 //! the algorithms crate (`local_algorithms::repair`), which consumes these
 //! types.
 
-use crate::faults::{FaultyRun, Outcome};
 use local_graphs::{Graph, GraphBuilder, NodeId};
 use std::collections::VecDeque;
 use std::error::Error;
@@ -258,17 +258,6 @@ impl serde::Serialize for RecoveryError {
     }
 }
 
-/// Mark the vertices a recovery must relabel: `true` for every non-`Halted`
-/// vertex of a faulty run. (Recovery drivers typically also add vertices
-/// whose halted outputs *violate* the problem — a dropped message can leave
-/// two halted neighbors mutually inconsistent.)
-pub fn faulty_core<O>(run: &FaultyRun<O>) -> Vec<bool> {
-    run.outcomes
-        .iter()
-        .map(|o| !matches!(o, Outcome::Halted { .. }))
-        .collect()
-}
-
 /// The residual subgraph a finisher runs on: a core vertex set dilated by
 /// `radius` hops, with the induced subgraph and local↔global index maps.
 ///
@@ -391,8 +380,6 @@ impl Residue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::Outcome;
-    use crate::RunStats;
     use local_graphs::gen;
 
     #[test]
@@ -454,31 +441,6 @@ mod tests {
         assert!(serde_json::to_string(&breached)
             .unwrap()
             .contains("\"breach\":\"wall_clock\""));
-    }
-
-    #[test]
-    fn faulty_core_marks_non_halted() {
-        let run: FaultyRun<u32> = FaultyRun {
-            outcomes: vec![
-                Outcome::Halted {
-                    round: 1,
-                    output: 9,
-                },
-                Outcome::Crashed { round: 0 },
-                Outcome::Cut,
-            ],
-            rounds: 1,
-            stats: RunStats {
-                messages_sent: 0,
-                sweeps: 2,
-                live_per_round: vec![3, 1],
-                messages_per_round: vec![0, 0],
-            },
-            dropped: 0,
-            delayed: 0,
-            breach: None,
-        };
-        assert_eq!(faulty_core(&run), vec![false, true, true]);
     }
 
     #[test]

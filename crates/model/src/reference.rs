@@ -6,7 +6,8 @@
 //! replaced. It is kept (sequential only, no parallel path) so property
 //! tests and benchmarks can check that the optimized message plane is
 //! observably equivalent: same outputs, same halt rounds, same
-//! `messages_sent`, same sweep count, for any protocol and seed.
+//! `messages_sent`, same sweep count and the same `round` trace events, for
+//! any protocol and seed.
 //!
 //! [`execute_sync_on_messages`] runs a [`SyncAlgorithm`] the way the engine
 //! did before it had state planes: compiled to a broadcast protocol on the
@@ -23,6 +24,7 @@ use crate::params::GlobalParams;
 use crate::spec::ExecSpec;
 use crate::sync::{SyncAlgorithm, SyncCtx, SyncStep};
 use local_graphs::{Graph, Neighbor};
+use local_obs::{EventData, Obs};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -30,7 +32,8 @@ use rand_chacha::ChaCha8Rng;
 ///
 /// Semantics (round numbering, halting, message accounting, round limit,
 /// RNG derivation) match [`crate::Engine::execute`] exactly; only the internal
-/// data layout differs.
+/// data layout differs. `obs` receives the engine's `round` event for every
+/// sweep (none of its other events).
 ///
 /// # Errors
 ///
@@ -42,6 +45,7 @@ pub fn run_reference<P>(
     protocol: &P,
     params: &GlobalParams,
     max_rounds: u32,
+    obs: Obs<'_>,
 ) -> Result<Run<<P::Node as NodeProgram>::Output>, SimError>
 where
     P: Protocol,
@@ -62,7 +66,6 @@ where
         id: Option<u64>,
         out: Vec<Option<M>>,
         done: Option<(u32, O)>,
-        sent: u64,
     }
     type SlotsOf<P> = Vec<
         RefSlot<
@@ -88,15 +91,13 @@ where
                 id,
                 out: Vec::new(),
                 done: None,
-                sent: 0,
             }
         })
         .collect();
 
     let mut live = n;
     let mut sweep: u32 = 0;
-    let mut live_per_round: Vec<usize> = Vec::new();
-    let mut messages_per_round: Vec<u64> = Vec::new();
+    let mut messages_total = 0u64;
     let mut prev_out: Vec<Vec<Option<<P::Node as NodeProgram>::Msg>>> = Vec::new();
 
     while live > 0 {
@@ -113,8 +114,7 @@ where
                     .collect(),
             });
         }
-        live_per_round.push(live);
-        messages_per_round.push(0);
+        let mut sweep_sent = 0u64;
         prev_out.clear();
         prev_out.extend(slots.iter_mut().map(|s| std::mem::take(&mut s.out)));
         let round = sweep;
@@ -151,25 +151,33 @@ where
                 };
                 slot.state.step(round, &mut io)
             };
-            let sent_now = out.iter().filter(|m| m.is_some()).count() as u64;
-            slot.sent += sent_now;
-            *messages_per_round.last_mut().expect("pushed this sweep") += sent_now;
+            sweep_sent += out.iter().filter(|m| m.is_some()).count() as u64;
             slot.out = out;
             if let Action::Halt(o) = action {
                 slot.done = Some((round, o));
             }
         }
 
-        live = slots.iter().filter(|s| s.done.is_none()).count();
+        let still = slots.iter().filter(|s| s.done.is_none()).count();
+        messages_total += sweep_sent;
+        obs.emit(|| EventData::Round {
+            round,
+            live: live as u64,
+            messages: sweep_sent,
+            halts: (live - still) as u64,
+            crashes: 0,
+            dropped: 0,
+            delayed: 0,
+            messages_total,
+        });
+        live = still;
         sweep += 1;
     }
 
     let mut outputs = Vec::with_capacity(n);
     let mut halt_rounds = Vec::with_capacity(n);
     let mut rounds = 0;
-    let mut messages_sent = 0u64;
     for slot in slots {
-        messages_sent += slot.sent;
         let (r, o) = slot.done.expect("loop exits only when all halted");
         rounds = rounds.max(r);
         halt_rounds.push(r);
@@ -180,10 +188,8 @@ where
         rounds,
         halt_rounds,
         stats: RunStats {
-            messages_sent,
+            messages_sent: messages_total,
             sweeps: sweep,
-            live_per_round,
-            messages_per_round,
         },
     })
 }

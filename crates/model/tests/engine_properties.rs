@@ -5,6 +5,7 @@ use local_model::{
     Action, Engine, ExecSpec, GlobalParams, IdAssignment, Mode, NodeInit, NodeIo, NodeProgram,
     Protocol, Run, SimError,
 };
+use local_obs::{EventData, Obs, Trace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,6 +74,40 @@ impl Protocol for MixerProtocol {
     }
 }
 
+/// The payloads of a trace's scrubbed `round` events.
+fn round_events(trace: Trace) -> Vec<EventData> {
+    trace
+        .into_events()
+        .iter()
+        .filter(|e| matches!(e.data, EventData::Round { .. }))
+        .map(|e| e.scrubbed().data)
+        .collect()
+}
+
+/// A traced fault-free run of [`MixerProtocol`] and its `round` events.
+fn traced_run(g: &Graph, mode: Mode) -> (Run<u64>, Vec<EventData>) {
+    let trace = Trace::new(0);
+    let run = Engine::new(g, mode)
+        .execute(
+            &ExecSpec::default().with_obs(Obs::traced(Some(&trace))),
+            &MixerProtocol,
+        )
+        .into_run(100_000)
+        .unwrap();
+    (run, round_events(trace))
+}
+
+/// `(live, messages)` of each `round` event.
+fn curve(rounds: &[EventData]) -> Vec<(u64, u64)> {
+    rounds
+        .iter()
+        .filter_map(|e| match *e {
+            EventData::Round { live, messages, .. } => Some((live, messages)),
+            _ => None,
+        })
+        .collect()
+}
+
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (3usize..40, 0u64..500, 5u32..40).prop_map(|(n, seed, pct)| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -101,26 +136,28 @@ proptest! {
 
     #[test]
     fn halt_rounds_bounded_by_rounds(g in arb_graph(), seed in 0u64..50) {
-        let run = Engine::new(&g, Mode::randomized(seed)).exec(&MixerProtocol).unwrap();
+        let (run, rounds) = traced_run(&g, Mode::randomized(seed));
+        let curve = curve(&rounds);
         let max = run.halt_rounds.iter().copied().max().unwrap_or(0);
         prop_assert_eq!(max, run.rounds);
         prop_assert!(run.stats.sweeps >= run.rounds);
         // The live curve starts with all nodes and never increases.
-        prop_assert_eq!(run.stats.live_per_round.first().copied(), Some(g.n()).filter(|&n| n > 0));
-        for w in run.stats.live_per_round.windows(2) {
-            prop_assert!(w[0] >= w[1]);
+        prop_assert_eq!(curve.first().map(|&(live, _)| live), Some(g.n() as u64));
+        for w in curve.windows(2) {
+            prop_assert!(w[0].0 >= w[1].0);
         }
     }
 
-    /// Fault-free runs must account for every message: the per-round message
-    /// curve sums to the aggregate counter, with one entry per sweep.
+    /// Fault-free runs must account for every message: the `round` events'
+    /// message counts sum to the aggregate counter, one event per sweep.
     #[test]
     fn fault_free_messages_per_round_sums_to_messages_sent(g in arb_graph(), seed in 0u64..50) {
         for mode in [Mode::deterministic(), Mode::randomized(seed)] {
-            let run = Engine::new(&g, mode).exec(&MixerProtocol).unwrap();
-            prop_assert_eq!(run.stats.messages_per_round.len() as u32, run.stats.sweeps);
+            let (run, rounds) = traced_run(&g, mode);
+            let curve = curve(&rounds);
+            prop_assert_eq!(curve.len() as u32, run.stats.sweeps);
             prop_assert_eq!(
-                run.stats.messages_per_round.iter().sum::<u64>(),
+                curve.iter().map(|&(_, messages)| messages).sum::<u64>(),
                 run.stats.messages_sent
             );
         }
@@ -155,16 +192,17 @@ proptest! {
 
     /// The arena engine must be observably equivalent to the simple
     /// reference implementation — same outputs, rounds, halt schedule,
-    /// message count, and sweep count — in both models, on arbitrary graphs,
-    /// under a protocol that exercises broadcasting, state, randomness, and
-    /// staggered halting.
+    /// message count, sweep count and `round` events — in both models, on
+    /// arbitrary graphs, under a protocol that exercises broadcasting,
+    /// state, randomness, and staggered halting.
     #[test]
     fn arena_engine_matches_reference(g in arb_graph(), seed in 0u64..50) {
         let params = GlobalParams::from_graph(&g);
         for mode in [Mode::deterministic(), Mode::randomized(seed)] {
-            let fast = Engine::new(&g, mode.clone()).exec(&MixerProtocol).unwrap();
+            let (fast, fast_rounds) = traced_run(&g, mode.clone());
+            let slow_trace = Trace::new(0);
             let slow = local_model::reference::run_reference(
-                &g, &mode, &MixerProtocol, &params, 100_000,
+                &g, &mode, &MixerProtocol, &params, 100_000, Obs::traced(Some(&slow_trace)),
             )
             .unwrap();
             prop_assert_eq!(&fast.outputs, &slow.outputs);
@@ -172,8 +210,7 @@ proptest! {
             prop_assert_eq!(&fast.halt_rounds, &slow.halt_rounds);
             prop_assert_eq!(fast.stats.messages_sent, slow.stats.messages_sent);
             prop_assert_eq!(fast.stats.sweeps, slow.stats.sweeps);
-            prop_assert_eq!(&fast.stats.live_per_round, &slow.stats.live_per_round);
-            prop_assert_eq!(&fast.stats.messages_per_round, &slow.stats.messages_per_round);
+            prop_assert_eq!(fast_rounds, round_events(slow_trace));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Progress curves: how many vertices are still undecided each round, for
 //! three MIS algorithms on the same graph — the shattering story in one
-//! ASCII plot. Uses the engine's `live_per_round` statistics.
+//! ASCII plot. Reads the engine's per-round `round` trace events.
 //!
 //! Run with `cargo run --release --example progress_curves`.
 
@@ -9,6 +9,7 @@ use exp_separation::algorithms::sync::{run_sync, SyncOutcome};
 use exp_separation::graphs::gen;
 use exp_separation::model::ExecSpec;
 use exp_separation::model::Mode;
+use local_obs::{EventData, Obs, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,7 +56,7 @@ fn main() {
     }
     println!();
 
-    // The raw engine exposes the live curve directly.
+    // A traced run records the live curve, one `round` event per sweep.
     use exp_separation::model::{Action, Engine, NodeInit, NodeIo, NodeProgram, Protocol};
     struct Wave {
         horizon: u32,
@@ -84,19 +85,31 @@ fn main() {
         }
     }
     let g = gen::cycle(2000);
+    let trace = Trace::new(0);
     let run = Engine::new(&g, Mode::deterministic())
-        .execute(&ExecSpec::default(), &WaveProtocol)
+        .execute(
+            &ExecSpec::default().with_obs(Obs::traced(Some(&trace))),
+            &WaveProtocol,
+        )
         .into_run(100_000)
         .expect("finishes");
-    let max = run.stats.live_per_round.iter().copied().max().unwrap_or(1);
+    let live: Vec<usize> = trace
+        .into_events()
+        .into_iter()
+        .filter_map(|e| match e.data {
+            EventData::Round { live, .. } => Some(live as usize),
+            _ => None,
+        })
+        .collect();
+    let max = live.iter().copied().max().unwrap_or(1);
     println!(
         "staggered-halt demo ({} rounds), live vertices per round:",
         run.rounds
     );
-    println!("  {}", sparkline(&run.stats.live_per_round, max));
+    println!("  {}", sparkline(&live, max));
     println!(
         "  start {} → end {}",
-        run.stats.live_per_round.first().unwrap_or(&0),
-        run.stats.live_per_round.last().unwrap_or(&0)
+        live.first().unwrap_or(&0),
+        live.last().unwrap_or(&0)
     );
 }
